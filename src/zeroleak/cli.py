@@ -177,7 +177,7 @@ def analyze_distribution(d: JointDistribution, cfg: RunConfig) -> Analysis:
     bounds = None
     achieved = None
     if ms.member:
-        _, mech = mech_mod.solve_g0(d, cfg.tol_lp)
+        mech = ms.mechanism or mech_mod.solve_g0(d, cfg.tol_lp)[1]
         achieved = dist.entropy(mech.p_u)
         bounds = mech_mod.theorem1_bounds(d, achieved, cfg.tol_ent, member=True, tol_lp=cfg.tol_lp)
         try:
@@ -364,13 +364,25 @@ def parse_code_document(text: str) -> dict[str, str]:
     return doc
 
 
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split()]
+
+
+def _doc_field(doc: dict[str, str], key: str, parse):
+    """``parse(doc[key])``; ParseError when the key is missing or malformed."""
+    if key not in doc:
+        raise ParseError(f"code document has no {key!r} entry")
+    try:
+        return parse(doc[key])
+    except ValueError:
+        raise ParseError(f"cannot parse {key} = {doc[key]!r}") from None
+
+
 def rebuild_and_audit(doc: dict[str, str], cfg: RunConfig, lines: Lines) -> list[str]:
     """Reconstruct each serialized scheme and re-verify every invariant."""
-    x_size = int(doc["x_size"])
-    y_size = int(doc["y_size"])
-    joint = np.array(
-        [[float(v) for v in doc[f"joint.{x}"].split()] for x in range(x_size)]
-    )
+    x_size = _doc_field(doc, "x_size", int)
+    y_size = _doc_field(doc, "y_size", int)
+    joint = np.array([_doc_field(doc, f"joint.{x}", _floats) for x in range(x_size)])
     if joint.shape != (x_size, y_size):
         raise ParseError("joint block shape mismatch")
     d = dist.validate_and_normalize(joint, cfg.tol_prob)
@@ -380,10 +392,10 @@ def rebuild_and_audit(doc: dict[str, str], cfg: RunConfig, lines: Lines) -> list
         if scheme not in (codec.TWO_PART, codec.DIRECT_PAD):
             raise ParseError(f"unknown scheme {scheme!r} in code document")
         if scheme == codec.TWO_PART:
-            u_size = int(doc["two-part.u_size"])
-            p_u = np.array([float(v) for v in doc["two-part.p_u"].split()])
+            u_size = _doc_field(doc, "two-part.u_size", int)
+            p_u = np.array(_doc_field(doc, "two-part.p_u", _floats))
             cols = np.array(
-                [[float(v) for v in doc[f"two-part.p_y_given_u.{u}"].split()] for u in range(u_size)]
+                [_doc_field(doc, f"two-part.p_y_given_u.{u}", _floats) for u in range(u_size)]
             ).T
             decode_tbl = {}
             words = {}
@@ -422,10 +434,10 @@ def rebuild_and_audit(doc: dict[str, str], cfg: RunConfig, lines: Lines) -> list
                     break
             code = codec.PrivateCode(
                 scheme=codec.TWO_PART,
-                key_size=int(doc["two-part.key_size"]),
+                key_size=_doc_field(doc, "two-part.key_size", int),
                 pad_modulus=x_size,
                 y_size=y_size,
-                x_field_bits=int(doc["two-part.x_field_bits"]),
+                x_field_bits=_doc_field(doc, "two-part.x_field_bits", int),
                 u_code=prefix,
                 mech=mech,
                 p_u_given_y=mech_mod.conditional_u_given_y(d, mech),
@@ -457,7 +469,7 @@ def _sweep_instance(family: str, rng: np.random.Generator) -> JointDistribution:
 def check_instance(d: JointDistribution, family: str, cfg: RunConfig) -> list[str]:
     """Property suite for one instance; returns the violated invariants."""
     problems = []
-    ms = mech_mod.membership_in_phat(d, cfg.tol_ent)
+    ms = mech_mod.membership_in_phat(d, cfg.tol_ent, cfg.tol_lp)
     if family in ("det-f", "common-info") and not ms.member:
         problems.append(f"expected membership, got g0 = {ms.certificate:.6g}")
         return problems
@@ -468,9 +480,9 @@ def check_instance(d: JointDistribution, family: str, cfg: RunConfig) -> list[st
         return problems
     if not ms.member:
         return problems
-    _, mech = mech_mod.solve_g0(d)
+    mech = ms.mechanism or mech_mod.solve_g0(d, cfg.tol_lp)[1]
     hu = dist.entropy(mech.p_u)
-    b = mech_mod.theorem1_bounds(d, hu, cfg.tol_ent, member=True)
+    b = mech_mod.theorem1_bounds(d, hu, cfg.tol_ent, member=True, tol_lp=cfg.tol_lp)
     if not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
         problems.append(f"sandwich failed: {b.k_lower} <= {hu} <= {b.k_upper_strengthened}")
     if b.k_upper_strengthened > b.log_nullity_bound + 1e-6:

@@ -3,11 +3,18 @@
 Problem sizes here are tiny (tens of variables, alphabets up to ~20), so the
 solver favors transparency over speed: an explicit tableau, Bland's
 anti-cycling rule, and reduced costs recomputed from scratch each pivot.
+
+Vertices are enumerated by adjacency pivoting over feasible bases (Avis &
+Fukuda, DCG 1992): a breadth-first walk from one feasible basis that takes
+every min-ratio pivot, so the work grows with the number of feasible bases
+rather than with the C(n, rank) column subsets. One Gauss-Jordan routine
+serves rank/nullity, the reduction to independent rows and the choice of
+basis on which each vertex is solved.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +22,39 @@ import numpy as np
 from .errors import Infeasible, NumericalFailure
 
 TAU_LP = 1e-9
-TAU_VERTEX = 1e-8
 RANK_TOL = 1e-10
+
+
+def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Gauss-Jordan elimination of [A | b] with partial pivoting.
+
+    Returns (rows, rhs, pivots): the independent rows of the reduced A, their
+    right-hand sides, and the pivot column of each row. The pivot columns are
+    the lexicographically first basis of A's column space. Pivots no larger
+    than ``tol`` times the largest entry of [A | b] (or 1) count as zero.
+    Raises Infeasible when elimination exposes a row 0 = nonzero.
+    """
+    work = np.concatenate([a, b[:, None]], axis=1, dtype=float)
+    scale = max(np.abs(work).max(), 1.0)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        piv = rank + int(np.argmax(np.abs(work[rank:, c])))
+        if abs(work[piv, c]) <= tol * scale:
+            continue
+        if piv != rank:
+            work[[rank, piv]] = work[[piv, rank]]
+        row = work[rank] / work[rank, c]
+        work -= work[:, c, None] * row
+        work[rank] = row
+        pivots.append(c)
+    rank = len(pivots)
+    if rank < rows and (np.abs(work[rank:, -1]) > 1e-7 * scale).any():
+        raise Infeasible("equality system is inconsistent")
+    return work[:rank, :cols], work[:rank, -1], pivots
 
 
 def rank_and_nullity(m, tol: float = RANK_TOL) -> tuple[int, int]:
@@ -28,21 +66,8 @@ def rank_and_nullity(m, tol: float = RANK_TOL) -> tuple[int, int]:
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("rank_and_nullity needs a nonempty 2-d matrix")
-    scale = max(np.abs(a).max(), 1.0)
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(a[rank:, c])))
-        if abs(a[piv, c]) <= tol * scale:
-            continue
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = a[rank] / a[rank, c]
-        below = np.arange(rows) > rank
-        a[below] -= np.outer(a[below, c], a[rank])
-        rank += 1
-    return rank, cols - rank
+    rank = len(_rref(a, np.zeros(a.shape[0]), tol)[2])
+    return rank, a.shape[1] - rank
 
 
 @dataclass(frozen=True)
@@ -182,77 +207,108 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
     return LpOutcome("optimal", value, x)
 
 
-def _independent_rows(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce [A|b] to a maximal set of independent rows of A.
+def _first_basis(red_a: np.ndarray, support) -> tuple[int, ...]:
+    """Lexicographically first basis of red_a's columns containing ``support``.
 
-    Raises Infeasible when elimination exposes a row 0 = nonzero.
+    Eliminating the support columns first and then the rest in order picks
+    the greedy extension, which is the first such basis in subset order.
     """
-    aug = np.hstack([a, b[:, None]]).astype(float)
-    scale = max(np.abs(aug).max(), 1.0)
-    rows, cols = a.shape
-    rank = 0
-    work = aug.copy()
-    for c in range(cols):
-        if rank == rows:
-            break
-        piv = rank + int(np.argmax(np.abs(work[rank:, c])))
-        if abs(work[piv, c]) <= tol * scale:
-            continue
-        work[[rank, piv]] = work[[piv, rank]]
-        work[rank] /= work[rank, c]
-        others = np.arange(rows) != rank
-        work[others] -= np.outer(work[others, c], work[rank])
-        rank += 1
-    for i in range(rank, rows):
-        if abs(work[i, -1]) > 1e-7 * scale:
-            raise Infeasible("equality system is inconsistent")
-    return work[:rank, :cols], work[:rank, -1]
+    support = np.asarray(support, dtype=int)
+    order = np.concatenate([support, np.setdiff1d(np.arange(red_a.shape[1]), support)])
+    pivots = _rref(red_a[:, order], np.zeros(red_a.shape[0]))[2]
+    return tuple(sorted(int(order[p]) for p in pivots))
 
 
-def enumerate_vertices(
-    eq_lhs,
-    eq_rhs,
-    tol: float = TAU_LP,
-    dedup_tol: float = TAU_VERTEX,
-) -> np.ndarray:
+def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.ndarray:
+    """Basic solutions on the rows of ``bases`` (sorted column indices).
+
+    The determinant and solve run as one batched LAPACK call each, so every
+    solution equals np.linalg.solve(red_a[:, basis], red_b) bit for bit.
+    Drops singular bases (|det| <= RANK_TOL), solutions with an entry below
+    -tol and solutions whose residual on the original system exceeds
+    max(tol, 1e-9); clips the rest at zero.
+    """
+    k, r = bases.shape
+    x = np.zeros((k, a.shape[1]))
+    if r:
+        subs = red_a[:, bases].transpose(1, 0, 2)
+        keep = np.abs(np.linalg.det(subs)) > RANK_TOL
+        bases, x = bases[keep], x[keep]
+        sol = np.linalg.solve(subs[keep], red_b[None, :, None])[..., 0]
+        x[np.arange(len(bases))[:, None], bases] = sol
+    x = np.clip(x[x.min(axis=1) >= -tol], 0.0, None)
+    return x[np.abs(x @ a.T - b).max(axis=1) <= max(tol, 1e-9)]
+
+
+def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
     """All basic feasible solutions of {x >= 0 : eq_lhs @ x = eq_rhs}.
 
-    Iterates over column subsets of size rank(eq_lhs), solving each square
-    subsystem and keeping nonnegative consistent solutions. Degenerate
-    subsets are skipped; duplicates within ``dedup_tol`` (infinity norm) are
-    merged. Rows are returned in canonical (lexicographic) order. Raises
-    Infeasible when no basic feasible solution exists.
+    Walks the graph of feasible bases breadth first, updating the tableau by
+    one pivot per step. The walk starts at the pivot columns of the reduced
+    system, or, when those solve to an entry below -tol, at a basis around a
+    phase-1 simplex point. From each basis it takes every min-ratio pivot,
+    with every leaving row whose ratio ties the minimum within 1e-12, so
+    degenerate vertices are reached too. Each vertex is keyed by its support
+    (entries above ``tol``) and solved on the lexicographically first
+    nonsingular basis containing that support, which is the basis on which a
+    scan over column subsets in lexicographic order would first meet it.
+    Solutions with an entry below -tol or a residual above max(tol, 1e-9)
+    are dropped. Rows are returned in canonical (lexicographic) order.
+    Raises Infeasible when no basic feasible solution exists.
     """
     a = np.array(eq_lhs, dtype=float, ndmin=2)
     b = np.asarray(eq_rhs, dtype=float)
     if a.shape[0] != b.size:
         raise ValueError(f"shape mismatch: A {a.shape}, b {b.size}")
-    red_a, red_b = _independent_rows(a, b, RANK_TOL)
+    red_a, red_b, pivots = _rref(a, b)
     r = red_a.shape[0]
-    ncols = a.shape[1]
-    found: list[np.ndarray] = []
-    for cols in itertools.combinations(range(ncols), r):
-        sub = red_a[:, cols]
-        if r:
-            if abs(np.linalg.det(sub)) <= RANK_TOL:
+    # red_a[:, pivots] is the identity, so that basis solves to red_b and its
+    # tableau is [red_a | red_b] itself
+    start = tuple(pivots)
+    tab = np.hstack([red_a, red_b[:, None]])
+    if red_b.min(initial=0.0) < -tol:
+        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b), tol=tol)
+        if out.status != "optimal":
+            raise Infeasible("polytope has no basic feasible solution")
+        start = _first_basis(red_a, np.nonzero(out.point > tol)[0])
+        if len(start) != r:
+            raise NumericalFailure("phase-1 point does not extend to a basis")
+        tab = np.linalg.solve(red_a[:, start], tab)
+
+    # A basis is a tuple of columns in tableau row order, keyed by its bitmask.
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}  # support -> basis to solve on
+    key = sum(1 << c for c in start)
+    seen = {key}
+    queue = deque([(start, key, tab)])
+    while queue:
+        basis, key, tab = queue.popleft()
+        xb = tab[:, -1]
+        if xb.min(initial=0.0) < -tol:
+            continue
+        support = tuple(sorted(basis[i] for i in np.nonzero(xb > tol)[0]))
+        if support not in found:
+            found[support] = support if len(support) == r else _first_basis(red_a, support)
+
+        t = tab[:, :-1]
+        enter = t > tol
+        enter[:, basis] = False
+        if not enter.any():
+            continue
+        ratio = np.full(t.shape, np.inf)
+        np.divide(np.where(xb > tol, xb, 0.0)[:, None], t, out=ratio, where=enter)
+        tied = enter & (ratio <= ratio.min(axis=0) + 1e-12)
+        for row, col in zip(*np.nonzero(tied)):
+            nxt = key ^ (1 << basis[row]) ^ (1 << int(col))
+            if nxt in seen:
                 continue
-            try:
-                sol = np.linalg.solve(sub, red_b)
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            sol = np.zeros(0)
-        x = np.zeros(ncols)
-        x[list(cols)] = sol
-        if x.min() < -tol:
-            continue
-        x = np.clip(x, 0.0, None)
-        if np.abs(a @ x - b).max() > max(tol, 1e-9):
-            continue
-        if any(np.abs(x - v).max() <= dedup_tol for v in found):
-            continue
-        found.append(x)
-    if not found:
+            seen.add(nxt)
+            prow = tab[row] / tab[row, col]
+            nxt_tab = tab - np.outer(tab[:, col], prow)
+            nxt_tab[row] = prow
+            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, nxt_tab))
+
+    bases = [c for c in found.values() if len(c) == r]
+    vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)
+    if not len(vertices):
         raise Infeasible("polytope has no basic feasible solution")
-    found.sort(key=lambda v: tuple(v))
-    return np.array(found)
+    return vertices[np.lexsort(vertices.T[::-1])]

@@ -12,7 +12,7 @@ H(Y|X)), and computes LP sandwich bounds on the minimum achievable H(U).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,6 +68,8 @@ class MembershipResult:
     member: bool
     certificate: float  # funnel value g0 in bits
     boundary: bool = False
+    # the g0 optimizer, when an LP was solved
+    mechanism: Mechanism | None = field(default=None, compare=False)
 
 
 def x_is_function_of_y(d: JointDistribution, tol: float = 1e-9) -> bool:
@@ -135,19 +137,21 @@ def membership_in_phat(
     """Test whether the funnel optimum g0 equals H(Y|X).
 
     When X is a deterministic function of Y the equality holds by a known
-    sufficient condition and no LP is solved. Instances within a decade of
-    the tolerance either side are flagged ``boundary`` instead of being
-    silently classified.
+    sufficient condition and no LP is solved. Otherwise the g0 optimizer is
+    returned as ``mechanism`` so callers need not solve it again. Instances
+    within a decade of the tolerance either side are flagged ``boundary``
+    instead of being silently classified.
     """
     h_cond = dist.conditional_entropy_y_given_x(d)
     if x_is_function_of_y(d):
         return MembershipResult(member=True, certificate=h_cond)
-    value, _ = solve_g0(d, tol_lp)
+    value, mech = solve_g0(d, tol_lp)
     gap = abs(value - h_cond)
     return MembershipResult(
         member=gap <= tol_ent,
         certificate=value,
         boundary=tol_ent / 10.0 <= gap <= 10.0 * tol_ent,
+        mechanism=mech,
     )
 
 

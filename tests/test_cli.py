@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from zeroleak import cli, dist
+from zeroleak import cli, dist, families
+from zeroleak import mechanism as mm
 from zeroleak.errors import ParseError, StochasticityError
 
 EXAMPLE1_TEXT = """
@@ -135,6 +136,42 @@ def test_audit_detects_tampered_decode_table(example1_file, tmp_path):
     status, audit_out = run_cli(["--cmd", "audit", "--input", str(doc)])
     assert status == 1
     assert "violation" in audit_out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: None if line.startswith("two-part.u_size") else line,
+        lambda line: "two-part.u_size = two" if line.startswith("two-part.u_size") else line,
+    ],
+    ids=["missing", "malformed"],
+)
+def test_audit_bad_u_size_is_parse_error(example1_file, tmp_path, capsys, edit):
+    _, out = run_cli(["--cmd", "code", "--input", example1_file, "--format", "structured"])
+    lines = [edit(line) for line in out.splitlines()]
+    doc = tmp_path / "broken.txt"
+    doc.write_text("".join(line + "\n" for line in lines if line is not None))
+    status, _ = run_cli(["--cmd", "audit", "--input", str(doc)])
+    assert status == 2
+    assert "two-part.u_size" in capsys.readouterr().err
+
+
+def test_code_solves_g0_once_on_common_info(tmp_path, monkeypatch):
+    d = families.random_common_info_pair(np.random.default_rng(4), 2, 2, 3)
+    path = tmp_path / "common.txt"
+    path.write_text("joint:\n" + "".join(" ".join(repr(float(v)) for v in row) + "\n" for row in d.p))
+    calls = []
+    real_solve_g0 = mm.solve_g0
+
+    def counting_solve_g0(*args, **kwargs):
+        calls.append(args)
+        return real_solve_g0(*args, **kwargs)
+
+    monkeypatch.setattr(mm, "solve_g0", counting_solve_g0)
+    status, out = run_cli(["--cmd", "code", "--input", str(path), "--format", "structured"])
+    assert status == 0
+    assert "two-part.audit.ok = true" in out
+    assert len(calls) == 1
 
 
 def test_code_no_applicable_scheme(tmp_path):

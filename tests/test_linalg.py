@@ -1,9 +1,13 @@
 """Rank/nullity, the simplex solver, and basic-feasible-solution enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from zeroleak import dist
+from zeroleak import dist, families
 from zeroleak.errors import Infeasible
 from zeroleak.linalg import (
     LinearProgram,
@@ -158,3 +162,152 @@ def test_lp_feasibility_residuals():
         assert out.status == "optimal"
         assert np.abs(a @ out.point - b).max() <= 1e-9 * (1 + np.abs(b).max())
         assert out.point.min() >= -1e-9
+
+
+# ---------------------------------------------------------------------------
+# the column-subset scan, kept as the oracle for the pivoting enumerator
+
+SCAN_RANK_TOL = 1e-10
+
+
+def _scan_independent_rows(a, b, tol):
+    aug = np.hstack([a, b[:, None]]).astype(float)
+    scale = max(np.abs(aug).max(), 1.0)
+    rows, cols = a.shape
+    rank = 0
+    work = aug.copy()
+    for c in range(cols):
+        if rank == rows:
+            break
+        piv = rank + int(np.argmax(np.abs(work[rank:, c])))
+        if abs(work[piv, c]) <= tol * scale:
+            continue
+        work[[rank, piv]] = work[[piv, rank]]
+        work[rank] /= work[rank, c]
+        others = np.arange(rows) != rank
+        work[others] -= np.outer(work[others, c], work[rank])
+        rank += 1
+    for i in range(rank, rows):
+        if abs(work[i, -1]) > 1e-7 * scale:
+            raise Infeasible("equality system is inconsistent")
+    return work[:rank, :cols], work[:rank, -1]
+
+
+def scan_vertices(eq_lhs, eq_rhs, tol=1e-9, dedup_tol=1e-8):
+    """Every column subset of size rank(A), solved, checked and deduplicated."""
+    a = np.array(eq_lhs, dtype=float, ndmin=2)
+    b = np.asarray(eq_rhs, dtype=float)
+    if a.shape[0] != b.size:
+        raise ValueError(f"shape mismatch: A {a.shape}, b {b.size}")
+    red_a, red_b = _scan_independent_rows(a, b, SCAN_RANK_TOL)
+    r = red_a.shape[0]
+    ncols = a.shape[1]
+    found = []
+    for cols in itertools.combinations(range(ncols), r):
+        sub = red_a[:, cols]
+        if r:
+            if abs(np.linalg.det(sub)) <= SCAN_RANK_TOL:
+                continue
+            try:
+                sol = np.linalg.solve(sub, red_b)
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            sol = np.zeros(0)
+        x = np.zeros(ncols)
+        x[list(cols)] = sol
+        if x.min() < -tol:
+            continue
+        x = np.clip(x, 0.0, None)
+        if np.abs(a @ x - b).max() > max(tol, 1e-9):
+            continue
+        if any(np.abs(x - v).max() <= dedup_tol for v in found):
+            continue
+        found.append(x)
+    if not found:
+        raise Infeasible("polytope has no basic feasible solution")
+    found.sort(key=lambda v: tuple(v))
+    return np.array(found)
+
+
+def assert_matches_scan(a, b):
+    """Same vertex array, bit for bit, or Infeasible from both."""
+    try:
+        want = scan_vertices(a, b)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            enumerate_vertices(a, b)
+        return None
+    got = enumerate_vertices(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(seeds, st.integers(2, 8), st.integers(0, 3))
+def test_vertices_match_scan_on_sliced_simplices(seed, n, cuts):
+    rng = np.random.default_rng(seed)
+    p0 = rng.dirichlet(np.ones(n))
+    a = np.vstack([np.ones(n), rng.normal(size=(min(cuts, n - 1), n))])
+    assert_matches_scan(a, a @ p0)
+
+
+@given(seeds, st.integers(4, 9), st.integers(2, 4))
+@example(seed=2, n=6, cuts=2)  # solving on another basis of the degenerate vertex changes its bits
+def test_vertices_match_scan_on_degenerate_rational_polytopes(seed, n, cuts):
+    # b comes from a point with fewer nonzeros than rows, so that point is a
+    # degenerate vertex whenever its columns are independent; its weights
+    # are small integers over their sum, which different bases mostly round
+    # differently
+    rng = np.random.default_rng(seed)
+    a = np.vstack([np.ones(n), rng.integers(-2, 4, size=(cuts, n))]).astype(float)
+    support = rng.choice(n, size=int(rng.integers(2, cuts + 1)), replace=False)
+    p = np.zeros(n)
+    p[support] = rng.integers(1, 7, size=support.size)
+    assert_matches_scan(a, a @ (p / p.sum()))
+
+
+@given(
+    seeds,
+    st.sampled_from(
+        [
+            families.random_deterministic_pair,
+            families.random_common_info_pair,
+            families.random_invertible_pair,
+        ]
+    ),
+)
+def test_vertices_match_scan_on_families(seed, family):
+    d = family(np.random.default_rng(seed))
+    assert_matches_scan(dist.kernel_x_given_y(d).k, dist.marginal_x(d))
+
+
+def test_vertices_match_scan_example1():
+    assert len(assert_matches_scan(EX1_KERNEL, np.array([0.75, 0.25]))) == 9
+
+
+def test_degenerate_vertex_found_once():
+    # x0 + x1 + x2 = 1, x0 = x1: (0, 0, 1) has one nonzero for two rows
+    a = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    v = assert_matches_scan(a, np.array([1.0, 0.0]))
+    assert np.array_equal(v, [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+
+
+def test_vertices_consistent_but_infeasible():
+    # the reduced basis solves to -1, so the phase-1 LP decides
+    with pytest.raises(Infeasible):
+        enumerate_vertices(np.array([[1.0, 1.0]]), np.array([-1.0]))
+
+
+def test_vertices_square_full_rank_single_basis():
+    a = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    v = assert_matches_scan(a, a @ np.array([0.2, 0.3, 0.5]))
+    assert v.shape == (1, 3)
+
+
+def test_vertices_rank_zero():
+    v = assert_matches_scan(np.zeros((2, 3)), np.zeros(2))
+    assert np.array_equal(v, np.zeros((1, 3)))
