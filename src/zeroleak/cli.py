@@ -1,4 +1,8 @@
-"""Batch command-line front end.
+"""Batch command-line front end: parse inputs, render reports, dispatch.
+
+The work is done in the library: the analysis is `mechanism.analyze`, the
+choice of schemes `codec.build_codes` and the audit verdict
+`codec.check_audit`; this module holds no copy of them.
 
 Commands (selected with --cmd):
 
@@ -18,16 +22,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import codec, dist, families, mechanism as mech_mod, report as report_mod
 from .dist import JointDistribution, Kernel
-from .errors import NotDecodable, ParseError, StochasticityError, ZeroLeakError
+from .errors import MalformedBits, NotDecodable, ParseError, StochasticityError, ZeroLeakError
 from .linalg import rank_and_nullity
-from .mechanism import Mechanism
+from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
 CODE_FORMAT = "zeroleak-code-v1"
@@ -37,7 +41,6 @@ CODE_FORMAT = "zeroleak-code-v1"
 class RunConfig:
     command: str
     input_path: str | None = None
-    tol_prob: float = dist.TAU_PROB
     tol_lp: float = 1e-9
     tol_ent: float = mech_mod.TAU_ENT
     seed: int = DEFAULT_SEED
@@ -154,49 +157,6 @@ class Lines:
         return "\n".join(self.out) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# analysis pipeline shared by analyze / mechanism / code
-
-
-@dataclass
-class Analysis:
-    d: JointDistribution
-    member: bool
-    boundary: bool
-    g0: float
-    mech: Mechanism | None
-    mech_decodable: bool
-    bounds: mech_mod.MechanismBounds | None
-    achieved_hu: float | None
-
-
-def analyze_distribution(d: JointDistribution, cfg: RunConfig) -> Analysis:
-    ms = mech_mod.membership_in_phat(d, cfg.tol_ent, cfg.tol_lp)
-    mech = None
-    decodable = False
-    bounds = None
-    achieved = None
-    if ms.member:
-        mech = ms.mechanism or mech_mod.solve_g0(d, cfg.tol_lp)[1]
-        achieved = dist.entropy(mech.p_u)
-        bounds = mech_mod.theorem1_bounds(d, achieved, cfg.tol_ent, member=True, tol_lp=cfg.tol_lp)
-        try:
-            mech = mech_mod.build_decode_table(d, mech)
-            decodable = True
-        except NotDecodable:
-            decodable = False
-    return Analysis(
-        d=d,
-        member=ms.member,
-        boundary=ms.boundary,
-        g0=ms.certificate,
-        mech=mech,
-        mech_decodable=decodable,
-        bounds=bounds,
-        achieved_hu=achieved,
-    )
-
-
 def render_analysis(a: Analysis, lines: Lines) -> None:
     d = a.d
     px, py = dist.marginal_x(d), dist.marginal_y(d)
@@ -280,17 +240,12 @@ def render_code_document(a: Analysis, cfg: RunConfig, lines: Lines) -> tuple[lis
     lines.kv("y_size", d.y_size)
     for x in range(d.x_size):
         lines.kv(f"joint.{x}", _vec(d.p[x], True))
-    schemes = []
-    if a.member and a.mech_decodable:
-        schemes.append(codec.TWO_PART)
-    if d.y_size <= d.x_size:
-        schemes.append(codec.DIRECT_PAD)
+    codes = codec.build_codes(a)
+    schemes = [code.scheme for code in codes]
     lines.kv("schemes", " ".join(schemes))
     violations: list[str] = []
-    for scheme in schemes:
-        if scheme == codec.TWO_PART:
-            assert a.mech is not None
-            code = codec.build_two_part(d, a.mech)
+    for code in codes:
+        if code.scheme == codec.TWO_PART:
             m = code.mech
             lines.kv("two-part.key_size", code.key_size)
             lines.kv("two-part.x_field_bits", code.x_field_bits)
@@ -303,22 +258,20 @@ def render_code_document(a: Analysis, cfg: RunConfig, lines: Lines) -> tuple[lis
             for (x, u), y in sorted(m.decode.items()):
                 lines.kv(f"two-part.decode.{x}.{u}", y)
         else:
-            code = codec.build_direct_pad(d)
             lines.kv("direct-pad.key_size", code.key_size)
             lines.kv("direct-pad.field_bits", code.fixed_field_bits)
-        audit = codec.audit(code, d)
-        violations += render_audit_result(scheme, code, audit, a.achieved_hu, d, lines)
+        violations += render_audit_result(code, codec.audit(code, d), a.achieved_hu, d, lines)
     return schemes, violations
 
 
 def render_audit_result(
-    scheme: str,
     code: codec.PrivateCode,
     audit: codec.LeakageAudit,
     achieved_hu: float | None,
     d: JointDistribution,
     lines: Lines,
 ) -> list[str]:
+    scheme = code.scheme
     lines.header(f"audit {scheme}")
     lines.kv(f"{scheme}.audit.mi_c_x", audit.mi_c_x)
     lines.kv(f"{scheme}.audit.lossless_prob", audit.lossless_prob)
@@ -328,23 +281,7 @@ def render_audit_result(
     )
     lines.kv(f"{scheme}.audit.mi_c_x_given_y", audit.mi_c_x_given_y)
     lines.kv(f"{scheme}.audit.h_y_given_x_c", audit.h_y_given_x_c)
-    violations = []
-    tol_leak = 1e-9 if scheme == codec.TWO_PART else 1e-12
-    if audit.mi_c_x > tol_leak:
-        violations.append(f"{scheme}: leakage mi_c_x = {audit.mi_c_x:.3g}")
-    if audit.lossless_prob != 1.0:
-        violations.append(f"{scheme}: lossless_prob = {audit.lossless_prob!r}")
-    spread = float(np.ptp(audit.per_key_expected_length))
-    if spread > 1e-12:
-        violations.append(f"{scheme}: per-key length varies by {spread:.3g}")
-    if scheme == codec.TWO_PART and achieved_hu is not None:
-        cap = achieved_hu + 1.0 + codec.ceil_log2(d.x_size) + 1e-9
-        if audit.per_key_expected_length.max() > cap:
-            violations.append(f"{scheme}: per-key length exceeds H(U)+1+ceil(log|X|)")
-    if scheme == codec.DIRECT_PAD:
-        want = codec.ceil_log2(d.y_size)
-        if not np.allclose(audit.per_key_expected_length, want, atol=1e-12):
-            violations.append(f"{scheme}: message length is not exactly {want}")
+    violations = codec.check_audit(code, audit, d, achieved_hu)
     lines.kv(f"{scheme}.audit.ok", not violations)
     return violations
 
@@ -378,53 +315,77 @@ def _doc_field(doc: dict[str, str], key: str, parse):
         raise ParseError(f"cannot parse {key} = {doc[key]!r}") from None
 
 
-def rebuild_and_audit(doc: dict[str, str], cfg: RunConfig, lines: Lines) -> list[str]:
+def _doc_vector(doc: dict[str, str], key: str, size: int) -> np.ndarray:
+    """The float vector at ``key``; ParseError unless it has ``size`` entries."""
+    v = np.array(_doc_field(doc, key, _floats))
+    if v.size != size:
+        raise ParseError(f"{key} has {v.size} entries, expected {size}")
+    return v
+
+
+def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     """Reconstruct each serialized scheme and re-verify every invariant."""
     x_size = _doc_field(doc, "x_size", int)
     y_size = _doc_field(doc, "y_size", int)
-    joint = np.array([_doc_field(doc, f"joint.{x}", _floats) for x in range(x_size)])
-    if joint.shape != (x_size, y_size):
-        raise ParseError("joint block shape mismatch")
-    d = dist.validate_and_normalize(joint, cfg.tol_prob)
+    joint = np.array([_doc_vector(doc, f"joint.{x}", y_size) for x in range(x_size)])
+    d = dist.validate_and_normalize(joint)
+    if d.p.shape != joint.shape:
+        raise ParseError("joint block has an all-zero row or column")
     violations: list[str] = []
-    schemes = doc.get("schemes", "").split()
-    for scheme in schemes:
-        if scheme not in (codec.TWO_PART, codec.DIRECT_PAD):
+    for scheme in _doc_field(doc, "schemes", str.split):
+        if scheme == codec.DIRECT_PAD:
+            code, hu = codec.build_direct_pad(d), None
+        elif scheme != codec.TWO_PART:
             raise ParseError(f"unknown scheme {scheme!r} in code document")
-        if scheme == codec.TWO_PART:
+        else:
             u_size = _doc_field(doc, "two-part.u_size", int)
-            p_u = np.array(_doc_field(doc, "two-part.p_u", _floats))
+            p_u = _doc_vector(doc, "two-part.p_u", u_size)
             cols = np.array(
-                [_doc_field(doc, f"two-part.p_y_given_u.{u}", _floats) for u in range(u_size)]
+                [_doc_vector(doc, f"two-part.p_y_given_u.{u}", y_size) for u in range(u_size)]
             ).T
-            decode_tbl = {}
-            words = {}
+            decode_tbl, words = {}, {}
             for key, value in doc.items():
-                if key.startswith("two-part.decode."):
-                    _, _, x, u = key.split(".")
-                    decode_tbl[(int(x), int(u))] = int(value)
-                elif key.startswith("two-part.codeword."):
-                    words[int(key.rsplit(".", 1)[1])] = value
+                try:
+                    if key.startswith("two-part.decode."):
+                        _, _, x, u = key.split(".")
+                        decode_tbl[(int(x), int(u))] = int(value)
+                    elif key.startswith("two-part.codeword."):
+                        _, _, u = key.split(".")
+                        words[int(u)] = value
+                except ValueError:
+                    raise ParseError(f"cannot parse {key} = {value!r}") from None
+            if sorted(words) != list(range(u_size)):
+                raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
+            key_size = _doc_field(doc, "two-part.key_size", int)
+            x_field_bits = _doc_field(doc, "two-part.x_field_bits", int)
+            if key_size < 1 or x_field_bits < codec.ceil_log2(x_size):
+                raise ParseError(
+                    f"two-part.key_size = {key_size} or x_field_bits = {x_field_bits} too small"
+                )
             mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=decode_tbl)
+            prefix = codec.PrefixCode(
+                codewords=words,
+                expected_length=float(sum(p_u[u] * len(w) for u, w in words.items())),
+            )
+            code = replace(
+                codec.build_two_part(d, mech),
+                key_size=key_size,
+                x_field_bits=x_field_bits,
+                u_code=prefix,
+            )
             # zero-leakage and decodability are re-derived, not trusted
-            kern = dist.kernel_x_given_y(d).k
-            px = dist.marginal_x(d)
-            resid = float(np.abs(kern @ cols - px[:, None]).max())
+            resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())
             if resid > 1e-7:
                 violations.append(f"two-part: column leakage residual {resid:.3g}")
             mix = float(np.abs(cols @ p_u - dist.marginal_y(d)).max())
             if mix > 1e-7:
                 violations.append(f"two-part: mixture does not reproduce P_Y ({mix:.3g})")
             try:
-                rebuilt = mech_mod.build_decode_table(d, Mechanism(p_u=p_u, p_y_given_u=Kernel(cols)))
+                rebuilt = mech_mod.build_decode_table(d, replace(mech, decode=None))
                 if rebuilt.decode != decode_tbl:
                     violations.append("two-part: serialized decode table mismatch")
             except NotDecodable as exc:
                 violations.append(f"two-part: not decodable ({exc})")
-            prefix = codec.PrefixCode(
-                codewords=words,
-                expected_length=float(sum(p_u[u] * len(w) for u, w in words.items())),
-            )
             if prefix.kraft_sum() > 1.0 + 1e-12:
                 violations.append("two-part: Kraft inequality violated")
             sorted_words = sorted(words.values())
@@ -432,23 +393,13 @@ def rebuild_and_audit(doc: dict[str, str], cfg: RunConfig, lines: Lines) -> list
                 if sorted_words[i + 1].startswith(sorted_words[i]):
                     violations.append("two-part: codewords are not prefix-free")
                     break
-            code = codec.PrivateCode(
-                scheme=codec.TWO_PART,
-                key_size=_doc_field(doc, "two-part.key_size", int),
-                pad_modulus=x_size,
-                y_size=y_size,
-                x_field_bits=_doc_field(doc, "two-part.x_field_bits", int),
-                u_code=prefix,
-                mech=mech,
-                p_u_given_y=mech_mod.conditional_u_given_y(d, mech),
-                p_x_given_y=kern,
-            )
             hu = dist.entropy(p_u)
-        else:
-            code = codec.build_direct_pad(d)
-            hu = None
-        audit = codec.audit(code, d)
-        violations += render_audit_result(scheme, code, audit, hu, d, lines)
+        try:
+            audit = codec.audit(code, d)
+        except MalformedBits as exc:
+            violations.append(f"{scheme}: a message does not decode ({exc})")
+            continue
+        violations += render_audit_result(code, audit, hu, d, lines)
     return violations
 
 
@@ -456,59 +407,27 @@ def rebuild_and_audit(doc: dict[str, str], cfg: RunConfig, lines: Lines) -> list
 # sweep
 
 
-def _sweep_instance(family: str, rng: np.random.Generator) -> JointDistribution:
-    if family == "det-f":
-        return families.random_deterministic_pair(rng)
-    if family == "common-info":
-        return families.random_common_info_pair(rng)
-    if family == "invertible":
-        return families.random_invertible_pair(rng)
-    raise ValueError(f"unknown family {family!r} (det-f, common-info, invertible)")
-
-
 def check_instance(d: JointDistribution, family: str, cfg: RunConfig) -> list[str]:
     """Property suite for one instance; returns the violated invariants."""
+    a = mech_mod.analyze(d, cfg.tol_ent, cfg.tol_lp)
+    if family in ("det-f", "common-info") and not a.member:
+        return [f"expected membership, got g0 = {a.g0:.6g}"]
+    if family == "invertible" and a.member and not a.boundary:
+        if dist.conditional_entropy_y_given_x(d) > 10 * cfg.tol_ent:
+            return ["invertible kernel unexpectedly a member"]
+        return []
+    if not a.member:
+        return []
     problems = []
-    ms = mech_mod.membership_in_phat(d, cfg.tol_ent, cfg.tol_lp)
-    if family in ("det-f", "common-info") and not ms.member:
-        problems.append(f"expected membership, got g0 = {ms.certificate:.6g}")
-        return problems
-    if family == "invertible" and ms.member and not ms.boundary:
-        h = dist.conditional_entropy_y_given_x(d)
-        if h > 10 * cfg.tol_ent:
-            problems.append("invertible kernel unexpectedly a member")
-        return problems
-    if not ms.member:
-        return problems
-    mech = ms.mechanism or mech_mod.solve_g0(d, cfg.tol_lp)[1]
-    hu = dist.entropy(mech.p_u)
-    b = mech_mod.theorem1_bounds(d, hu, cfg.tol_ent, member=True, tol_lp=cfg.tol_lp)
+    b, hu = a.bounds, a.achieved_hu
     if not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
         problems.append(f"sandwich failed: {b.k_lower} <= {hu} <= {b.k_upper_strengthened}")
     if b.k_upper_strengthened > b.log_nullity_bound + 1e-6:
         problems.append("strengthened bound above log2(nullity+1)")
-    if mech_mod.information_identity_residual(d, mech) > 1e-9:
+    if mech_mod.information_identity_residual(d, a.mech) > 1e-9:
         problems.append("information identity residual above 1e-9")
-    try:
-        mech = mech_mod.build_decode_table(d, mech)
-    except NotDecodable:
-        return problems  # member but non-decodable optimizer: nothing to code
-    code = codec.build_two_part(d, mech)
-    audit = codec.audit(code, d)
-    if audit.mi_c_x > 1e-9:
-        problems.append(f"two-part leakage {audit.mi_c_x:.3g}")
-    if audit.lossless_prob != 1.0:
-        problems.append("two-part not lossless")
-    lower = max(dist.conditional_entropy_per_x(d, x) for x in range(d.x_size))
-    if audit.per_key_expected_length.max() < lower - 1e-9:
-        problems.append("achieved length below converse bound")
-    if d.y_size <= d.x_size:
-        pad = codec.build_direct_pad(d)
-        pa = codec.audit(pad, d)
-        if pa.mi_c_x > 1e-12:
-            problems.append(f"direct-pad leakage {pa.mi_c_x:.3g}")
-        if pa.lossless_prob != 1.0:
-            problems.append("direct-pad not lossless")
+    for code in codec.build_codes(a):
+        problems += codec.check_audit(code, codec.audit(code, d), d, hu)
     return problems
 
 
@@ -516,7 +435,7 @@ def run_sweep(cfg: RunConfig, lines: Lines) -> int:
     rng = np.random.default_rng(cfg.seed)
     failures = 0
     for i in range(cfg.n):
-        d = _sweep_instance(cfg.family, rng)
+        d = families.FAMILIES[cfg.family](rng)
         problems = check_instance(d, cfg.family, cfg)
         if problems:
             failures += 1
@@ -543,13 +462,13 @@ def run(cfg: RunConfig) -> tuple[int, str]:
     if cfg.command == "audit":
         with open(cfg.input_path, encoding="utf-8") as fh:
             doc = parse_code_document(fh.read())
-        violations = rebuild_and_audit(doc, cfg, lines)
+        violations = rebuild_and_audit(doc, lines)
         for v in violations:
             lines.kv("violation", v)
         return (0 if not violations else 1), lines.text()
 
     d = parse_distribution(cfg.input_path)
-    a = analyze_distribution(d, cfg)
+    a = mech_mod.analyze(d, cfg.tol_ent, cfg.tol_lp)
     if cfg.command == "analyze":
         render_analysis(a, lines)
         return 0, lines.text()
@@ -587,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         default="det-f",
-        choices=["det-f", "common-info", "invertible"],
+        choices=list(families.FAMILIES),
         help="sweep instance family",
     )
     return p

@@ -10,6 +10,8 @@ Two schemes:
 
 Audits never sample: they enumerate the exact joint over (x, y, u, w) and
 account for every message bit and every unit of probability mass.
+``build_codes`` picks the schemes that apply to an analysis, and
+``check_audit`` names the invariants an audit shows broken.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     MalformedBits,
     WrongRegime,
 )
-from .mechanism import Mechanism, conditional_u_given_y
+from .mechanism import Analysis, Mechanism, conditional_u_given_y
 
 TWO_PART = "two-part"
 DIRECT_PAD = "direct-pad"
@@ -151,6 +153,17 @@ def build_direct_pad(d: JointDistribution) -> PrivateCode:
         pad_modulus=d.y_size,
         y_size=d.y_size,
     )
+
+
+def build_codes(a: Analysis) -> list[PrivateCode]:
+    """The applicable schemes in document order: two-part when the g0
+    mechanism is a decodable member, then direct-pad when |Y| <= |X|."""
+    codes = []
+    if a.member and a.mech_decodable:
+        codes.append(build_two_part(a.d, a.mech))
+    if a.d.y_size <= a.d.x_size:
+        codes.append(build_direct_pad(a.d))
+    return codes
 
 
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -321,21 +334,33 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     )
 
 
-def unpadded_reference_leakage(d: JointDistribution) -> float:
-    """I(C; X) for a keyless Huffman code on Y (negative control)."""
-    huff = build_huffman(dist.marginal_y(d))
-    p_cx: dict[tuple[str, int], float] = {}
-    for x in range(d.x_size):
-        for y in range(d.y_size):
-            if d.p[x, y] <= 0.0:
-                continue
-            c = huff.codewords[y]
-            p_cx[(c, x)] = p_cx.get((c, x), 0.0) + d.p[x, y]
-    p_c: dict[str, float] = {}
-    p_x: dict[int, float] = {}
-    for (c, x), mass in p_cx.items():
-        p_c[c] = p_c.get(c, 0.0) + mass
-        p_x[x] = p_x.get(x, 0.0) + mass
-    return float(
-        sum(mass * np.log2(mass / (p_c[c] * p_x[x])) for (c, x), mass in p_cx.items())
-    )
+def check_audit(
+    code: PrivateCode, audit: LeakageAudit, d: JointDistribution, achieved_hu: float | None
+) -> list[str]:
+    """Name every invariant the audit shows broken: zero leakage, lossless,
+    one length for every key, the converse max_x H(Y|X=x), and at most
+    H(U) + 1 + ceil(log2 |X|) bits (two-part, when ``achieved_hu`` is given)
+    or exactly ceil(log2 |Y|) bits (direct-pad)."""
+    scheme = code.scheme
+    lengths = audit.per_key_expected_length
+    violations = []
+    tol_leak = 1e-9 if scheme == TWO_PART else 1e-12
+    if audit.mi_c_x > tol_leak:
+        violations.append(f"{scheme}: leakage mi_c_x = {audit.mi_c_x:.3g}")
+    if audit.lossless_prob != 1.0:
+        violations.append(f"{scheme}: lossless_prob = {audit.lossless_prob!r}")
+    spread = float(np.ptp(lengths))
+    if spread > 1e-12:
+        violations.append(f"{scheme}: per-key length varies by {spread:.3g}")
+    converse = max(dist.conditional_entropy_per_x(d, x) for x in range(d.x_size))
+    if lengths.max() < converse - 1e-9:
+        violations.append(f"{scheme}: per-key length below the converse max_x H(Y|X=x)")
+    if scheme == TWO_PART and achieved_hu is not None:
+        cap = achieved_hu + 1.0 + ceil_log2(d.x_size) + 1e-9
+        if lengths.max() > cap:
+            violations.append(f"{scheme}: per-key length exceeds H(U)+1+ceil(log|X|)")
+    if scheme == DIRECT_PAD:
+        want = ceil_log2(d.y_size)
+        if not np.allclose(lengths, want, atol=1e-12):
+            violations.append(f"{scheme}: message length is not exactly {want}")
+    return violations

@@ -66,11 +66,8 @@ def random_invertible_pair(rng: np.random.Generator, max_n: int = 4) -> JointDis
     return dist.from_conditional(kernel, p_y)
 
 
-def random_small_y_pair(
-    rng: np.random.Generator, max_y: int = 8, max_x: int = 10
-) -> JointDistribution:
-    """Arbitrary full-support joint in the |Y| <= |X| regime."""
-    y_size = int(rng.integers(2, max_y + 1))
-    x_size = int(rng.integers(y_size, max_x + 1))
-    joint = rng.dirichlet(np.ones(x_size * y_size)).reshape(x_size, y_size) + 1e-3
-    return dist.validate_and_normalize(joint / joint.sum())
+FAMILIES = {
+    "det-f": random_deterministic_pair,
+    "common-info": random_common_info_pair,
+    "invertible": random_invertible_pair,
+}

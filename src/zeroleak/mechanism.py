@@ -7,6 +7,7 @@ an entropy-maximizing disclosure is a mixture of its vertices found by a
 linear program over vertex weights. This module synthesizes that optimizer,
 tests whether the synthesis is information-lossless (the funnel value equals
 H(Y|X)), and computes LP sandwich bounds on the minimum achievable H(U).
+``analyze`` runs these steps once for a joint; every command starts there.
 """
 
 from __future__ import annotations
@@ -70,6 +71,22 @@ class MembershipResult:
     boundary: bool = False
     # the g0 optimizer, when an LP was solved
     mechanism: Mechanism | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What the reports and codes of one joint are built from. For a member,
+    ``mech`` is the g0 optimizer (with a decode table when ``mech_decodable``),
+    ``bounds`` its H(U) sandwich and ``achieved_hu`` its entropy; else None."""
+
+    d: JointDistribution
+    member: bool
+    boundary: bool
+    g0: float
+    mech: Mechanism | None
+    mech_decodable: bool
+    bounds: MechanismBounds | None
+    achieved_hu: float | None
 
 
 def x_is_function_of_y(d: JointDistribution, tol: float = 1e-9) -> bool:
@@ -265,32 +282,39 @@ def _entropy_y_given_xu(joint: np.ndarray) -> float:
     return h
 
 
+def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9) -> Analysis:
+    """Membership, then for a member the g0 mechanism (solved at most once),
+    its entropy bounds and, when one exists, its decode table."""
+    ms = membership_in_phat(d, tol_ent, tol_lp)
+    mech = bounds = achieved = None
+    decodable = False
+    if ms.member:
+        mech = ms.mechanism or solve_g0(d, tol_lp)[1]
+        achieved = dist.entropy(mech.p_u)
+        bounds = theorem1_bounds(d, achieved, tol_ent, member=True, tol_lp=tol_lp)
+        try:
+            mech = build_decode_table(d, mech)
+            decodable = True
+        except NotDecodable:
+            pass
+    return Analysis(d, ms.member, ms.boundary, ms.certificate, mech, decodable, bounds, achieved)
+
+
 def information_identity_terms(d: JointDistribution, mech: Mechanism) -> dict[str, float]:
     """The five terms of I(U;Y) = I(X;U) + H(Y|X) - I(X;U|Y) - H(Y|X,U),
     each computed from the exact (x, y, u) joint."""
     joint = mechanism_joint(d, mech)
-    p_xy = joint.sum(axis=2)
     p_xu = joint.sum(axis=1)
     p_yu = joint.sum(axis=0)
-    p_x = p_xy.sum(axis=1)
-    p_y = p_xy.sum(axis=0)
-    p_u = p_yu.sum(axis=0)
-
-    def mi(j2: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-        prod = np.outer(a, b)
-        mask = j2 > 0.0
-        return float((j2[mask] * np.log2(j2[mask] / prod[mask])).sum())
-
     i_xu_given_y = 0.0
     for y in range(d.y_size):
         slab = joint[:, y, :]
         m = slab.sum()
         if m > 0.0:
-            cond = slab / m
-            i_xu_given_y += m * mi(cond, cond.sum(axis=1), cond.sum(axis=0))
+            i_xu_given_y += m * dist.mutual_information(JointDistribution(slab / m))
     return {
-        "i_uy": mi(p_yu.T, p_u, p_y),
-        "i_xu": mi(p_xu, p_x, p_u),
+        "i_uy": dist.mutual_information(JointDistribution(p_yu)),
+        "i_xu": dist.mutual_information(JointDistribution(p_xu)),
         "h_y_given_x": dist.conditional_entropy_y_given_x(d),
         "i_xu_given_y": i_xu_given_y,
         "h_y_given_xu": _entropy_y_given_xu(joint),
@@ -302,9 +326,3 @@ def information_identity_residual(d: JointDistribution, mech: Mechanism) -> floa
     return abs(
         t["i_uy"] - t["i_xu"] - t["h_y_given_x"] + t["i_xu_given_y"] + t["h_y_given_xu"]
     )
-
-
-def entropy_profile(d: JointDistribution, mech: Mechanism) -> np.ndarray:
-    """Per-symbol conditional entropies a_j = H(U | Y = y_j) in bits."""
-    p_u_given_y = conditional_u_given_y(d, mech)
-    return np.array([dist.entropy(p_u_given_y[:, y]) for y in range(d.y_size)])

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dist
+from .codec import ceil_log2
 from .dist import JointDistribution
 from .linalg import rank_and_nullity
 from .mechanism import MechanismBounds, x_is_function_of_y
@@ -38,12 +39,7 @@ class BoundsReport:
     prior_upper: list[tuple[str, float]]
     improvement_flags: dict[str, bool]
     nonexistence: bool
-    achieved: float | None = None
     notes: list[str] = field(default_factory=list)
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length() if n >= 1 else 0
 
 
 def upper_bounds(
@@ -53,21 +49,19 @@ def upper_bounds(
 ) -> list[BoundEntry]:
     """All achievable-length upper bounds that apply to this joint.
 
-    The two mechanism-entropy bounds use the synthesized H(U*) as a stand-in
-    for the (unknown) minimum over all admissible disclosures, and say so in
-    their names; the rest are closed-form.
+    The achieved-surrogate bound uses the synthesized H(U*) as a stand-in
+    for the (unknown) minimum over all admissible disclosures, and says so
+    in its name; the LP bounds use the H(U) bracket; the rest are
+    closed-form.
     """
     t, q = d.x_size, d.y_size
-    logx = _ceil_log2(t)
+    logx = ceil_log2(t)
     sum_h = float(sum(dist.conditional_entropy_per_x(d, x) for x in range(t)))
     closed = 1.0 + min(sum_h, float(np.ceil(np.log2(t * (q - 1) + 1) - 1.0))) + logx
     out = []
     if achieved_hu is not None:
         out.append(
             BoundEntry("two_part_achieved_surrogate", achieved_hu + 1.0 + logx, REQ_MEMBER, t)
-        )
-        out.append(
-            BoundEntry("min_entropy_surrogate", achieved_hu + 1.0 + logx, ALWAYS, t)
         )
     if mech_bounds is not None:
         out.append(
@@ -87,11 +81,11 @@ def upper_bounds(
     if x_is_function_of_y(d):
         out.append(
             BoundEntry(
-                "deterministic_prior", float(_ceil_log2(q - t + 1) + logx), REQ_DET, t
+                "deterministic_prior", float(ceil_log2(q - t + 1) + logx), REQ_DET, t
             )
         )
     if q <= t:
-        out.append(BoundEntry("pad_y_direct", float(_ceil_log2(q)), REQ_SMALL_Y, q))
+        out.append(BoundEntry("pad_y_direct", float(ceil_log2(q)), REQ_SMALL_Y, q))
     return out
 
 
@@ -130,7 +124,7 @@ def improvement_flags(
     flags = {"small_y_improves": False, "member_improves": False}
     if "pad_y_direct" in by_name:
         flags["small_y_improves"] = bool(
-            _ceil_log2(d.y_size) <= _ceil_log2(d.x_size)
+            ceil_log2(d.y_size) <= ceil_log2(d.x_size)
             and by_name["pad_y_direct"] <= by_name["sum_conditional_entropy"] + 1e-9
         )
     if "two_part_achieved_surrogate" in by_name and "deterministic_prior" in by_name:
@@ -144,14 +138,11 @@ def build_report(
     d: JointDistribution,
     mech_bounds: MechanismBounds | None = None,
     achieved_hu: float | None = None,
-    key_size: int | None = None,
     member: bool = False,
-    achieved_length: float | None = None,
 ) -> BoundsReport:
-    m = key_size if key_size is not None else d.x_size
     uppers = upper_bounds(d, mech_bounds, achieved_hu)
     lowers, nonexistence = lower_bounds(
-        d, m, member=member, k_lower=mech_bounds.k_lower if mech_bounds else None
+        d, d.x_size, member=member, k_lower=mech_bounds.k_lower if mech_bounds else None
     )
     prior = [(e.name, e.bits) for e in uppers if e.name in ("sum_conditional_entropy", "deterministic_prior")]
     notes = []
@@ -164,6 +155,5 @@ def build_report(
         prior_upper=prior,
         improvement_flags=improvement_flags(d, uppers),
         nonexistence=nonexistence,
-        achieved=achieved_length,
         notes=notes,
     )

@@ -1,5 +1,7 @@
 """File parsing, commands, determinism, exit codes, audit round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from zeroleak import cli, dist, families
 from zeroleak import mechanism as mm
 from zeroleak.errors import ParseError, StochasticityError
 
+GOLDEN = Path(__file__).parent / "golden"
+EXAMPLE1_PATH = Path(__file__).parents[1] / "data" / "example1.txt"
 EXAMPLE1_TEXT = """
 # deterministic grouping of six symbols into two
 p_x_given_y:
@@ -138,22 +142,83 @@ def test_audit_detects_tampered_decode_table(example1_file, tmp_path):
     assert "violation" in audit_out
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda line: None if line.startswith("two-part.u_size") else line,
-        lambda line: "two-part.u_size = two" if line.startswith("two-part.u_size") else line,
-    ],
-    ids=["missing", "malformed"],
-)
-def test_audit_bad_u_size_is_parse_error(example1_file, tmp_path, capsys, edit):
+def _edited_example1_doc(example1_file, tmp_path, key, value):
+    """Example 1's code document with ``key`` set to ``value``: appended when
+    absent, dropped when ``value`` is None."""
     _, out = run_cli(["--cmd", "code", "--input", example1_file, "--format", "structured"])
-    lines = [edit(line) for line in out.splitlines()]
-    doc = tmp_path / "broken.txt"
-    doc.write_text("".join(line + "\n" for line in lines if line is not None))
-    status, _ = run_cli(["--cmd", "audit", "--input", str(doc)])
+    lines = [line for line in out.splitlines() if line.partition(" = ")[0] != key]
+    if value is not None:
+        lines.append(f"{key} = {value}")
+    doc = tmp_path / "edited.txt"
+    doc.write_text("".join(line + "\n" for line in lines))
+    return str(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("two-part.u_size", None, "two-part.u_size"),
+        ("two-part.u_size", "two", "two-part.u_size"),
+        ("joint.0", "0.125 0.25 0.375 0 0", "joint.0"),
+        ("two-part.p_y_given_u.0", "0 0 0.75 0.25 0", "two-part.p_y_given_u.0"),
+        ("two-part.decode.0.0", "abc", "two-part.decode.0.0"),
+        ("two-part.decode.0.0.1", "2", "two-part.decode.0.0.1"),
+        ("two-part.codeword.9", "0101", "two-part.codeword"),
+        ("two-part.codeword.1", None, "two-part.codeword"),
+        ("two-part.p_u", "0.5 0.5", "two-part.p_u"),
+        ("two-part.key_size", "0", "two-part.key_size"),
+        ("two-part.x_field_bits", "-1", "x_field_bits"),
+        ("joint.1", "0 0 0 0 0 0", "all-zero row"),
+        ("schemes", None, "schemes"),
+    ],
+    ids=[
+        "missing",
+        "malformed",
+        "ragged-joint-row",
+        "ragged-column",
+        "decode-value",
+        "decode-key",
+        "codeword-beyond-u-size",
+        "codeword-missing",
+        "p-u-length",
+        "key-size",
+        "x-field-bits",
+        "zero-joint-row",
+        "schemes-missing",
+    ],
+)
+def test_audit_malformed_document_is_parse_error(
+    example1_file, tmp_path, capsys, key, value, named
+):
+    doc = _edited_example1_doc(example1_file, tmp_path, key, value)
+    status, _ = run_cli(["--cmd", "audit", "--input", doc])
     assert status == 2
-    assert "two-part.u_size" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("two-part.codeword.1", "0x1"),
+        ("two-part.codeword.0", ""),
+        ("two-part.codeword.2", "11"),
+        ("two-part.decode.0.0", None),
+    ],
+    ids=["non-binary-codeword", "empty-codeword", "not-prefix-free", "decode-entry-missing"],
+)
+def test_audit_undecodable_code_is_named_violation(example1_file, tmp_path, key, value):
+    doc = _edited_example1_doc(example1_file, tmp_path, key, value)
+    status, out = run_cli(["--cmd", "audit", "--input", doc])
+    assert status == 1
+    assert "violation = two-part: a message does not decode" in out
+
+
+@pytest.mark.parametrize("command", ["code", "audit", "analyze"])
+def test_structured_output_matches_golden(command):
+    source = GOLDEN / "example1.code.txt" if command == "audit" else EXAMPLE1_PATH
+    status, out = run_cli(["--cmd", command, "--input", str(source), "--format", "structured"])
+    assert status == 0
+    assert out == (GOLDEN / f"example1.{command}.txt").read_text(encoding="utf-8")
 
 
 def test_code_solves_g0_once_on_common_info(tmp_path, monkeypatch):

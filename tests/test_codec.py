@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_small_y_pair, unpadded_reference_leakage
+
 from zeroleak import codec, dist, families, mechanism as mm
 from zeroleak.errors import IncompleteMechanism, MalformedBits, WrongRegime
 
@@ -194,7 +196,7 @@ def test_direct_pad_modular_example():
 def test_direct_pad_zero_leakage_random():
     rng = np.random.default_rng(67)
     for _ in range(20):
-        d = families.random_small_y_pair(rng)
+        d = random_small_y_pair(rng)
         code = codec.build_direct_pad(d)
         a = codec.audit(code, d)
         assert a.mi_c_x <= 1e-12
@@ -240,9 +242,58 @@ def test_achieved_length_above_converse():
 
 def test_negative_control_unpadded_code_leaks():
     d = example1()
-    leak = codec.unpadded_reference_leakage(d)
+    leak = unpadded_reference_leakage(d)
     assert leak > 0.01
     assert leak == pytest.approx(dist.mutual_information(d), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# scheme selection and the shared audit verdict
+
+
+def test_build_codes_selects_schemes_in_document_order():
+    noisy = dist.from_conditional([[0.9, 0.6, 0.3, 0.1], [0.1, 0.4, 0.7, 0.9]], [0.25] * 4)
+    invertible = dist.from_conditional([[0.9, 0.2], [0.1, 0.8]], [0.5, 0.5])
+    cases = [
+        (example1(), [codec.TWO_PART]),
+        (uniform_pair(4, 3), [codec.TWO_PART, codec.DIRECT_PAD]),
+        (invertible, [codec.DIRECT_PAD]),
+        (noisy, []),
+    ]
+    for d, schemes in cases:
+        assert [c.scheme for c in codec.build_codes(mm.analyze(d))] == schemes
+
+
+def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, lengths=(2.75, 2.75)):
+    return codec.LeakageAudit(mi_c_x, lossless_prob, np.array(lengths, dtype=float), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "scheme, fields, named",
+    [
+        (codec.TWO_PART, {}, None),
+        (codec.TWO_PART, {"mi_c_x": 1e-6}, "leakage"),
+        (codec.TWO_PART, {"lossless_prob": 0.5}, "lossless_prob"),
+        (codec.TWO_PART, {"lengths": (2.75, 2.5)}, "per-key length varies"),
+        (codec.TWO_PART, {"lengths": (1.25, 1.25)}, "converse"),
+        (codec.TWO_PART, {"lengths": (3.75, 3.75)}, "exceeds H(U)+1+ceil(log|X|)"),
+        (codec.DIRECT_PAD, {"lengths": (2.0, 2.0, 2.0)}, None),
+        (codec.DIRECT_PAD, {"mi_c_x": 1e-10, "lengths": (2.0, 2.0, 2.0)}, "leakage"),
+        (codec.DIRECT_PAD, {"lengths": (3.0, 3.0, 3.0)}, "not exactly 2"),
+    ],
+)
+def test_check_audit_names_each_invariant(scheme, fields, named):
+    if scheme == codec.TWO_PART:
+        d, mech, code = example1_code()  # H(U) = 1.7296, converse 1.5, cap 3.7296
+        hu = dist.entropy(mech.p_u)
+    else:
+        d = uniform_pair(4, 3)
+        code, hu = codec.build_direct_pad(d), None
+    violations = codec.check_audit(code, _leakage_audit(**fields), d, hu)
+    if named is None:
+        assert violations == []
+    else:
+        assert len(violations) == 1 and named in violations[0], violations
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_achieved_lengths_inside_bracket():
         mech = mm.build_decode_table(d, mech)
         audit = codec.audit(codec.build_two_part(d, mech), d)
         achieved = float(audit.per_key_expected_length.max())
-        rep = report.build_report(d, b, hu, member=True, achieved_length=achieved)
+        rep = report.build_report(d, b, hu, member=True)
         key = d.x_size
         applicable_low = [e.bits for e in rep.lower if e.key_size == key]
         assert max(applicable_low) <= achieved + 1e-9
