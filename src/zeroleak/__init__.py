@@ -43,7 +43,6 @@ from .linalg import (
     solve_lp,
 )
 from .mechanism import (
-    BoundMatrices,
     Mechanism,
     MechanismBounds,
     MembershipResult,
@@ -73,7 +72,6 @@ __all__ = [
     "solve_lp",
     "rank_and_nullity",
     "enumerate_vertices",
-    "BoundMatrices",
     "Mechanism",
     "MechanismBounds",
     "MembershipResult",

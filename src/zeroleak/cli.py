@@ -30,7 +30,6 @@ import numpy as np
 from . import codec, dist, families, mechanism as mech_mod, report as report_mod
 from .dist import JointDistribution, Kernel
 from .errors import MalformedBits, NotDecodable, ParseError, StochasticityError, ZeroLeakError
-from .linalg import rank_and_nullity
 from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
@@ -160,8 +159,6 @@ class Lines:
 def render_analysis(a: Analysis, lines: Lines) -> None:
     d = a.d
     px, py = dist.marginal_x(d), dist.marginal_y(d)
-    kern = dist.kernel_x_given_y(d)
-    rank, nullity = rank_and_nullity(kern.k)
     lines.header("distribution")
     lines.kv("x_size", d.x_size)
     lines.kv("y_size", d.y_size)
@@ -171,13 +168,13 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
     lines.kv("h_y", dist.entropy(py))
     lines.kv("h_y_given_x", dist.conditional_entropy_y_given_x(d))
     lines.kv("mutual_information", dist.mutual_information(d))
-    lines.kv("kernel_rank", rank)
-    lines.kv("kernel_nullity", nullity)
+    lines.kv("kernel_rank", a.rank)
+    lines.kv("kernel_nullity", a.nullity)
     lines.header("membership")
     lines.kv("member", a.member)
     lines.kv("boundary", a.boundary)
     lines.kv("g0_bits", a.g0)
-    lines.kv("x_deterministic_of_y", mech_mod.x_is_function_of_y(d))
+    lines.kv("x_deterministic_of_y", a.x_det)
     if a.bounds is not None:
         b = a.bounds
         lines.header("entropy_bounds")
@@ -186,15 +183,10 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
         lines.kv("k_upper_strengthened", b.k_upper_strengthened)
         lines.kv("log_nullity_bound", b.log_nullity_bound)
         lines.kv("unique_optimizer", b.unique)
-        lines.kv("achieved_entropy", b.achieved_entropy)
+        lines.kv("achieved_entropy", a.achieved_hu)
         lines.kv("mechanism_decodable", a.mech_decodable)
 
-    rep = report_mod.build_report(
-        d,
-        mech_bounds=a.bounds,
-        achieved_hu=a.achieved_hu,
-        member=a.member,
-    )
+    rep = report_mod.build_report(a)
     lines.header("length_bounds")
     for e in rep.upper:
         lines.kv(f"upper.{e.name}", _f(e.bits, lines.structured) + f"  ({e.applicability}; M={e.key_size})")
@@ -203,7 +195,7 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
     for name, val in rep.improvement_flags.items():
         lines.kv(f"flag.{name}", val)
     lines.kv("nonexistence_small_key", rep.nonexistence)
-    if a.achieved_hu is not None and mech_mod.x_is_function_of_y(d):
+    if a.achieved_hu is not None and a.x_det:
         prior_u_part = codec.ceil_log2(d.y_size - d.x_size + 1)
         lines.kv("achieved_hu_plus_one", a.achieved_hu + 1.0)
         lines.kv("prior_u_part_bits", prior_u_part)
@@ -248,7 +240,7 @@ def render_code_document(a: Analysis, cfg: RunConfig, lines: Lines) -> tuple[lis
         if code.scheme == codec.TWO_PART:
             m = code.mech
             lines.kv("two-part.key_size", code.key_size)
-            lines.kv("two-part.x_field_bits", code.x_field_bits)
+            lines.kv("two-part.x_field_bits", code.field_bits)
             lines.kv("two-part.u_size", m.u_size)
             lines.kv("two-part.p_u", _vec(m.p_u, True))
             for u in range(m.u_size):
@@ -259,7 +251,7 @@ def render_code_document(a: Analysis, cfg: RunConfig, lines: Lines) -> tuple[lis
                 lines.kv(f"two-part.decode.{x}.{u}", y)
         else:
             lines.kv("direct-pad.key_size", code.key_size)
-            lines.kv("direct-pad.field_bits", code.fixed_field_bits)
+            lines.kv("direct-pad.field_bits", code.field_bits)
         violations += render_audit_result(code, codec.audit(code, d), a.achieved_hu, d, lines)
     return schemes, violations
 
@@ -323,6 +315,16 @@ def _doc_vector(doc: dict[str, str], key: str, size: int) -> np.ndarray:
     return v
 
 
+def _doc_key_and_field(doc: dict[str, str], scheme: str, field_key: str, alphabet: int):
+    """``(key_size, field_bits)`` of one scheme; ParseError unless the key
+    size is at least 1 and the field holds ceil(log2 ``alphabet``) bits."""
+    key_size = _doc_field(doc, f"{scheme}.key_size", int)
+    field_bits = _doc_field(doc, f"{scheme}.{field_key}", int)
+    if key_size < 1 or field_bits < codec.ceil_log2(alphabet):
+        raise ParseError(f"{scheme}.key_size = {key_size} or {field_key} = {field_bits} too small")
+    return key_size, field_bits
+
+
 def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     """Reconstruct each serialized scheme and re-verify every invariant."""
     x_size = _doc_field(doc, "x_size", int)
@@ -331,10 +333,15 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     d = dist.validate_and_normalize(joint)
     if d.p.shape != joint.shape:
         raise ParseError("joint block has an all-zero row or column")
+    schemes = _doc_field(doc, "schemes", str.split)
+    if not schemes:
+        raise ParseError("code document's schemes entry is empty")
     violations: list[str] = []
-    for scheme in _doc_field(doc, "schemes", str.split):
+    for scheme in schemes:
         if scheme == codec.DIRECT_PAD:
-            code, hu = codec.build_direct_pad(d), None
+            key_size, field_bits = _doc_key_and_field(doc, scheme, "field_bits", y_size)
+            code = replace(codec.build_direct_pad(d), key_size=key_size, field_bits=field_bits)
+            hu = None
         elif scheme != codec.TWO_PART:
             raise ParseError(f"unknown scheme {scheme!r} in code document")
         else:
@@ -356,12 +363,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
                     raise ParseError(f"cannot parse {key} = {value!r}") from None
             if sorted(words) != list(range(u_size)):
                 raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
-            key_size = _doc_field(doc, "two-part.key_size", int)
-            x_field_bits = _doc_field(doc, "two-part.x_field_bits", int)
-            if key_size < 1 or x_field_bits < codec.ceil_log2(x_size):
-                raise ParseError(
-                    f"two-part.key_size = {key_size} or x_field_bits = {x_field_bits} too small"
-                )
+            key_size, field_bits = _doc_key_and_field(doc, scheme, "x_field_bits", x_size)
             mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=decode_tbl)
             prefix = codec.PrefixCode(
                 codewords=words,
@@ -370,7 +372,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             code = replace(
                 codec.build_two_part(d, mech),
                 key_size=key_size,
-                x_field_bits=x_field_bits,
+                field_bits=field_bits,
                 u_code=prefix,
             )
             # zero-leakage and decodability are re-derived, not trusted

@@ -107,23 +107,18 @@ class PrivateCode:
 
     two-part: key_size = |X|, message = pad field + prefix codeword of U.
     direct-pad: key_size = |Y|, message = fixed ceil(log2 |Y|)-bit padded Y.
+    ``field_bits`` is the width of the padded fixed field in either scheme.
     """
 
     scheme: str
     key_size: int
     pad_modulus: int
     y_size: int
-    x_field_bits: int | None = None
+    field_bits: int
     u_code: PrefixCode | None = None
     mech: Mechanism | None = None
     p_u_given_y: np.ndarray | None = None  # [u][y]
     p_x_given_y: np.ndarray | None = None  # [x][y]
-
-    @property
-    def fixed_field_bits(self) -> int:
-        if self.scheme == TWO_PART:
-            return self.x_field_bits or 0
-        return ceil_log2(self.pad_modulus)
 
 
 def build_two_part(d: JointDistribution, mech: Mechanism) -> PrivateCode:
@@ -135,7 +130,7 @@ def build_two_part(d: JointDistribution, mech: Mechanism) -> PrivateCode:
         key_size=d.x_size,
         pad_modulus=d.x_size,
         y_size=d.y_size,
-        x_field_bits=ceil_log2(d.x_size),
+        field_bits=ceil_log2(d.x_size),
         u_code=build_huffman(mech.p_u),
         mech=mech,
         p_u_given_y=conditional_u_given_y(d, mech),
@@ -152,6 +147,7 @@ def build_direct_pad(d: JointDistribution) -> PrivateCode:
         key_size=d.y_size,
         pad_modulus=d.y_size,
         y_size=d.y_size,
+        field_bits=ceil_log2(d.y_size),
     )
 
 
@@ -175,9 +171,9 @@ def message_bits(code: PrivateCode, x: int, u: int, y: int, w: int) -> str:
     if code.scheme == TWO_PART:
         padded = (x + w) % code.pad_modulus
         assert code.u_code is not None
-        return to_bits(padded, code.fixed_field_bits) + code.u_code.codewords[u]
+        return to_bits(padded, code.field_bits) + code.u_code.codewords[u]
     padded = (y + w) % code.pad_modulus
-    return to_bits(padded, code.fixed_field_bits)
+    return to_bits(padded, code.field_bits)
 
 
 def encode(code: PrivateCode, y: int, w: int, rng: np.random.Generator) -> str:
@@ -213,7 +209,7 @@ def decode(code: PrivateCode, bits: str, w: int) -> int:
     _check_key(code, w)
     if bits.strip("01"):
         raise MalformedBits(f"non-binary characters in {bits!r}")
-    field = code.fixed_field_bits
+    field = code.field_bits
     if len(bits) < field:
         raise MalformedBits(f"message shorter than the {field}-bit fixed field")
     padded = int(bits[:field], 2) if field else 0

@@ -65,14 +65,6 @@ class Kernel:
         if self.k.min() < -TAU_PROB:
             raise NegativeMass(f"kernel has negative entry {self.k.min():.3g}")
 
-    @property
-    def out_size(self) -> int:
-        return self.k.shape[0]
-
-    @property
-    def cond_size(self) -> int:
-        return self.k.shape[1]
-
 
 def validate_and_normalize(raw, tol: float = TAU_PROB) -> JointDistribution:
     """Build a JointDistribution from a raw matrix.

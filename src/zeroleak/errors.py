@@ -29,10 +29,6 @@ class InternalError(ZeroLeakError):
     """An invariant that should hold by construction was violated."""
 
 
-class NotInPhat(ZeroLeakError):
-    """Operation requires a joint whose privacy-funnel value equals H(Y|X)."""
-
-
 class InfeasibleBoundLP(ZeroLeakError):
     """An entropy-bound LP that must be feasible was reported infeasible."""
 

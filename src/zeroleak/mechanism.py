@@ -19,21 +19,10 @@ import numpy as np
 
 from . import dist
 from .dist import JointDistribution, Kernel
-from .errors import InfeasibleBoundLP, InternalError, NotDecodable, NotInPhat
+from .errors import InfeasibleBoundLP, InternalError, NotDecodable
 from .linalg import LinearProgram, enumerate_vertices, rank_and_nullity, solve_lp
 
 TAU_ENT = 1e-7
-
-
-@dataclass(frozen=True)
-class BoundMatrices:
-    """Constraint data for the H(U) bound LPs.
-
-    a_xy[i][j] = P(y_j) - P(y_j | x_i);  b_xy[i] = H(Y|X=x_i) - H(Y|X).
-    """
-
-    a_xy: np.ndarray
-    b_xy: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -61,7 +50,6 @@ class MechanismBounds:
     k_upper_strengthened: float
     log_nullity_bound: float
     unique: bool
-    achieved_entropy: float
 
 
 @dataclass(frozen=True)
@@ -75,11 +63,15 @@ class MembershipResult:
 
 @dataclass(frozen=True)
 class Analysis:
-    """What the reports and codes of one joint are built from. For a member,
-    ``mech`` is the g0 optimizer (with a decode table when ``mech_decodable``),
-    ``bounds`` its H(U) sandwich and ``achieved_hu`` its entropy; else None."""
+    """What the reports and codes of one joint are built from: the rank and
+    nullity of P_{X|Y}, whether X = f(Y), membership, and for a member the g0
+    optimizer ``mech`` (with a decode table when ``mech_decodable``), its
+    H(U) sandwich ``bounds`` and its entropy ``achieved_hu`` (else None)."""
 
     d: JointDistribution
+    rank: int
+    nullity: int
+    x_det: bool
     member: bool
     boundary: bool
     g0: float
@@ -99,9 +91,10 @@ def y_is_function_of_x(d: JointDistribution, tol: float = TAU_ENT) -> bool:
     return dist.conditional_entropy_y_given_x(d) <= tol
 
 
-def build_bound_matrices(d: JointDistribution) -> BoundMatrices:
-    """Equality system whose nonnegative solutions are the admissible
-    per-symbol conditional entropies a_j = H(U | Y = y_j)."""
+def build_bound_matrices(d: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system (a, b) whose nonnegative solutions are the admissible
+    per-symbol conditional entropies a_j = H(U | Y = y_j):
+    a[i][j] = P(y_j) - P(y_j | x_i),  b[i] = H(Y|X=x_i) - H(Y|X)."""
     py = dist.marginal_y(d)
     pyx = dist.kernel_y_given_x(d).k  # [y][x]
     h_cond = dist.conditional_entropy_y_given_x(d)
@@ -109,7 +102,7 @@ def build_bound_matrices(d: JointDistribution) -> BoundMatrices:
     b = np.array(
         [dist.conditional_entropy_per_x(d, x) - h_cond for x in range(d.x_size)]
     )
-    return BoundMatrices(a_xy=a, b_xy=b)
+    return a, b
 
 
 def feasible_columns(d: JointDistribution, tol_lp: float = 1e-9) -> np.ndarray:
@@ -173,41 +166,33 @@ def membership_in_phat(
 
 
 def theorem1_bounds(
-    d: JointDistribution,
-    achieved: float,
-    tol_ent: float = TAU_ENT,
-    member: bool | None = None,
-    tol_lp: float = 1e-9,
+    d: JointDistribution, nullity: int, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
 ) -> MechanismBounds:
     """LP sandwich on the minimum entropy over zero-leakage optimizers.
 
     k_lower / k_upper are H(Y|X) plus the min / max of sum_j P(y_j) a_j over
     the bound polytope; the strengthened upper bound caps that sum at
-    log2(nullity + 1) - H(Y|X). Requires the membership precondition.
+    log2(nullity + 1) - H(Y|X), where ``nullity`` is that of P_{X|Y}. The
+    bounds are claimed only for members, so only ``analyze`` calls this.
     """
-    if member is None:
-        member = membership_in_phat(d, tol_ent, tol_lp).member
-    if not member:
-        raise NotInPhat("entropy bounds are only claimed when g0 = H(Y|X)")
-    bm = build_bound_matrices(d)
+    a_xy, b_xy = build_bound_matrices(d)
     py = dist.marginal_y(d)
     h_cond = dist.conditional_entropy_y_given_x(d)
-    _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
     log_nullity = float(np.log2(nullity + 1))
 
-    lo = solve_lp(LinearProgram(py, bm.a_xy, bm.b_xy, sense="min"), tol=tol_lp)
+    lo = solve_lp(LinearProgram(py, a_xy, b_xy, sense="min"), tol=tol_lp)
     if lo.status != "optimal":
         raise InfeasibleBoundLP(f"lower bound LP came back {lo.status}")
     k_lower = h_cond + lo.value
 
-    hi = solve_lp(LinearProgram(py, bm.a_xy, bm.b_xy, sense="max"), tol=tol_lp)
+    hi = solve_lp(LinearProgram(py, a_xy, b_xy, sense="max"), tol=tol_lp)
     if hi.status == "infeasible":
         raise InfeasibleBoundLP("upper bound LP infeasible despite membership")
     k_upper = float("inf") if hi.status == "unbounded" else h_cond + hi.value
 
     cap = log_nullity - h_cond
     hi_s = solve_lp(
-        LinearProgram(py, bm.a_xy, bm.b_xy, extra_ineq=(py, cap), sense="max"), tol=tol_lp
+        LinearProgram(py, a_xy, b_xy, extra_ineq=(py, cap), sense="max"), tol=tol_lp
     )
     if hi_s.status == "optimal":
         k_upper_s = h_cond + hi_s.value
@@ -221,7 +206,7 @@ def theorem1_bounds(
         )
         k_upper_s = min(k_upper, log_nullity)
 
-    rank_a, _ = rank_and_nullity(bm.a_xy)
+    rank_a, _ = rank_and_nullity(a_xy)
     unique = bool(rank_a == d.y_size and not y_is_function_of_x(d, tol_ent))
     return MechanismBounds(
         k_lower=float(k_lower),
@@ -229,7 +214,6 @@ def theorem1_bounds(
         k_upper_strengthened=float(k_upper_s),
         log_nullity_bound=log_nullity,
         unique=unique,
-        achieved_entropy=float(achieved),
     )
 
 
@@ -283,21 +267,27 @@ def _entropy_y_given_xu(joint: np.ndarray) -> float:
 
 
 def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9) -> Analysis:
-    """Membership, then for a member the g0 mechanism (solved at most once),
-    its entropy bounds and, when one exists, its decode table."""
+    """Rank and nullity of P_{X|Y}, whether X = f(Y), membership, then for a
+    member the g0 mechanism (solved at most once), its entropy bounds and,
+    when one exists, its decode table. Commands and the length report read
+    these from the Analysis instead of computing them again."""
+    rank, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
     ms = membership_in_phat(d, tol_ent, tol_lp)
     mech = bounds = achieved = None
     decodable = False
     if ms.member:
         mech = ms.mechanism or solve_g0(d, tol_lp)[1]
         achieved = dist.entropy(mech.p_u)
-        bounds = theorem1_bounds(d, achieved, tol_ent, member=True, tol_lp=tol_lp)
+        bounds = theorem1_bounds(d, nullity, tol_ent, tol_lp)
         try:
             mech = build_decode_table(d, mech)
             decodable = True
         except NotDecodable:
             pass
-    return Analysis(d, ms.member, ms.boundary, ms.certificate, mech, decodable, bounds, achieved)
+    return Analysis(
+        d, rank, nullity, x_is_function_of_y(d),
+        ms.member, ms.boundary, ms.certificate, mech, decodable, bounds, achieved,
+    )
 
 
 def information_identity_terms(d: JointDistribution, mech: Mechanism) -> dict[str, float]:

@@ -14,8 +14,7 @@ import numpy as np
 from . import dist
 from .codec import ceil_log2
 from .dist import JointDistribution
-from .linalg import rank_and_nullity
-from .mechanism import MechanismBounds, x_is_function_of_y
+from .mechanism import Analysis
 
 ALWAYS = "always"
 REQ_DET = "requires: X=f(Y)"
@@ -36,17 +35,12 @@ class BoundEntry:
 class BoundsReport:
     upper: list[BoundEntry]
     lower: list[BoundEntry]
-    prior_upper: list[tuple[str, float]]
     improvement_flags: dict[str, bool]
     nonexistence: bool
     notes: list[str] = field(default_factory=list)
 
 
-def upper_bounds(
-    d: JointDistribution,
-    mech_bounds: MechanismBounds | None,
-    achieved_hu: float | None,
-) -> list[BoundEntry]:
+def upper_bounds(a: Analysis) -> list[BoundEntry]:
     """All achievable-length upper bounds that apply to this joint.
 
     The achieved-surrogate bound uses the synthesized H(U*) as a stand-in
@@ -54,31 +48,20 @@ def upper_bounds(
     in its name; the LP bounds use the H(U) bracket; the rest are
     closed-form.
     """
+    d, b = a.d, a.bounds
     t, q = d.x_size, d.y_size
     logx = ceil_log2(t)
     sum_h = float(sum(dist.conditional_entropy_per_x(d, x) for x in range(t)))
     closed = 1.0 + min(sum_h, float(np.ceil(np.log2(t * (q - 1) + 1) - 1.0))) + logx
     out = []
-    if achieved_hu is not None:
+    if b is not None:
         out.append(
-            BoundEntry("two_part_achieved_surrogate", achieved_hu + 1.0 + logx, REQ_MEMBER, t)
+            BoundEntry("two_part_achieved_surrogate", a.achieved_hu + 1.0 + logx, REQ_MEMBER, t)
         )
-    if mech_bounds is not None:
-        out.append(
-            BoundEntry(
-                "lp_strengthened",
-                mech_bounds.k_upper_strengthened + 1.0 + logx,
-                REQ_MEMBER,
-                t,
-            )
-        )
-        out.append(
-            BoundEntry(
-                "nullity_log", mech_bounds.log_nullity_bound + 1.0 + logx, REQ_MEMBER, t
-            )
-        )
+        out.append(BoundEntry("lp_strengthened", b.k_upper_strengthened + 1.0 + logx, REQ_MEMBER, t))
+        out.append(BoundEntry("nullity_log", b.log_nullity_bound + 1.0 + logx, REQ_MEMBER, t))
     out.append(BoundEntry("sum_conditional_entropy", closed, ALWAYS, t))
-    if x_is_function_of_y(d):
+    if a.x_det:
         out.append(
             BoundEntry(
                 "deterministic_prior", float(ceil_log2(q - t + 1) + logx), REQ_DET, t
@@ -89,15 +72,13 @@ def upper_bounds(
     return out
 
 
-def lower_bounds(
-    d: JointDistribution, key_size: int, member: bool = False, k_lower: float | None = None
-) -> tuple[list[BoundEntry], bool]:
+def lower_bounds(a: Analysis, key_size: int) -> tuple[list[BoundEntry], bool]:
     """Converse bounds for the given key size, plus the nonexistence flag.
 
     The flag fires when X = f(Y) and the key alphabet is smaller than |X|:
     no zero-leakage lossless code exists at all in that regime.
     """
-    det = x_is_function_of_y(d)
+    d, det = a.d, a.x_det
     out = [
         BoundEntry(
             "max_conditional_entropy",
@@ -109,8 +90,10 @@ def lower_bounds(
     nonexistence = bool(det and key_size < d.x_size)
     if det and key_size >= d.x_size:
         out.append(BoundEntry("log_x_size", float(np.log2(d.x_size)), REQ_DET, key_size))
-    if member and k_lower is not None:
-        out.append(BoundEntry("lp_conditional_converse", float(k_lower), REQ_CONVERSE, key_size))
+    if a.bounds is not None:
+        out.append(
+            BoundEntry("lp_conditional_converse", float(a.bounds.k_lower), REQ_CONVERSE, key_size)
+        )
     return out, nonexistence
 
 
@@ -134,26 +117,15 @@ def improvement_flags(
     return flags
 
 
-def build_report(
-    d: JointDistribution,
-    mech_bounds: MechanismBounds | None = None,
-    achieved_hu: float | None = None,
-    member: bool = False,
-) -> BoundsReport:
-    uppers = upper_bounds(d, mech_bounds, achieved_hu)
-    lowers, nonexistence = lower_bounds(
-        d, d.x_size, member=member, k_lower=mech_bounds.k_lower if mech_bounds else None
-    )
-    prior = [(e.name, e.bits) for e in uppers if e.name in ("sum_conditional_entropy", "deterministic_prior")]
-    notes = []
-    _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
-    if x_is_function_of_y(d):
-        notes.append(f"nullity(P_X|Y) = |Y| - |X| = {nullity}")
+def build_report(a: Analysis) -> BoundsReport:
+    """The length report of one analysis, for the key size |X|."""
+    uppers = upper_bounds(a)
+    lowers, nonexistence = lower_bounds(a, a.d.x_size)
+    notes = [f"nullity(P_X|Y) = |Y| - |X| = {a.nullity}"] if a.x_det else []
     return BoundsReport(
         upper=uppers,
         lower=lowers,
-        prior_upper=prior,
-        improvement_flags=improvement_flags(d, uppers),
+        improvement_flags=improvement_flags(a.d, uppers),
         nonexistence=nonexistence,
         notes=notes,
     )

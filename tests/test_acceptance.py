@@ -123,9 +123,8 @@ def test_criterion_2_nullity_identity():
 def test_criterion_3_entropy_sandwich():
     bad = []
     for i, d in enumerate(det_instances()):
-        _, mech = synthesized(d)
-        hu = dist.entropy(mech.p_u)
-        b = mm.theorem1_bounds(d, hu, member=True)
+        a = mm.analyze(d)
+        hu, b = a.achieved_hu, a.bounds
         if not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
             bad.append(i)
         elif b.k_upper_strengthened > b.log_nullity_bound + 1e-6:
@@ -190,12 +189,11 @@ def test_criterion_6_direct_pad_regime():
         if a.mi_c_x > 1e-12:
             problems.append(f"#{i} leakage {a.mi_c_x:.2e}")
         if codec.ceil_log2(d.y_size) <= codec.ceil_log2(d.x_size):
-            uppers = {e.name: e.bits for e in report.upper_bounds(d, None, None)}
+            ups = report.upper_bounds(mm.analyze(d))
+            uppers = {e.name: e.bits for e in ups}
             if uppers["pad_y_direct"] > uppers["sum_conditional_entropy"] + 1e-9:
                 problems.append(f"#{i} pad bound above closed-form bound")
-            if not report.improvement_flags(d, report.upper_bounds(d, None, None))[
-                "small_y_improves"
-            ]:
+            if not report.improvement_flags(d, ups)["small_y_improves"]:
                 problems.append(f"#{i} improvement flag not set")
     _verdict(
         "6 (direct-pad: exact widths, zero leakage, improvement flag)",
@@ -211,7 +209,7 @@ def test_criterion_7_converse_soundness():
         for d, _, code, a in member_codes()
     ] + [(d, a.per_key_expected_length.max(), code.key_size) for d, code, a in direct_pad_codes()]
     for i, (d, achieved, m) in enumerate(achieved_rows):
-        lowers, nonexistence = report.lower_bounds(d, key_size=m)
+        lowers, nonexistence = report.lower_bounds(mm.analyze(d), key_size=m)
         bound = max(e.bits for e in lowers)
         if achieved < bound - 1e-9:
             problems.append(f"#{i} achieved {achieved:.4f} below converse {bound:.4f}")
@@ -219,9 +217,9 @@ def test_criterion_7_converse_soundness():
         if nonexistence != (det and m < d.x_size):
             problems.append(f"#{i} nonexistence flag wrong")
     # flag must fire exactly when the key alphabet is too small
-    d = dist.from_conditional(EX1_KERNEL, EX1_PY)
-    _, flag_small = report.lower_bounds(d, key_size=1)
-    _, flag_ok = report.lower_bounds(d, key_size=2)
+    a = mm.analyze(dist.from_conditional(EX1_KERNEL, EX1_PY))
+    _, flag_small = report.lower_bounds(a, key_size=1)
+    _, flag_ok = report.lower_bounds(a, key_size=2)
     if not flag_small or flag_ok:
         problems.append("nonexistence flag logic")
     _verdict(
@@ -245,8 +243,8 @@ def test_criterion_8_unique_optimizer_sweep():
         if d.x_size < d.y_size + 1:
             continue
         n_size += 1
-        bm = mm.build_bound_matrices(d)
-        if rank_and_nullity(bm.a_xy)[0] != d.y_size:
+        a_xy, _ = mm.build_bound_matrices(d)
+        if rank_and_nullity(a_xy)[0] != d.y_size:
             continue
         n_rank += 1
         if mm.y_is_function_of_x(d):
@@ -255,9 +253,8 @@ def test_criterion_8_unique_optimizer_sweep():
         if not mm.membership_in_phat(d).member:
             continue
         n_member += 1
-        _, mech = synthesized(d)
-        hu = dist.entropy(mech.p_u)
-        b = mm.theorem1_bounds(d, hu, member=True)
+        a = mm.analyze(d)
+        hu, b = a.achieved_hu, a.bounds
         checked += 1
         if not (abs(b.k_lower - b.k_upper_strengthened) <= 1e-6 and abs(hu - b.k_lower) <= 1e-6):
             failures.append((b.k_lower, b.k_upper_strengthened, hu))

@@ -170,6 +170,7 @@ def _edited_example1_doc(example1_file, tmp_path, key, value):
         ("two-part.x_field_bits", "-1", "x_field_bits"),
         ("joint.1", "0 0 0 0 0 0", "all-zero row"),
         ("schemes", None, "schemes"),
+        ("schemes", "", "schemes"),
     ],
     ids=[
         "missing",
@@ -185,6 +186,7 @@ def _edited_example1_doc(example1_file, tmp_path, key, value):
         "x-field-bits",
         "zero-joint-row",
         "schemes-missing",
+        "schemes-empty",
     ],
 )
 def test_audit_malformed_document_is_parse_error(
@@ -213,12 +215,29 @@ def test_audit_undecodable_code_is_named_violation(example1_file, tmp_path, key,
     assert "violation = two-part: a message does not decode" in out
 
 
-@pytest.mark.parametrize("command", ["code", "audit", "analyze"])
-def test_structured_output_matches_golden(command):
-    source = GOLDEN / "example1.code.txt" if command == "audit" else EXAMPLE1_PATH
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        pytest.param("example1", "code", id="code"),
+        pytest.param("example1", "audit", id="audit"),
+        pytest.param("example1", "analyze", id="analyze"),
+        ("noisy", "analyze"),
+        ("uniform4x3", "analyze"),
+        ("uniform4x3", "code"),
+        ("uniform4x3", "audit"),
+    ],
+)
+def test_structured_output_matches_golden(name, command):
+    """Structured output equals ``tests/golden/<name>.<command>.txt``. The
+    input is the named joint (Example 1 from ``data/``, the others beside
+    the goldens); ``audit`` reads the golden code document."""
+    if command == "audit":
+        source = GOLDEN / f"{name}.code.txt"
+    else:
+        source = EXAMPLE1_PATH if name == "example1" else GOLDEN / f"{name}.txt"
     status, out = run_cli(["--cmd", command, "--input", str(source), "--format", "structured"])
     assert status == 0
-    assert out == (GOLDEN / f"example1.{command}.txt").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{name}.{command}.txt").read_text(encoding="utf-8")
 
 
 def test_code_solves_g0_once_on_common_info(tmp_path, monkeypatch):
@@ -248,6 +267,60 @@ def test_code_no_applicable_scheme(tmp_path):
     status, out = run_cli(["--cmd", "code", "--input", str(path)])
     assert status == 2
     assert "no applicable scheme" in out
+
+
+def test_audit_reads_direct_pad_fields(tmp_path):
+    # the document's direct-pad key size and field width are audited, not
+    # rebuilt from the joint: a 7-bit field breaks the exact 2-bit length
+    doc = (GOLDEN / "uniform4x3.code.txt").read_text(encoding="utf-8")
+    doc = doc.replace("direct-pad.field_bits = 2", "direct-pad.field_bits = 7")
+    doc = doc.replace("direct-pad.key_size = 3", "direct-pad.key_size = 1")
+    path = tmp_path / "edited.txt"
+    path.write_text(doc)
+    status, out = run_cli(["--cmd", "audit", "--input", str(path)])
+    assert status == 1
+    assert "two-part.audit.ok = true" in out
+    assert "direct-pad.audit.ok = false" in out
+    assert "violation = direct-pad: message length is not exactly 2" in out
+
+
+@pytest.mark.parametrize(
+    "key, value", [("direct-pad.key_size", "0"), ("direct-pad.field_bits", "1")]
+)
+def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key, value):
+    lines = (GOLDEN / "uniform4x3.code.txt").read_text(encoding="utf-8").splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+    path = tmp_path / "edited.txt"
+    path.write_text("\n".join(lines) + "\n")
+    status, _ = run_cli(["--cmd", "audit", "--input", str(path)])
+    assert status == 2
+    assert "direct-pad.key_size" in capsys.readouterr().err
+
+
+def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
+    # rank/nullity and X = f(Y) live in the Analysis: the kernel rank is
+    # taken once, plus once for the bound matrix; X = f(Y) once, plus once
+    # inside the membership test
+    import sys
+    from collections import Counter
+
+    from zeroleak import linalg
+
+    counts = Counter()
+    for original in (linalg.rank_and_nullity, mm.x_is_function_of_y):
+
+        def counting(*args, _f=original, **kwargs):
+            counts[_f.__name__] += 1
+            return _f(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("zeroleak"):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is original:
+                        monkeypatch.setattr(mod, attr, counting)
+    status, out = run_cli(["--cmd", "analyze", "--input", example1_file])
+    assert status == 0 and "kernel_nullity = 4" in out
+    assert counts == {"rank_and_nullity": 2, "x_is_function_of_y": 2}
 
 
 def test_code_direct_pad_small_y(tmp_path):

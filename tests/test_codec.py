@@ -81,7 +81,7 @@ def test_huffman_deterministic():
 
 def test_two_part_example1_shape_and_bound():
     d, mech, code = example1_code()
-    assert code.x_field_bits == 1
+    assert code.field_bits == 1
     assert code.key_size == 2
     hu = dist.entropy(mech.p_u)
     a = codec.audit(code, d)
@@ -153,7 +153,7 @@ def test_single_private_symbol_empty_pad_field():
     _, mech = mm.solve_g0(d)
     mech = mm.build_decode_table(d, mech)
     code = codec.build_two_part(d, mech)
-    assert code.x_field_bits == 0
+    assert code.field_bits == 0
     assert code.key_size == 1
     a = codec.audit(code, d)
     assert a.lossless_prob == 1.0
@@ -180,7 +180,7 @@ def test_direct_pad_fixed_lengths():
     for y_size, want in ((4, 2), (3, 2)):
         d = uniform_pair(y_size, y_size)
         code = codec.build_direct_pad(d)
-        assert code.fixed_field_bits == want
+        assert code.field_bits == want
         a = codec.audit(code, d)
         assert np.allclose(a.per_key_expected_length, want, atol=1e-12)
 

@@ -84,11 +84,11 @@ def test_example1_bound_system_is_feasible():
     from zeroleak.mechanism import build_bound_matrices
 
     d = dist.from_conditional(EX1_KERNEL, np.array([1 / 8, 2 / 8, 3 / 8, 1 / 8, 1 / 16, 1 / 16]))
-    bm = build_bound_matrices(d)
+    a_xy, b_xy = build_bound_matrices(d)
     py = dist.marginal_y(d)
-    out = solve_lp(LinearProgram(py, bm.a_xy, bm.b_xy, sense="max"))
+    out = solve_lp(LinearProgram(py, a_xy, b_xy, sense="max"))
     assert out.status != "infeasible"
-    lo = solve_lp(LinearProgram(py, bm.a_xy, bm.b_xy, sense="min"))
+    lo = solve_lp(LinearProgram(py, a_xy, b_xy, sense="min"))
     assert lo.status == "optimal" and lo.value >= -1e-12
 
 

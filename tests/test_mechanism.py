@@ -7,9 +7,9 @@ import pytest
 
 from conftest import entropy_profile
 
-from zeroleak import dist, families, mechanism as mm
+from zeroleak import dist, families, mechanism as mm, report
 from zeroleak.dist import Kernel
-from zeroleak.errors import NotDecodable, NotInPhat
+from zeroleak.errors import NotDecodable
 from zeroleak.linalg import rank_and_nullity
 
 EX1_KERNEL = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
@@ -31,26 +31,26 @@ def noisy_2x4():
 
 
 def test_bound_matrices_example1_first_row():
-    bm = mm.build_bound_matrices(example1())
+    a_xy, b_xy = mm.build_bound_matrices(example1())
     expected = [1 / 8 - 1 / 6, 2 / 8 - 2 / 6, 3 / 8 - 3 / 6, 1 / 8, 1 / 16, 1 / 16]
-    assert np.allclose(bm.a_xy[0], expected, atol=1e-12)
-    assert bm.b_xy[0] == pytest.approx(
+    assert np.allclose(a_xy[0], expected, atol=1e-12)
+    assert b_xy[0] == pytest.approx(
         (1 / 6 * math.log2(6) + 1 / 3 * math.log2(3) + 0.5) - EX1_H_COND, abs=1e-12
     )
 
 
 def test_bound_matrices_independent_pair_all_zero():
     d = dist.validate_and_normalize(np.outer([0.4, 0.6], [0.1, 0.2, 0.7]))
-    bm = mm.build_bound_matrices(d)
-    assert np.abs(bm.a_xy).max() <= 1e-12
-    assert np.abs(bm.b_xy).max() <= 1e-12
+    a_xy, b_xy = mm.build_bound_matrices(d)
+    assert np.abs(a_xy).max() <= 1e-12
+    assert np.abs(b_xy).max() <= 1e-12
 
 
 def test_bound_matrices_single_x_all_zero():
     d = dist.validate_and_normalize(np.array([[0.2, 0.3, 0.5]]))
-    bm = mm.build_bound_matrices(d)
-    assert np.abs(bm.a_xy).max() <= 1e-12
-    assert np.abs(bm.b_xy).max() <= 1e-12
+    a_xy, b_xy = mm.build_bound_matrices(d)
+    assert np.abs(a_xy).max() <= 1e-12
+    assert np.abs(b_xy).max() <= 1e-12
 
 
 def test_bound_matrices_weighted_identities_random():
@@ -60,11 +60,11 @@ def test_bound_matrices_weighted_identities_random():
         d = dist.validate_and_normalize(
             rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape) + 1e-4
         )
-        bm = mm.build_bound_matrices(d)
+        a_xy, b_xy = mm.build_bound_matrices(d)
         px = dist.marginal_x(d)
-        assert np.abs(bm.a_xy.sum(axis=1)).max() <= 1e-10
-        assert np.abs(px @ bm.a_xy).max() <= 1e-10
-        assert abs(px @ bm.b_xy) <= 1e-10
+        assert np.abs(a_xy.sum(axis=1)).max() <= 1e-10
+        assert np.abs(px @ a_xy).max() <= 1e-10
+        assert abs(px @ b_xy) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,8 @@ def test_solve_g0_invertible_kernel_discloses_nothing():
 
 
 def test_theorem1_bounds_example1():
-    d = example1()
-    value, mech = mm.solve_g0(d)
-    hu = dist.entropy(mech.p_u)
-    b = mm.theorem1_bounds(d, hu, member=True)
+    a = mm.analyze(example1())
+    hu, b = a.achieved_hu, a.bounds
     assert b.log_nullity_bound == pytest.approx(math.log2(5), abs=1e-12)
     assert b.k_lower >= EX1_H_COND - 1e-9
     assert b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6
@@ -159,8 +157,7 @@ def test_theorem1_bounds_example1():
 
 def test_theorem1_bounds_independent_pair():
     d = dist.validate_and_normalize(np.outer([0.3, 0.7], [0.2, 0.5, 0.3]))
-    value, mech = mm.solve_g0(d)
-    b = mm.theorem1_bounds(d, dist.entropy(mech.p_u), member=True)
+    b = mm.analyze(d).bounds
     hy = dist.entropy(dist.marginal_y(d))
     assert b.k_lower == pytest.approx(hy, abs=1e-9)
     assert b.k_upper == float("inf")
@@ -168,15 +165,16 @@ def test_theorem1_bounds_independent_pair():
 
 
 def test_theorem1_requires_membership():
+    # the binary symmetric pair is not a member: no bracket, no LP converse
     d = dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
-    with pytest.raises(NotInPhat):
-        mm.theorem1_bounds(d, 1.0)
+    a = mm.analyze(d)
+    assert a.bounds is None
+    assert all(e.name != "lp_conditional_converse" for e in report.build_report(a).lower)
 
 
 def test_theorem1_constant_y_all_zero():
     d = dist.validate_and_normalize(np.array([[0.4], [0.6]]))
-    value, mech = mm.solve_g0(d)
-    b = mm.theorem1_bounds(d, dist.entropy(mech.p_u), member=True)
+    b = mm.analyze(d).bounds
     assert b.k_lower == pytest.approx(0.0, abs=1e-12)
     assert b.k_upper_strengthened == pytest.approx(0.0, abs=1e-9)
     assert b.log_nullity_bound == 0.0
@@ -189,9 +187,9 @@ def test_theorem1_y_function_of_x_degenerate():
     for x in range(4):
         joint[x, x % 2] = 0.25
     d = dist.validate_and_normalize(joint)
-    value, mech = mm.solve_g0(d)
+    value, _ = mm.solve_g0(d)
     assert value == pytest.approx(0.0, abs=1e-12)
-    b = mm.theorem1_bounds(d, dist.entropy(mech.p_u), member=True)
+    b = mm.analyze(d).bounds
     assert b.k_lower == pytest.approx(0.0, abs=1e-9)
     assert b.k_upper_strengthened == pytest.approx(0.0, abs=1e-9)
 
@@ -278,18 +276,17 @@ def test_entropy_profile_solves_bound_system():
     for _ in range(30):
         d = families.random_deterministic_pair(rng)
         _, mech = mm.solve_g0(d)
-        bm = mm.build_bound_matrices(d)
+        a_xy, b_xy = mm.build_bound_matrices(d)
         prof = entropy_profile(d, mech)
-        assert np.abs(bm.a_xy @ prof - bm.b_xy).max() <= 1e-8
+        assert np.abs(a_xy @ prof - b_xy).max() <= 1e-8
 
 
 def test_sandwich_on_random_members():
     rng = np.random.default_rng(53)
     for _ in range(40):
         d = families.random_deterministic_pair(rng)
-        _, mech = mm.solve_g0(d)
-        hu = dist.entropy(mech.p_u)
-        b = mm.theorem1_bounds(d, hu, member=True)
+        a = mm.analyze(d)
+        mech, hu, b = a.mech, a.achieved_hu, a.bounds
         assert b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6
         assert b.k_upper_strengthened <= b.log_nullity_bound + 1e-6
         _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
