@@ -45,10 +45,8 @@ from .linalg import (
 from .mechanism import (
     Mechanism,
     MechanismBounds,
-    MembershipResult,
     build_bound_matrices,
     build_decode_table,
-    membership_in_phat,
     solve_g0,
     theorem1_bounds,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "enumerate_vertices",
     "Mechanism",
     "MechanismBounds",
-    "MembershipResult",
     "build_bound_matrices",
-    "membership_in_phat",
     "solve_g0",
     "theorem1_bounds",
     "build_decode_table",

@@ -21,31 +21,20 @@ are decimals or exact fractions like 3/16. `#` starts a comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import codec, dist, families, mechanism as mech_mod, report as report_mod
 from .dist import JointDistribution, Kernel
-from .errors import MalformedBits, NotDecodable, ParseError, StochasticityError, ZeroLeakError
+from .errors import InputError, MalformedBits, NotDecodable, ParseError, ZeroLeakError
 from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
 CODE_FORMAT = "zeroleak-code-v1"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    tol_lp: float = 1e-9
-    tol_ent: float = mech_mod.TAU_ENT
-    seed: int = DEFAULT_SEED
-    output_format: str = "text"
-    n: int = 100
-    family: str = "det-f"
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +44,7 @@ class RunConfig:
 def _parse_token(tok: str, line_no: int, col: int) -> float:
     try:
         return float(Fraction(tok))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(f"cannot parse {tok!r} as a number or fraction", line_no, col) from None
 
 
@@ -195,11 +184,6 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
     for name, val in rep.improvement_flags.items():
         lines.kv(f"flag.{name}", val)
     lines.kv("nonexistence_small_key", rep.nonexistence)
-    if a.achieved_hu is not None and a.x_det:
-        prior_u_part = codec.ceil_log2(d.y_size - d.x_size + 1)
-        lines.kv("achieved_hu_plus_one", a.achieved_hu + 1.0)
-        lines.kv("prior_u_part_bits", prior_u_part)
-        lines.kv("u_part_improves", bool(a.achieved_hu + 1.0 < prior_u_part))
     for note in rep.notes:
         lines.kv("note", note)
 
@@ -223,11 +207,11 @@ def render_mechanism(a: Analysis, lines: Lines) -> None:
 # code serialization and audit
 
 
-def render_code_document(a: Analysis, cfg: RunConfig, lines: Lines) -> tuple[list[str], list[str]]:
+def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str], list[str]]:
     """Emit schemes + audits; returns (schemes, violated invariants)."""
     d = a.d
     lines.kv("format", CODE_FORMAT)
-    lines.kv("seed", cfg.seed)
+    lines.kv("seed", seed)
     lines.kv("x_size", d.x_size)
     lines.kv("y_size", d.y_size)
     for x in range(d.x_size):
@@ -339,6 +323,8 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     violations: list[str] = []
     for scheme in schemes:
         if scheme == codec.DIRECT_PAD:
+            if y_size > x_size:
+                raise ParseError(f"direct-pad entry for a joint with |Y| = {y_size} > |X| = {x_size}")
             key_size, field_bits = _doc_key_and_field(doc, scheme, "field_bits", y_size)
             code = replace(codec.build_direct_pad(d), key_size=key_size, field_bits=field_bits)
             hu = None
@@ -409,13 +395,15 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
 # sweep
 
 
-def check_instance(d: JointDistribution, family: str, cfg: RunConfig) -> list[str]:
-    """Property suite for one instance; returns the violated invariants."""
-    a = mech_mod.analyze(d, cfg.tol_ent, cfg.tol_lp)
+def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
+    """Property suite for one instance of ``args.family``; returns the
+    violated invariants."""
+    family = args.family
+    a = mech_mod.analyze(d, args.tol_ent, args.tol_lp)
     if family in ("det-f", "common-info") and not a.member:
         return [f"expected membership, got g0 = {a.g0:.6g}"]
     if family == "invertible" and a.member and not a.boundary:
-        if dist.conditional_entropy_y_given_x(d) > 10 * cfg.tol_ent:
+        if dist.conditional_entropy_y_given_x(d) > 10 * args.tol_ent:
             return ["invertible kernel unexpectedly a member"]
         return []
     if not a.member:
@@ -433,18 +421,18 @@ def check_instance(d: JointDistribution, family: str, cfg: RunConfig) -> list[st
     return problems
 
 
-def run_sweep(cfg: RunConfig, lines: Lines) -> int:
-    rng = np.random.default_rng(cfg.seed)
+def run_sweep(args: argparse.Namespace, lines: Lines) -> int:
+    rng = np.random.default_rng(args.seed)
     failures = 0
-    for i in range(cfg.n):
-        d = families.FAMILIES[cfg.family](rng)
-        problems = check_instance(d, cfg.family, cfg)
+    for i in range(args.n):
+        d = families.FAMILIES[args.family](rng)
+        problems = check_instance(d, args)
         if problems:
             failures += 1
             lines.kv(f"instance.{i:04d}", "FAIL " + "; ".join(problems))
         else:
             lines.kv(f"instance.{i:04d}", "ok")
-    lines.kv("passed", f"{cfg.n - failures}/{cfg.n}")
+    lines.kv("passed", f"{args.n - failures}/{args.n}")
     return 0 if failures == 0 else 1
 
 
@@ -452,43 +440,43 @@ def run_sweep(cfg: RunConfig, lines: Lines) -> int:
 # entry points
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit status, report text)."""
-    structured = cfg.output_format == "structured"
-    lines = Lines(structured)
-    if cfg.command == "sweep":
-        status = run_sweep(cfg, lines)
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parsed command line; returns (exit status, report text)."""
+    lines = Lines(args.format == "structured")
+    if args.cmd == "sweep":
+        status = run_sweep(args, lines)
         return status, lines.text()
-    if cfg.input_path is None:
+    if args.input_path is None:
         raise ParseError("--input is required for this command")
-    if cfg.command == "audit":
-        with open(cfg.input_path, encoding="utf-8") as fh:
+    if args.cmd == "audit":
+        with open(args.input_path, encoding="utf-8") as fh:
             doc = parse_code_document(fh.read())
         violations = rebuild_and_audit(doc, lines)
         for v in violations:
             lines.kv("violation", v)
         return (0 if not violations else 1), lines.text()
 
-    d = parse_distribution(cfg.input_path)
-    a = mech_mod.analyze(d, cfg.tol_ent, cfg.tol_lp)
-    if cfg.command == "analyze":
+    d = parse_distribution(args.input_path)
+    a = mech_mod.analyze(d, args.tol_ent, args.tol_lp)
+    if args.cmd == "analyze":
         render_analysis(a, lines)
         return 0, lines.text()
-    if cfg.command == "mechanism":
+    if args.cmd == "mechanism":
         render_analysis(a, lines)
         render_mechanism(a, lines)
         return 0, lines.text()
-    if cfg.command == "code":
-        schemes, violations = render_code_document(a, cfg, lines)
+    if args.cmd == "code":
+        schemes, violations = render_code_document(a, args.seed, lines)
         if not schemes:
             lines.kv("error", "no applicable scheme (not a decodable member and |Y| > |X|)")
             return 2, lines.text()
         for v in violations:
             lines.kv("violation", v)
         return (0 if not violations else 1), lines.text()
-    raise ValueError(f"unknown command {cfg.command!r}")
+    raise ValueError(f"unknown command {args.cmd!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zeroleak",
@@ -521,19 +509,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("tolerances must be positive")
     if args.n < 1:
         parser.error("--n must be at least 1")
-    cfg = RunConfig(
-        command=args.cmd,
-        input_path=args.input_path,
-        tol_lp=args.tol_lp,
-        tol_ent=args.tol_ent,
-        seed=args.seed,
-        output_format=args.format,
-        n=args.n,
-        family=args.family,
-    )
     try:
-        status, text = run(cfg)
-    except (ParseError, StochasticityError, FileNotFoundError) as exc:
+        status, text = run(args)
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ZeroLeakError as exc:

@@ -5,15 +5,19 @@ class ZeroLeakError(Exception):
     """Base class for every error raised by this package."""
 
 
-class BadShape(ZeroLeakError):
+class InputError(ZeroLeakError):
+    """The input itself is malformed; the command line exits 2 on these."""
+
+
+class BadShape(InputError):
     """Input matrix is ragged, empty, or has inconsistent dimensions."""
 
 
-class EmptySupport(ZeroLeakError):
+class EmptySupport(InputError):
     """All probability mass is zero; no distribution can be formed."""
 
 
-class NegativeMass(ZeroLeakError):
+class NegativeMass(InputError):
     """A probability entry is negative beyond tolerance."""
 
 
@@ -49,7 +53,7 @@ class MalformedBits(ZeroLeakError):
     """A bitstring does not parse as a valid message of the given code."""
 
 
-class ParseError(ZeroLeakError):
+class ParseError(InputError):
     """Input file is syntactically invalid; carries line/column context."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -61,5 +65,5 @@ class ParseError(ZeroLeakError):
         self.column = column
 
 
-class StochasticityError(ZeroLeakError):
+class StochasticityError(InputError):
     """A vector or matrix that must be stochastic is not; names the offender."""

@@ -7,9 +7,10 @@ anti-cycling rule, and reduced costs recomputed from scratch each pivot.
 Vertices are enumerated by adjacency pivoting over feasible bases (Avis &
 Fukuda, DCG 1992): a breadth-first walk from one feasible basis that takes
 every min-ratio pivot, so the work grows with the number of feasible bases
-rather than with the C(n, rank) column subsets. One Gauss-Jordan routine
-serves rank/nullity, the reduction to independent rows and the choice of
-basis on which each vertex is solved.
+rather than with the C(n, rank) column subsets. One Gauss-Jordan step,
+``_pivot``, serves the row reduction, the simplex and the vertex walk; one
+elimination routine, ``_rref``, serves rank/nullity, the reduction to
+independent rows and the choice of basis on which each vertex is solved.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ from .errors import Infeasible, NumericalFailure
 
 TAU_LP = 1e-9
 RANK_TOL = 1e-10
+
+
+def _pivot(tab: np.ndarray, row: int, col: int) -> np.ndarray:
+    """The tableau after one Gauss-Jordan step on entry (row, col): that
+    column becomes the unit vector of ``row``."""
+    prow = tab[row] / tab[row, col]
+    out = tab - np.outer(tab[:, col], prow)
+    out[row] = prow
+    return out
 
 
 def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -47,9 +57,7 @@ def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarr
             continue
         if piv != rank:
             work[[rank, piv]] = work[[piv, rank]]
-        row = work[rank] / work[rank, c]
-        work -= work[:, c, None] * row
-        work[rank] = row
+        work = _pivot(work, rank, c)
         pivots.append(c)
     rank = len(pivots)
     if rank < rows and (np.abs(work[rank:, -1]) > 1e-7 * scale).any():
@@ -89,36 +97,25 @@ class LpOutcome:
     point: np.ndarray | None
 
 
-def _pivot(t: np.ndarray, b: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    piv = t[row, col]
-    t[row] /= piv
-    b[row] /= piv
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0.0:
-            f = t[i, col]
-            t[i] -= f * t[row]
-            b[i] -= f * b[row]
-    basis[row] = col
-
-
-def _bland_iterate(t, b, basis, costs, n_allowed, tol) -> str:
-    """Run simplex pivots under Bland's rule until optimal or unbounded.
+def _bland_iterate(tab, basis, costs, n_allowed, tol) -> tuple[str, np.ndarray]:
+    """Run simplex pivots on the tableau [T | rhs] under Bland's rule until
+    optimal or unbounded; returns the status and the final tableau.
 
     Only columns with index < n_allowed may enter (used to shut out
     artificials in phase 2).
     """
-    m = t.shape[0]
-    cap = 10_000 + 100 * (m + t.shape[1])
+    m = tab.shape[0]
+    cap = 10_000 + 100 * (m + tab.shape[1] - 1)
     for _ in range(cap):
-        red = costs - costs[basis] @ t
+        red = costs - costs[basis] @ tab[:, :-1]
         enter = -1
         for j in range(n_allowed):
             if red[j] < -tol:
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
-        col = t[:, enter]
+            return "optimal", tab
+        col, b = tab[:, enter], tab[:, -1]
         best = np.inf
         leave = -1
         for i in range(m):
@@ -129,13 +126,15 @@ def _bland_iterate(t, b, basis, costs, n_allowed, tol) -> str:
                 elif r <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
                     leave = i
         if leave < 0:
-            return "unbounded"
-        _pivot(t, b, basis, leave, enter)
+            return "unbounded", tab
+        tab = _pivot(tab, leave, enter)
+        basis[leave] = enter
     raise NumericalFailure(f"simplex exceeded {cap} pivots without certifying a status")
 
 
 def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
-    """Two-phase primal simplex on the standard-form tableau.
+    """Two-phase primal simplex on the standard-form tableau: [A | I | b]
+    with an artificial basis in phase 1, [A | b] in phase 2.
 
     Raises NumericalFailure when the final point does not satisfy the
     constraints within tolerance (a certificate could not be produced).
@@ -165,13 +164,12 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
     m = a.shape[0]
 
     # Phase 1: artificial basis, minimize total artificial mass.
-    t = np.hstack([a, np.eye(m)])
-    rhs = b.copy()
+    tab = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland_iterate(t, rhs, basis, phase1, n + m, tol)
+    _, tab = _bland_iterate(tab, basis, phase1, n + m, tol)
     scale = 1.0 + float(np.abs(b).sum())
-    if phase1[basis] @ rhs > tol * scale:
+    if phase1[basis] @ tab[:, -1] > tol * scale:
         return LpOutcome("infeasible", float("nan"), None)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -180,21 +178,21 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
         if basis[i] < n:
             keep.append(i)
             continue
-        row = t[i, :n]
+        row = tab[i, :n]
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > tol:
-            _pivot(t, rhs, basis, i, j)
+            tab = _pivot(tab, i, j)
+            basis[i] = j
             keep.append(i)
-    t = t[keep][:, :n]
-    rhs = rhs[keep]
+    tab = tab[np.ix_(keep, [*range(n), n + m])]
     basis = [basis[i] for i in keep]
 
-    status = _bland_iterate(t, rhs, basis, c, n, tol)
+    status, tab = _bland_iterate(tab, basis, c, n, tol)
     if status == "unbounded":
         return LpOutcome("unbounded", sign * float("-inf"), None)
 
     x = np.zeros(n)
-    x[basis] = rhs
+    x[basis] = tab[:, -1]
     resid = float(np.abs(a @ x - b).max()) if m else 0.0
     if resid > 100 * tol * scale or x.min() < -100 * tol:
         raise NumericalFailure(
@@ -302,10 +300,7 @@ def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
             if nxt in seen:
                 continue
             seen.add(nxt)
-            prow = tab[row] / tab[row, col]
-            nxt_tab = tab - np.outer(tab[:, col], prow)
-            nxt_tab[row] = prow
-            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, nxt_tab))
+            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, _pivot(tab, row, col)))
 
     bases = [c for c in found.values() if len(c) == r]
     vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)

@@ -13,7 +13,7 @@ H(Y|X)), and computes LP sandwich bounds on the minimum achievable H(U).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,15 +50,6 @@ class MechanismBounds:
     k_upper_strengthened: float
     log_nullity_bound: float
     unique: bool
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    certificate: float  # funnel value g0 in bits
-    boundary: bool = False
-    # the g0 optimizer, when an LP was solved
-    mechanism: Mechanism | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -139,30 +130,6 @@ def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechani
     if -1e-12 < value < 0.0:
         value = 0.0
     return value, mech
-
-
-def membership_in_phat(
-    d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
-) -> MembershipResult:
-    """Test whether the funnel optimum g0 equals H(Y|X).
-
-    When X is a deterministic function of Y the equality holds by a known
-    sufficient condition and no LP is solved. Otherwise the g0 optimizer is
-    returned as ``mechanism`` so callers need not solve it again. Instances
-    within a decade of the tolerance either side are flagged ``boundary``
-    instead of being silently classified.
-    """
-    h_cond = dist.conditional_entropy_y_given_x(d)
-    if x_is_function_of_y(d):
-        return MembershipResult(member=True, certificate=h_cond)
-    value, mech = solve_g0(d, tol_lp)
-    gap = abs(value - h_cond)
-    return MembershipResult(
-        member=gap <= tol_ent,
-        certificate=value,
-        boundary=tol_ent / 10.0 <= gap <= 10.0 * tol_ent,
-        mechanism=mech,
-    )
 
 
 def theorem1_bounds(
@@ -267,16 +234,27 @@ def _entropy_y_given_xu(joint: np.ndarray) -> float:
 
 
 def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9) -> Analysis:
-    """Rank and nullity of P_{X|Y}, whether X = f(Y), membership, then for a
-    member the g0 mechanism (solved at most once), its entropy bounds and,
-    when one exists, its decode table. Commands and the length report read
-    these from the Analysis instead of computing them again."""
+    """Rank and nullity of P_{X|Y}, whether X = f(Y), the funnel optimum g0
+    and its optimizer (solved once), membership, then for a member the
+    optimizer's entropy bounds and, when one exists, its decode table.
+    Commands and the length report read these from the Analysis instead of
+    computing them again.
+
+    A joint is a member when g0 equals H(Y|X) within ``tol_ent``; X = f(Y)
+    is a known sufficient condition, so there g0 is reported as H(Y|X).
+    Gaps within a decade of the tolerance either side are flagged
+    ``boundary`` instead of being silently classified."""
     rank, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
-    ms = membership_in_phat(d, tol_ent, tol_lp)
-    mech = bounds = achieved = None
+    x_det = x_is_function_of_y(d)
+    h_cond = dist.conditional_entropy_y_given_x(d)
+    g0, mech = solve_g0(d, tol_lp)
+    if x_det:
+        g0 = h_cond
+    gap = abs(g0 - h_cond)
+    member = gap <= tol_ent
+    bounds = achieved = None
     decodable = False
-    if ms.member:
-        mech = ms.mechanism or solve_g0(d, tol_lp)[1]
+    if member:
         achieved = dist.entropy(mech.p_u)
         bounds = theorem1_bounds(d, nullity, tol_ent, tol_lp)
         try:
@@ -284,9 +262,11 @@ def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
             decodable = True
         except NotDecodable:
             pass
+    else:
+        mech = None
     return Analysis(
-        d, rank, nullity, x_is_function_of_y(d),
-        ms.member, ms.boundary, ms.certificate, mech, decodable, bounds, achieved,
+        d, rank, nullity, x_det, member, tol_ent / 10.0 <= gap <= 10.0 * tol_ent,
+        g0, mech, decodable, bounds, achieved,
     )
 
 

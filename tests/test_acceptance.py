@@ -76,14 +76,14 @@ def direct_pad_codes():
 def test_criterion_1_example_reproduction():
     t0 = time.perf_counter()
     d = dist.from_conditional(EX1_KERNEL, EX1_PY)
-    ms = mm.membership_in_phat(d)
+    a = mm.analyze(d)
     value, mech = synthesized(d)
     terms = mm.information_identity_terms(d, mech)
     hu = dist.entropy(mech.p_u)
     elapsed = time.perf_counter() - t0
     h_cond = dist.conditional_entropy_y_given_x(d)
     problems = []
-    if not ms.member:
+    if not a.member:
         problems.append("membership false")
     if abs(value - h_cond) > 1e-6:
         problems.append(f"g0 {value} != H(Y|X) {h_cond}")
@@ -250,10 +250,10 @@ def test_criterion_8_unique_optimizer_sweep():
         if mm.y_is_function_of_x(d):
             continue
         n_notf += 1
-        if not mm.membership_in_phat(d).member:
+        a = mm.analyze(d)
+        if not a.member:
             continue
         n_member += 1
-        a = mm.analyze(d)
         hu, b = a.achieved_hu, a.bounds
         checked += 1
         if not (abs(b.k_lower - b.k_upper_strengthened) <= 1e-6 and abs(hu - b.k_lower) <= 1e-6):

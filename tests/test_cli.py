@@ -101,7 +101,7 @@ def test_analyze_command(example1_file):
     assert status == 0
     assert "member = true" in out
     assert "kernel_nullity = 4" in out
-    assert "u_part_improves = true" in out
+    assert "flag.member_improves = true" in out
 
 
 def test_structured_output_deterministic(example1_file):
@@ -225,6 +225,9 @@ def test_audit_undecodable_code_is_named_violation(example1_file, tmp_path, key,
         ("uniform4x3", "analyze"),
         ("uniform4x3", "code"),
         ("uniform4x3", "audit"),
+        ("ci2x2x3", "analyze"),
+        ("ci2x2x3", "code"),
+        ("ci2x2x3", "audit"),
     ],
 )
 def test_structured_output_matches_golden(name, command):
@@ -284,14 +287,21 @@ def test_audit_reads_direct_pad_fields(tmp_path):
     assert "violation = direct-pad: message length is not exactly 2" in out
 
 
+def _uniform4x3_doc_with(key, value):
+    """The uniform 4x3 golden code document with ``key`` set to ``value``."""
+    text = (GOLDEN / "uniform4x3.code.txt").read_text(encoding="utf-8")
+    return "".join(
+        f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
+        for line in text.splitlines()
+    )
+
+
 @pytest.mark.parametrize(
     "key, value", [("direct-pad.key_size", "0"), ("direct-pad.field_bits", "1")]
 )
 def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key, value):
-    lines = (GOLDEN / "uniform4x3.code.txt").read_text(encoding="utf-8").splitlines()
-    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
     path = tmp_path / "edited.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_uniform4x3_doc_with(key, value))
     status, _ = run_cli(["--cmd", "audit", "--input", str(path)])
     assert status == 2
     assert "direct-pad.key_size" in capsys.readouterr().err
@@ -299,15 +309,14 @@ def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key,
 
 def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
     # rank/nullity and X = f(Y) live in the Analysis: the kernel rank is
-    # taken once, plus once for the bound matrix; X = f(Y) once, plus once
-    # inside the membership test
+    # taken once, plus once for the bound matrix; X = f(Y) and g0 once each
     import sys
     from collections import Counter
 
     from zeroleak import linalg
 
     counts = Counter()
-    for original in (linalg.rank_and_nullity, mm.x_is_function_of_y):
+    for original in (linalg.rank_and_nullity, mm.x_is_function_of_y, mm.solve_g0):
 
         def counting(*args, _f=original, **kwargs):
             counts[_f.__name__] += 1
@@ -320,7 +329,7 @@ def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
                         monkeypatch.setattr(mod, attr, counting)
     status, out = run_cli(["--cmd", "analyze", "--input", example1_file])
     assert status == 0 and "kernel_nullity = 4" in out
-    assert counts == {"rank_and_nullity": 2, "x_is_function_of_y": 2}
+    assert counts == {"rank_and_nullity": 2, "x_is_function_of_y": 1, "solve_g0": 1}
 
 
 def test_code_direct_pad_small_y(tmp_path):
@@ -343,6 +352,44 @@ def test_sweep_deterministic_given_seed():
     _, a = run_cli(["--cmd", "sweep", "--n", "4", "--family", "det-f", "--seed", "3"])
     _, b = run_cli(["--cmd", "sweep", "--n", "4", "--family", "det-f", "--seed", "3"])
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        ("analyze", "joint:\n0.5 -0.1\n0.3 0.3\n", "below"),
+        ("analyze", "p_x_given_y:\n1 0\n0 1\np_y: -1 2\n", "below"),
+        ("analyze", "joint:\n0 0\n0 0\n", "mass is zero"),
+        ("analyze", "joint:\n1 1e400\n", "line 2, column 2"),
+        ("analyze", None, "Is a directory"),
+        ("analyze", b"\x89PNG\r\n\x1a\n\xff\xfe", "can't decode"),
+        ("audit", _uniform4x3_doc_with("x_size", 0), "shape"),
+        ("audit", _uniform4x3_doc_with("x_size", 2), "|Y| = 3 > |X| = 2"),
+    ],
+    ids=[
+        "negative-joint-entry",
+        "negative-p-y",
+        "all-zero-joint",
+        "overflowing-entry",
+        "directory",
+        "binary-file",
+        "doc-x-size-0",
+        "doc-direct-pad-y-above-x",
+    ],
+)
+def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, content, named):
+    # exit 2 with a one-line error, never exit 1 or an uncaught exception
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    status, _ = run_cli(["--cmd", command, "--input", str(path)])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ") and named in err
 
 
 def test_missing_input_is_usage_error():

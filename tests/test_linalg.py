@@ -8,7 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zeroleak import dist, families
-from zeroleak.errors import Infeasible
+from zeroleak import mechanism as mm
+from zeroleak.errors import Infeasible, NumericalFailure
 from zeroleak.linalg import (
     LinearProgram,
     enumerate_vertices,
@@ -311,3 +312,155 @@ def test_vertices_square_full_rank_single_basis():
 def test_vertices_rank_zero():
     v = assert_matches_scan(np.zeros((2, 3)), np.zeros(2))
     assert np.array_equal(v, np.zeros((1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the in-place simplex with separate tableau and right-hand side, kept as the
+# oracle for solve_lp on one augmented tableau
+
+
+def _oracle_pivot(t, b, basis, row, col):
+    piv = t[row, col]
+    t[row] /= piv
+    b[row] /= piv
+    for i in range(t.shape[0]):
+        if i != row and t[i, col] != 0.0:
+            f = t[i, col]
+            t[i] -= f * t[row]
+            b[i] -= f * b[row]
+    basis[row] = col
+
+
+def _oracle_bland_iterate(t, b, basis, costs, n_allowed, tol):
+    m = t.shape[0]
+    cap = 10_000 + 100 * (m + t.shape[1])
+    for _ in range(cap):
+        red = costs - costs[basis] @ t
+        enter = -1
+        for j in range(n_allowed):
+            if red[j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        col = t[:, enter]
+        best = np.inf
+        leave = -1
+        for i in range(m):
+            if col[i] > tol:
+                r = b[i] / col[i]
+                if r < best - 1e-12:
+                    best, leave = r, i
+                elif r <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _oracle_pivot(t, b, basis, leave, enter)
+    raise NumericalFailure(f"simplex exceeded {cap} pivots without certifying a status")
+
+
+def oracle_solve_lp(lp, tol=1e-9):
+    c = np.asarray(lp.objective, dtype=float).copy()
+    a = np.array(lp.eq_lhs, dtype=float, ndmin=2)
+    b = np.asarray(lp.eq_rhs, dtype=float).copy()
+    n = c.size
+    if lp.extra_ineq is not None:
+        coef, bound = lp.extra_ineq
+        a = np.vstack([a, np.asarray(coef, dtype=float)])
+        b = np.append(b, float(bound))
+        a = np.hstack([a, np.zeros((a.shape[0], 1))])
+        a[-1, -1] = 1.0
+        c = np.append(c, 0.0)
+        n += 1
+    sign = 1.0 if lp.sense == "min" else -1.0
+    c = sign * c
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+    m = a.shape[0]
+    t = np.hstack([a, np.eye(m)])
+    rhs = b.copy()
+    basis = list(range(n, n + m))
+    phase1 = np.concatenate([np.zeros(n), np.ones(m)])
+    _oracle_bland_iterate(t, rhs, basis, phase1, n + m, tol)
+    scale = 1.0 + float(np.abs(b).sum())
+    if phase1[basis] @ rhs > tol * scale:
+        return "infeasible", float("nan"), None
+    keep = []
+    for i in range(m):
+        if basis[i] < n:
+            keep.append(i)
+            continue
+        row = t[i, :n]
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > tol:
+            _oracle_pivot(t, rhs, basis, i, j)
+            keep.append(i)
+    t = t[keep][:, :n]
+    rhs = rhs[keep]
+    basis = [basis[i] for i in keep]
+    if _oracle_bland_iterate(t, rhs, basis, c, n, tol) == "unbounded":
+        return "unbounded", sign * float("-inf"), None
+    x = np.zeros(n)
+    x[basis] = rhs
+    resid = float(np.abs(a @ x - b).max()) if m else 0.0
+    if resid > 100 * tol * scale or x.min() < -100 * tol:
+        raise NumericalFailure("simplex finished off the constraints")
+    x = np.clip(x, 0.0, None)
+    if lp.extra_ineq is not None:
+        x = x[:-1]
+    return "optimal", float(np.asarray(lp.objective, dtype=float) @ x), x
+
+
+def assert_matches_oracle(lp):
+    """Same status, value and point as the oracle, bit for bit (NaN equal)."""
+    try:
+        status, value, point = oracle_solve_lp(lp)
+    except NumericalFailure:
+        with pytest.raises(NumericalFailure):
+            solve_lp(lp)
+        return
+    out = solve_lp(lp)
+    assert out.status == status
+    assert np.array_equal(out.value, value, equal_nan=True)
+    assert (out.point is None) == (point is None)
+    if point is not None:
+        assert np.array_equal(out.point, point)
+
+
+@given(
+    seeds,
+    st.sampled_from(
+        [
+            families.random_deterministic_pair,
+            families.random_common_info_pair,
+            families.random_invertible_pair,
+        ]
+    ),
+)
+def test_lp_matches_oracle_on_family_lps(seed, family):
+    # the three bound LPs of theorem1_bounds and the g0 mixture LP
+    d = family(np.random.default_rng(seed))
+    a_xy, b_xy = mm.build_bound_matrices(d)
+    py = dist.marginal_y(d)
+    assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="min"))
+    assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="max"))
+    cap = float(np.log2(rank_and_nullity(dist.kernel_x_given_y(d).k)[1] + 1))
+    cap -= dist.conditional_entropy_y_given_x(d)
+    assert_matches_oracle(LinearProgram(py, a_xy, b_xy, extra_ineq=(py, cap), sense="max"))
+    verts = mm.feasible_columns(d)
+    ent = np.array([dist.entropy(v) for v in verts])
+    assert_matches_oracle(LinearProgram(ent, verts.T, py, sense="min"))
+
+
+@given(seeds, st.integers(1, 4), st.integers(1, 7), st.sampled_from(["min", "max"]))
+def test_lp_matches_oracle_with_extra_inequality(seed, rows, n, sense):
+    # random feasible, infeasible and unbounded LPs, with and without a cap
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3, 4, size=(rows, n)).astype(float)
+    b = a @ rng.dirichlet(np.ones(n)) if rng.random() < 0.7 else rng.normal(size=rows)
+    c = rng.normal(size=n)
+    assert_matches_oracle(LinearProgram(c, a, b, sense=sense))
+    assert_matches_oracle(
+        LinearProgram(c, a, b, extra_ineq=(rng.normal(size=n), float(rng.normal())), sense=sense)
+    )

@@ -72,9 +72,9 @@ def test_bound_matrices_weighted_identities_random():
 
 
 def test_membership_example1_fast_path():
-    ms = mm.membership_in_phat(example1())
-    assert ms.member
-    assert ms.certificate == pytest.approx(EX1_H_COND, abs=1e-9)
+    a = mm.analyze(example1())
+    assert a.member
+    assert a.g0 == pytest.approx(EX1_H_COND, abs=1e-9)
 
 
 def test_membership_y_function_of_x():
@@ -83,9 +83,9 @@ def test_membership_y_function_of_x():
     for x in range(4):
         joint[x, x % 2] = 0.25
     d = dist.validate_and_normalize(joint)
-    ms = mm.membership_in_phat(d)
-    assert ms.member
-    assert abs(ms.certificate) <= 1e-9
+    a = mm.analyze(d)
+    assert a.member
+    assert abs(a.g0) <= 1e-9
     assert dist.conditional_entropy_y_given_x(d) <= 1e-12
 
 
@@ -93,9 +93,9 @@ def test_membership_binary_symmetric_negative():
     # invertible kernel forces the disclosure polytope to the single point
     # P_Y, so the funnel value is 0 while H(Y|X) = h2(0.1) > 0
     d = dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
-    ms = mm.membership_in_phat(d)
-    assert not ms.member
-    assert abs(ms.certificate) <= 1e-9
+    a = mm.analyze(d)
+    assert not a.member
+    assert abs(a.g0) <= 1e-9
     h2 = -(0.1 * math.log2(0.1) + 0.9 * math.log2(0.9))
     assert dist.conditional_entropy_y_given_x(d) == pytest.approx(h2, abs=1e-12)
     assert h2 == pytest.approx(0.4689955935892812, abs=1e-12)
@@ -198,12 +198,15 @@ def test_membership_boundary_band():
     # the binary symmetric pair has gap = H(Y|X) - g0 = 0.469 bits; widen
     # the tolerance so the gap lands inside the reported-boundary decade
     d = dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
-    ms = mm.membership_in_phat(d, tol_ent=0.1)
-    assert not ms.member and ms.boundary
-    ms = mm.membership_in_phat(d, tol_ent=1.0)
-    assert ms.member and ms.boundary
-    ms = mm.membership_in_phat(d, tol_ent=1e-7)
-    assert not ms.member and not ms.boundary
+    a = mm.analyze(d, tol_ent=0.1)
+    assert not a.member and a.boundary
+    # counted a member, the pair gets the bound LPs; its strengthened cap
+    # log2(nullity + 1) - H(Y|X) is negative, so that LP falls back
+    with pytest.warns(RuntimeWarning, match="strengthened bound LP"):
+        a = mm.analyze(d, tol_ent=1.0)
+    assert a.member and a.boundary
+    a = mm.analyze(d, tol_ent=1e-7)
+    assert not a.member and not a.boundary
 
 
 # ---------------------------------------------------------------------------
