@@ -9,7 +9,8 @@ Two schemes:
   ceil(log2 |Y|)-bit field.
 
 Audits never sample: they enumerate the exact joint over (x, y, u, w) and
-account for every message bit and every unit of probability mass.
+account for every message bit and every unit of probability mass, in one
+vectorised pass that sums the events in the order of a one-at-a-time loop.
 ``build_codes`` picks the schemes that apply to an analysis, and
 ``check_audit`` names the invariants an audit shows broken.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,8 +59,22 @@ class PrefixCode:
     codewords: dict[int, str]
     expected_length: float
 
+    @cached_property
+    def by_word(self) -> dict[str, int]:
+        """{codeword: symbol}, built once; a repeated codeword maps to its last symbol."""
+        return {c: s for s, c in self.codewords.items()}
+
     def kraft_sum(self) -> float:
         return sum(2.0 ** -len(c) for c in self.codewords.values())
+
+    def parse(self, bits: str) -> int:
+        """The symbol whose codeword is the whole of ``bits``. Raises MalformedBits."""
+        for end in range(1, len(bits) + 1):
+            if bits[:end] in self.by_word:
+                if end != len(bits):
+                    raise MalformedBits("trailing bits after the prefix codeword")
+                return self.by_word[bits[:end]]
+        raise MalformedBits(f"no prefix codeword matches {bits!r}")
 
 
 def build_huffman(p) -> PrefixCode:
@@ -220,19 +236,8 @@ def decode(code: PrivateCode, bits: str, w: int) -> int:
             raise MalformedBits("trailing bits after the fixed field")
         return (padded - w) % code.pad_modulus
     x = (padded - w) % code.pad_modulus
-    assert code.u_code is not None and code.mech is not None
-    rest = bits[field:]
-    by_word = {c: s for s, c in code.u_code.codewords.items()}
-    u = None
-    for end in range(1, len(rest) + 1):
-        if rest[:end] in by_word:
-            u = by_word[rest[:end]]
-            if end != len(rest):
-                raise MalformedBits("trailing bits after the prefix codeword")
-            break
-    if u is None:
-        raise MalformedBits(f"no prefix codeword matches {rest!r}")
-    assert code.mech.decode is not None
+    assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
+    u = code.u_code.parse(bits[field:])
     if (x, u) not in code.mech.decode:
         raise MalformedBits(f"pair (x={x}, u={u}) has no decodable y")
     return code.mech.decode[(x, u)]
@@ -250,27 +255,40 @@ class LeakageAudit:
 
 
 def _events(code: PrivateCode, d: JointDistribution):
-    """Yield (x, y, u, w, mass) over the exact joint; u = 0 for direct-pad."""
+    """Arrays x, y, u, w, mass over the positive-mass events, in (x, y, u, w) order."""
     m = code.key_size
-    if code.scheme == DIRECT_PAD:
-        for x in range(d.x_size):
-            for y in range(d.y_size):
-                if d.p[x, y] <= 0.0:
-                    continue
-                for w in range(m):
-                    yield x, y, 0, w, d.p[x, y] / m
-        return
-    assert code.p_u_given_y is not None
-    for x in range(d.x_size):
-        for y in range(d.y_size):
-            if d.p[x, y] <= 0.0:
-                continue
-            for u in range(code.p_u_given_y.shape[0]):
-                pu = code.p_u_given_y[u, y]
-                if pu <= 0.0:
-                    continue
-                for w in range(m):
-                    yield x, y, u, w, d.p[x, y] * pu / m
+    # direct-pad has the one symbol u = 0, and p * 1.0 / m is exactly p / m
+    q = np.ones((1, d.y_size)) if code.scheme == DIRECT_PAD else code.p_u_given_y
+    xyu = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None])
+    x, y, u = np.repeat(xyu, m, axis=0).T
+    w = np.arange(x.size) % m
+    return x, y, u, w, d.p[x, y] * q[u, y] / m
+
+
+def _sum_in_order(v: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ..., added left to right."""
+    return float(np.concatenate(([0.0], v)).cumsum()[-1])
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids numbered by first occurrence, and each group's first index."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = first.argsort()
+    return order.argsort()[inverse], first[order]
+
+
+def _totals(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each element's key total (keys are small ints >= 0), added in array order."""
+    return np.bincount(keys, weights=values)[keys]
+
+
+def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
+    """The symbol decode reads off a message ending in ``word``; -1 where it raises."""
+    try:
+        u_hat = -1 if word.strip("01") else u_code.parse(word)
+    except MalformedBits:
+        return -1
+    return u_hat if 0 <= u_hat < u_size else -1
 
 
 def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
@@ -278,52 +296,64 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
 
     Computes I(C; X), the probability of correct decoding, the expected
     message length conditioned on each key value, and the two received-code
-    diagnostics I(C; X | Y) and H(Y | X, C).
+    diagnostics I(C; X | Y) and H(Y | X, C). Every sum runs in event order,
+    so each figure is, bit for bit, that of adding the events one at a time.
+    Raises decode's MalformedBits for the first event that does not decode.
     """
     if code.y_size != d.y_size:
         raise InternalError("code and distribution disagree on |Y|")
-    m = code.key_size
-    p_cx: dict[tuple[str, int], float] = {}
-    p_xyc: dict[tuple[int, int, str], float] = {}
-    len_w = np.zeros(m)
-    failed = 0.0
-    total = 0.0
-    for x, y, u, w, mass in _events(code, d):
-        c = message_bits(code, x, u, y, w)
-        total += mass
-        len_w[w] += mass * len(c)
-        p_cx[(c, x)] = p_cx.get((c, x), 0.0) + mass
-        p_xyc[(x, y, c)] = p_xyc.get((x, y, c), 0.0) + mass
-        if decode(code, c, w) != y:
-            failed += mass
-    per_key = len_w * m  # divide out P(w) = 1/m per conditional expectation
+    m, n, width = code.key_size, code.pad_modulus, min(code.field_bits, 62)
+    x, y, u, w, mass = _events(code, d)
+    padded = ((y if code.scheme == DIRECT_PAD else x) + w) % n
+    # to_bits cannot render a value too wide for a nonempty field; an empty
+    # field holds any value and reads back as 0
+    bad = (padded >> width != 0) & (width > 0)
+    padded %= 1 << width
+    if code.scheme == DIRECT_PAD:
+        msg, length, y_hat = padded, code.field_bits, (padded - w) % n
+    else:
+        assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
+        u_size = code.p_u_given_y.shape[0]
+        words = [code.u_code.codewords[s] for s in range(u_size)]
+        length = code.field_bits + np.array([len(c) for c in words])[u]
+        # symbols that share a codeword decode to the same one, so once every
+        # event decodes, the message C is the pair (padded field, u_hat)
+        u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
+        msg = padded * u_size + u_hat
+        table = np.full((n, u_size), -2)  # decode's y: -2 if absent, -1 if not in 0..|Y|-1
+        for (x_key, u_key), y_val in code.mech.decode.items():
+            if 0 <= x_key < n and 0 <= u_key < u_size:
+                table[x_key, u_key] = y_val if 0 <= y_val < d.y_size else -1
+        y_hat = np.where(u_hat >= 0, table[(padded - w) % n, u_hat], -2)
+        bad |= y_hat == -2
+    if bad.any():
+        ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
+        decode(code, message_bits(code, *ev), ev[3])
+        raise InternalError(f"audit finds event (x, u, y, w) = {ev} undecodable, decode does not")
+    total = _sum_in_order(mass)
+    failed = _sum_in_order(mass[y_hat != y])
+    per_key = np.bincount(w, weights=mass * length, minlength=m) * m  # divide out P(w) = 1/m
 
-    p_c: dict[str, float] = {}
-    p_x: dict[int, float] = {}
-    for (c, x), mass in p_cx.items():
-        p_c[c] = p_c.get(c, 0.0) + mass
-        p_x[x] = p_x.get(x, 0.0) + mass
-    mi = sum(
-        mass * np.log2(mass / (p_c[c] * p_x[x])) for (c, x), mass in p_cx.items()
+    # p(c, x) and p(x, y, c), each group numbered and summed in event order
+    cx = msg * d.x_size + x
+    g, first = _first_seen(cx)
+    p_cx = np.bincount(g, weights=mass)
+    mi = _sum_in_order(
+        p_cx * np.log2(p_cx / (_totals(msg[first], p_cx) * _totals(x[first], p_cx)))
     )
-
-    p_yc: dict[tuple[int, str], float] = {}
-    p_xc: dict[tuple[int, str], float] = {}
-    for (x, y, c), mass in p_xyc.items():
-        p_yc[(y, c)] = p_yc.get((y, c), 0.0) + mass
-        p_xc[(x, c)] = p_xc.get((x, c), 0.0) + mass
+    g, first = _first_seen(cx * d.y_size + y)
+    p_xyc = np.bincount(g, weights=mass)
+    x_g, y_g, c_g = x[first], y[first], msg[first]
+    p_yc = _totals(c_g * d.y_size + y_g, p_xyc)
+    p_xc = _totals(cx[first], p_xyc)
     p_y = dist.marginal_y(d)
     # I(X;C|Y) = sum p(x,y,c) log [ p(x,y,c) p(y) / (p(x,y) p(y,c)) ]
-    mi_cond = 0.0
-    for (x, y, c), mass in p_xyc.items():
-        mi_cond += mass * np.log2(mass * p_y[y] / (d.p[x, y] * p_yc[(y, c)]))
-    h_y_given_xc = 0.0
-    for (x, y, c), mass in p_xyc.items():
-        h_y_given_xc -= mass * np.log2(mass / p_xc[(x, c)])
+    mi_cond = _sum_in_order(p_xyc * np.log2(p_xyc * p_y[y_g] / (d.p[x_g, y_g] * p_yc)))
+    h_y_given_xc = _sum_in_order(-(p_xyc * np.log2(p_xyc / p_xc)))
 
     return LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),
-        lossless_prob=1.0 - failed / total,
+        lossless_prob=np.float64(1.0 - failed / total),  # a numpy float, as its repr is reported
         per_key_expected_length=per_key,
         mi_c_x_given_y=float(max(mi_cond, 0.0)),
         h_y_given_x_c=float(max(h_y_given_xc, 0.0)),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadShape, EmptySupport, NegativeMass, StochasticityError
+from .errors import BadShape, EmptySupport, NegativeMass, NonFiniteMass, StochasticityError
 
 TAU_PROB = 1e-9
 
@@ -71,8 +71,10 @@ def validate_and_normalize(raw, tol: float = TAU_PROB) -> JointDistribution:
 
     Clamps entries in [-tol, 0) to zero, renormalizes to total mass 1, and
     deletes all-zero rows and columns, recording which original indices
-    survive. Raises BadShape for ragged/empty input, NegativeMass for
-    entries below -tol, EmptySupport when nothing remains.
+    survive; a total that overflows is taken after dividing by the largest
+    entry. Raises BadShape for ragged/empty input, NonFiniteMass for NaN or
+    infinite entries, NegativeMass for entries below -tol, EmptySupport
+    when nothing remains.
     """
     try:
         m = np.array(raw, dtype=float)
@@ -80,10 +82,16 @@ def validate_and_normalize(raw, tol: float = TAU_PROB) -> JointDistribution:
         raise BadShape(f"ragged or non-numeric matrix: {exc}") from None
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise BadShape(f"expected a 2-d matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteMass(f"entry {m[~np.isfinite(m)][0]} is not finite")
     if m.min() < -tol:
         raise NegativeMass(f"entry {m.min():.6g} is below -{tol:g}")
     m = np.clip(m, 0.0, None)
-    total = m.sum()
+    with np.errstate(over="ignore"):
+        total = m.sum()
+    if np.isinf(total):
+        m = m / m.max()
+        total = m.sum()
     if total <= tol:
         raise EmptySupport("all probability mass is zero")
     m = m / total

@@ -21,6 +21,10 @@ class NegativeMass(InputError):
     """A probability entry is negative beyond tolerance."""
 
 
+class NonFiniteMass(InputError):
+    """A probability entry is NaN or infinite."""
+
+
 class NumericalFailure(ZeroLeakError):
     """The LP solver could not certify optimal/infeasible/unbounded."""
 

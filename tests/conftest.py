@@ -5,8 +5,8 @@ the same examples, no example database is kept, and the example count is
 bounded so the suite stays fast.
 
 The helpers below serve only the tests: a negative-control leakage figure,
-a |Y| <= |X| instance generator and the per-symbol entropy profile of a
-mechanism.
+a |Y| <= |X| instance generator, the per-symbol entropy profile of a
+mechanism, and the loop audit that is the oracle for ``codec.audit``.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import settings
 
 from zeroleak import codec, dist
 from zeroleak.dist import JointDistribution
+from zeroleak.errors import InternalError
 from zeroleak.mechanism import Mechanism, conditional_u_given_y
 
 settings.register_profile(
@@ -56,3 +57,86 @@ def entropy_profile(d: JointDistribution, mech: Mechanism) -> np.ndarray:
     """Per-symbol conditional entropies a_j = H(U | Y = y_j) in bits."""
     p_u_given_y = conditional_u_given_y(d, mech)
     return np.array([dist.entropy(p_u_given_y[:, y]) for y in range(d.y_size)])
+
+
+def loop_events(code: codec.PrivateCode, d: JointDistribution):
+    """Yield (x, y, u, w, mass) over the exact joint; u = 0 for direct-pad."""
+    m = code.key_size
+    if code.scheme == codec.DIRECT_PAD:
+        for x in range(d.x_size):
+            for y in range(d.y_size):
+                if d.p[x, y] <= 0.0:
+                    continue
+                for w in range(m):
+                    yield x, y, 0, w, d.p[x, y] / m
+        return
+    assert code.p_u_given_y is not None
+    for x in range(d.x_size):
+        for y in range(d.y_size):
+            if d.p[x, y] <= 0.0:
+                continue
+            for u in range(code.p_u_given_y.shape[0]):
+                pu = code.p_u_given_y[u, y]
+                if pu <= 0.0:
+                    continue
+                for w in range(m):
+                    yield x, y, u, w, d.p[x, y] * pu / m
+
+
+def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAudit:
+    """The event-at-a-time audit that ``codec.audit`` must match bit for bit.
+
+    Enumerate every (x, y, u, w) event and account for it exactly.
+
+    Computes I(C; X), the probability of correct decoding, the expected
+    message length conditioned on each key value, and the two received-code
+    diagnostics I(C; X | Y) and H(Y | X, C).
+    """
+    if code.y_size != d.y_size:
+        raise InternalError("code and distribution disagree on |Y|")
+    m = code.key_size
+    p_cx: dict[tuple[str, int], float] = {}
+    p_xyc: dict[tuple[int, int, str], float] = {}
+    len_w = np.zeros(m)
+    failed = 0.0
+    total = 0.0
+    for x, y, u, w, mass in loop_events(code, d):
+        c = codec.message_bits(code, x, u, y, w)
+        total += mass
+        len_w[w] += mass * len(c)
+        p_cx[(c, x)] = p_cx.get((c, x), 0.0) + mass
+        p_xyc[(x, y, c)] = p_xyc.get((x, y, c), 0.0) + mass
+        if codec.decode(code, c, w) != y:
+            failed += mass
+    per_key = len_w * m  # divide out P(w) = 1/m per conditional expectation
+
+    p_c: dict[str, float] = {}
+    p_x: dict[int, float] = {}
+    for (c, x), mass in p_cx.items():
+        p_c[c] = p_c.get(c, 0.0) + mass
+        p_x[x] = p_x.get(x, 0.0) + mass
+    mi = sum(
+        mass * np.log2(mass / (p_c[c] * p_x[x])) for (c, x), mass in p_cx.items()
+    )
+
+    p_yc: dict[tuple[int, str], float] = {}
+    p_xc: dict[tuple[int, str], float] = {}
+    for (x, y, c), mass in p_xyc.items():
+        p_yc[(y, c)] = p_yc.get((y, c), 0.0) + mass
+        p_xc[(x, c)] = p_xc.get((x, c), 0.0) + mass
+    p_y = dist.marginal_y(d)
+    # I(X;C|Y) = sum p(x,y,c) log [ p(x,y,c) p(y) / (p(x,y) p(y,c)) ]
+    mi_cond = 0.0
+    for (x, y, c), mass in p_xyc.items():
+        mi_cond += mass * np.log2(mass * p_y[y] / (d.p[x, y] * p_yc[(y, c)]))
+    h_y_given_xc = 0.0
+    for (x, y, c), mass in p_xyc.items():
+        h_y_given_xc -= mass * np.log2(mass / p_xc[(x, c)])
+
+    return codec.LeakageAudit(
+        mi_c_x=float(max(mi, 0.0)),
+        lossless_prob=1.0 - failed / total,
+        per_key_expected_length=per_key,
+        mi_c_x_given_y=float(max(mi_cond, 0.0)),
+        h_y_given_x_c=float(max(h_y_given_xc, 0.0)),
+    )

@@ -365,6 +365,8 @@ def test_sweep_deterministic_given_seed():
         ("analyze", b"\x89PNG\r\n\x1a\n\xff\xfe", "can't decode"),
         ("audit", _uniform4x3_doc_with("x_size", 0), "shape"),
         ("audit", _uniform4x3_doc_with("x_size", 2), "|Y| = 3 > |X| = 2"),
+        ("audit", _uniform4x3_doc_with("joint.0", "inf 0.1 0.1"), "entry inf is not finite"),
+        ("audit", _uniform4x3_doc_with("joint.2", "0.1 nan 0.1"), "entry nan is not finite"),
     ],
     ids=[
         "negative-joint-entry",
@@ -375,6 +377,8 @@ def test_sweep_deterministic_given_seed():
         "binary-file",
         "doc-x-size-0",
         "doc-direct-pad-y-above-x",
+        "doc-joint-inf",
+        "doc-joint-nan",
     ],
 )
 def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, content, named):
@@ -390,6 +394,15 @@ def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, con
     err = capsys.readouterr().err
     assert status == 2
     assert err.startswith("error: ") and named in err
+
+
+def test_overflowing_joint_is_normalized(tmp_path, capsys):
+    # the entries sum past the largest double; the joint is still uniform
+    path = tmp_path / "huge.txt"
+    path.write_text("joint:\n1e308 1e308\n1e308 1e308\n")
+    status, out = run_cli(["--cmd", "analyze", "--input", str(path), "--format", "structured"])
+    assert status == 0 and capsys.readouterr().err == ""
+    assert "p_x = 0.5 0.5" in out
 
 
 def test_missing_input_is_usage_error():

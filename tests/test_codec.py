@@ -1,11 +1,15 @@
 """Prefix codes, the two keyed schemes, and the exact-enumeration audits."""
 
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_small_y_pair, unpadded_reference_leakage
+from conftest import loop_audit, random_small_y_pair, unpadded_reference_leakage
 
 from zeroleak import codec, dist, families, mechanism as mm
 from zeroleak.errors import IncompleteMechanism, MalformedBits, WrongRegime
@@ -314,6 +318,15 @@ def test_decode_malformed_bits():
         codec.decode(code, good + "0", 0)  # trailing bits
 
 
+def test_prefix_code_reverse_map_built_once():
+    code = codec.PrefixCode({0: "0", 1: "10", 2: "10"}, 1.5)
+    assert code.by_word == {"0": 0, "10": 2}  # a repeated codeword maps to its last symbol
+    assert code.by_word is code.by_word
+    assert code.parse("10") == 2
+    with pytest.raises(MalformedBits, match="trailing bits"):
+        code.parse("01")
+
+
 def test_direct_pad_malformed_field():
     d = uniform_pair(3, 3)
     code = codec.build_direct_pad(d)
@@ -328,3 +341,77 @@ def test_encode_pair_rejected_for_direct_pad():
     code = codec.build_direct_pad(d)
     with pytest.raises(WrongRegime):
         codec.encode_pair(code, 0, 0, 0, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the vectorised audit against the loop oracle
+
+
+def _mutations(code, rng):
+    """The code itself, then hostile edits of it: key sizes, field widths,
+    codewords and decode entries."""
+    yield "as built", code
+    yield "key_size = 1", replace(code, key_size=1)
+    yield "key_size + 2", replace(code, key_size=code.key_size + 2)
+    yield "field_bits + 1", replace(code, field_bits=code.field_bits + 1)
+    yield "field_bits = 0", replace(code, field_bits=0)
+    if code.field_bits > 1:
+        yield "field_bits - 1", replace(code, field_bits=code.field_bits - 1)
+    if code.scheme != codec.TWO_PART:
+        return
+    words = code.u_code.codewords
+    u = int(rng.integers(len(words)))
+
+    def with_word(word, at=u):
+        edited = {**words, at: word}
+        return replace(code, u_code=codec.PrefixCode(edited, code.u_code.expected_length))
+
+    if len(words) > 1:
+        yield "duplicated codeword", with_word(words[(u + 1) % len(words)])
+        yield "codeword behind another's", with_word(words[(u + 1) % len(words)] + words[u])
+    yield "extended codeword", with_word(words[u] + "0")
+    yield "non-binary codeword", with_word(words[u][:-1] + "2")
+    yield "empty codeword", with_word("")
+    table = code.mech.decode
+    key = sorted(table)[int(rng.integers(len(table)))]
+
+    def with_table(edited):
+        return replace(code, mech=replace(code.mech, decode=edited))
+
+    yield "wrong decode entry", with_table({**table, key: (table[key] + 1) % code.y_size})
+    yield "missing decode entry", with_table({k: v for k, v in table.items() if k != key})
+    yield "out-of-range decode value", with_table({**table, key: code.y_size})
+
+
+def _outcome(audit_fn, code, d):
+    """Every audit field as exact bytes (the sign of zero included), with the
+    type of ``lossless_prob``, or the exception's type and message."""
+    try:
+        a = audit_fn(code, d)
+    except (MalformedBits, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    scalars = (a.mi_c_x, a.lossless_prob, a.mi_c_x_given_y, a.h_y_given_x_c)
+    per_key = a.per_key_expected_length
+    return (
+        [struct.pack("<d", v) for v in scalars],
+        type(a.lossless_prob),
+        per_key.shape,
+        [struct.pack("<d", v) for v in per_key],
+    )
+
+
+@given(st.sampled_from(["example1", *families.FAMILIES]), st.integers(0, 2**32 - 1))
+def test_audit_matches_loop_oracle(family, seed):
+    rng = np.random.default_rng(seed)
+    d = example1() if family == "example1" else families.FAMILIES[family](rng)
+    for code in codec.build_codes(mm.analyze(d)):
+        for name, mutant in _mutations(code, rng):
+            assert _outcome(codec.audit, mutant, d) == _outcome(loop_audit, mutant, d), (
+                code.scheme,
+                name,
+            )
+
+
+def test_audit_zero_conditional_entropy_is_positive_zero():
+    d, mech, code = example1_code()
+    assert struct.pack("<d", codec.audit(code, d).h_y_given_x_c) == struct.pack("<d", 0.0)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from zeroleak import dist
-from zeroleak.errors import BadShape, EmptySupport, NegativeMass, StochasticityError
+from zeroleak.errors import (
+    BadShape,
+    EmptySupport,
+    NegativeMass,
+    NonFiniteMass,
+    StochasticityError,
+)
 
 EX1_KERNEL = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
 EX1_PY = np.array([1 / 8, 2 / 8, 3 / 8, 1 / 8, 1 / 16, 1 / 16])
@@ -57,6 +63,17 @@ def test_validate_errors():
         dist.validate_and_normalize([[0.0, 0.0]])
     with pytest.raises(NegativeMass):
         dist.validate_and_normalize([[0.5, -0.1], [0.3, 0.3]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteMass):
+            dist.validate_and_normalize([[0.5, bad], [0.3, 0.3]])
+
+
+def test_overflowing_total_is_scaled_first():
+    # the sum of these entries is inf; normalizing must neither warn nor zero them
+    d = dist.validate_and_normalize([[1e308, 1e308], [1e308, 1e308]])
+    assert np.array_equal(d.p, np.full((2, 2), 0.25))
+    d = dist.validate_and_normalize([[1.5e308, 0.0], [1.5e308, 1e307]])
+    assert np.allclose(d.p, np.array([[15, 0], [15, 1]]) / 31, rtol=1e-15, atol=0)
 
 
 def test_from_conditional_rejects_bad_column():
