@@ -333,6 +333,8 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
         else:
             u_size = _doc_field(doc, "two-part.u_size", int)
             p_u = _doc_vector(doc, "two-part.p_u", u_size)
+            if not (p_u > 0.0).any():
+                raise ParseError("two-part.p_u has no positive mass")
             cols = np.array(
                 [_doc_vector(doc, f"two-part.p_y_given_u.{u}", y_size) for u in range(u_size)]
             ).T

@@ -353,7 +353,7 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
 
     return LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),
-        lossless_prob=np.float64(1.0 - failed / total),  # a numpy float, as its repr is reported
+        lossless_prob=np.float64(1.0 - failed / total),  # a numpy float, as the loop audit returned
         per_key_expected_length=per_key,
         mi_c_x_given_y=float(max(mi_cond, 0.0)),
         h_y_given_x_c=float(max(h_y_given_xc, 0.0)),
@@ -374,7 +374,7 @@ def check_audit(
     if audit.mi_c_x > tol_leak:
         violations.append(f"{scheme}: leakage mi_c_x = {audit.mi_c_x:.3g}")
     if audit.lossless_prob != 1.0:
-        violations.append(f"{scheme}: lossless_prob = {audit.lossless_prob!r}")
+        violations.append(f"{scheme}: lossless_prob = {float(audit.lossless_prob)}")
     spread = float(np.ptp(lengths))
     if spread > 1e-12:
         violations.append(f"{scheme}: per-key length varies by {spread:.3g}")

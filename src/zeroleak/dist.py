@@ -57,8 +57,13 @@ class Kernel:
         if self.k.ndim != 2 or self.k.size == 0:
             raise BadShape("kernel must be a nonempty 2-d matrix")
         sums = self.k.sum(axis=0)
-        bad = np.nonzero(np.abs(sums - 1.0) > TAU_PROB)[0]
+        # a NaN or infinite entry leaves its column sum NaN or infinite, so
+        # only a column that fails this test needs its entries checked
+        bad = np.nonzero(~(np.abs(sums - 1.0) <= TAU_PROB))[0]
         if bad.size:
+            nonfinite = self.k[~np.isfinite(self.k)]
+            if nonfinite.size:
+                raise NonFiniteMass(f"kernel entry {nonfinite[0]} is not finite")
             raise StochasticityError(
                 f"kernel column {bad[0]} sums to {sums[bad[0]]:.12g}, expected 1"
             )

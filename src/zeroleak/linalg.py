@@ -7,15 +7,17 @@ anti-cycling rule, and reduced costs recomputed from scratch each pivot.
 Vertices are enumerated by adjacency pivoting over feasible bases (Avis &
 Fukuda, DCG 1992): a breadth-first walk from one feasible basis that takes
 every min-ratio pivot, so the work grows with the number of feasible bases
-rather than with the C(n, rank) column subsets. One Gauss-Jordan step,
-``_pivot``, serves the row reduction, the simplex and the vertex walk; one
+rather than with the C(n, rank) column subsets. The walk handles one BFS
+level at a time, its tableaux stacked into one array, and visits the same
+bases in the same order as a FIFO queue would. One Gauss-Jordan step,
+``_pivot``, serves the row reduction and the simplex; ``_pivot_stack`` is
+the same elementwise step over a stack, for the vertex walk. One
 elimination routine, ``_rref``, serves rank/nullity, the reduction to
 independent rows and the choice of basis on which each vertex is solved.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,17 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> np.ndarray:
     prow = tab[row] / tab[row, col]
     out = tab - np.outer(tab[:, col], prow)
     out[row] = prow
+    return out
+
+
+def _pivot_stack(tabs: np.ndarray, parent, row, col) -> np.ndarray:
+    """``_pivot(tabs[p], r, c)`` for each (p, r, c), as one stack; the same
+    elementwise operations, so each result equals ``_pivot``'s bit for bit."""
+    out = tabs[parent]
+    k = np.arange(len(parent))
+    prow = out[k, row] / out[k, row, col][:, None]
+    out -= out[k, :, col][:, :, None] * prow[:, None, :]
+    out[k, row] = prow
     return out
 
 
@@ -108,14 +121,12 @@ def _bland_iterate(tab, basis, costs, n_allowed, tol) -> tuple[str, np.ndarray]:
     cap = 10_000 + 100 * (m + tab.shape[1] - 1)
     for _ in range(cap):
         red = costs - costs[basis] @ tab[:, :-1]
-        enter = -1
-        for j in range(n_allowed):
-            if red[j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        improving = (red[:n_allowed] < -tol).nonzero()[0]
+        if not improving.size:
             return "optimal", tab
-        col, b = tab[:, enter], tab[:, -1]
+        enter = int(improving[0])
+        # Python floats compare and divide exactly as float64 scalars do
+        col, b = tab[:, enter].tolist(), tab[:, -1].tolist()
         best = np.inf
         leave = -1
         for i in range(m):
@@ -241,15 +252,19 @@ def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.nd
 def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
     """All basic feasible solutions of {x >= 0 : eq_lhs @ x = eq_rhs}.
 
-    Walks the graph of feasible bases breadth first, updating the tableau by
-    one pivot per step. The walk starts at the pivot columns of the reduced
-    system, or, when those solve to an entry below -tol, at a basis around a
-    phase-1 simplex point. From each basis it takes every min-ratio pivot,
-    with every leaving row whose ratio ties the minimum within 1e-12, so
-    degenerate vertices are reached too. Each vertex is keyed by its support
-    (entries above ``tol``) and solved on the lexicographically first
-    nonsingular basis containing that support, which is the basis on which a
-    scan over column subsets in lexicographic order would first meet it.
+    Walks the graph of feasible bases breadth first, one level at a time:
+    the level's tableaux are stacked, each test runs once over the stack,
+    and all children are pivoted in one stacked step. Bases are visited in
+    the order a FIFO queue would pop them, from the same parents, with
+    tableaux equal to one-at-a-time pivots bit for bit. The walk starts at
+    the pivot columns of the reduced system, or, when those solve to an
+    entry below -tol, at a basis around a phase-1 simplex point. From each
+    basis it takes every min-ratio pivot, with every leaving row whose ratio
+    ties the minimum within 1e-12, so degenerate vertices are reached too.
+    Each vertex is keyed by its support (entries above ``tol``) and solved
+    on the lexicographically first nonsingular basis containing that
+    support, which is the basis on which a scan over column subsets in
+    lexicographic order would first meet it.
     Solutions with an entry below -tol or a residual above max(tol, 1e-9)
     are dropped. Rows are returned in canonical (lexicographic) order.
     Raises Infeasible when no basic feasible solution exists.
@@ -273,34 +288,51 @@ def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
             raise NumericalFailure("phase-1 point does not extend to a basis")
         tab = np.linalg.solve(red_a[:, start], tab)
 
-    # A basis is a tuple of columns in tableau row order, keyed by its bitmask.
+    # A basis is a row of columns in tableau row order, keyed by its bitmask.
+    # Each BFS level is one stack of bases and tableaux, in the order a FIFO
+    # queue would pop them; every step below runs once over the whole stack.
     found: dict[tuple[int, ...], tuple[int, ...]] = {}  # support -> basis to solve on
-    key = sum(1 << c for c in start)
-    seen = {key}
-    queue = deque([(start, key, tab)])
-    while queue:
-        basis, key, tab = queue.popleft()
-        xb = tab[:, -1]
-        if xb.min(initial=0.0) < -tol:
-            continue
-        support = tuple(sorted(basis[i] for i in np.nonzero(xb > tol)[0]))
-        if support not in found:
-            found[support] = support if len(support) == r else _first_basis(red_a, support)
+    level, tabs = np.array(start, dtype=int).reshape(1, r), tab[None]
+    keys = [sum(1 << c for c in start)]
+    seen = set(keys)
+    while True:
+        feasible = ~(tabs[:, :, -1].min(axis=1, initial=0.0) < -tol)
+        if not feasible.all():
+            level, tabs = level[feasible], tabs[feasible]
+            keys = [key for key, ok in zip(keys, feasible.tolist()) if ok]
+        xb = tabs[:, :, -1]
+        pos = xb > tol
+        # each support sorted, padded past its end with the column count
+        padded = np.where(pos, level, a.shape[1])
+        padded.sort(axis=1)
+        for cols, size in zip(padded.tolist(), pos.sum(axis=1).tolist()):
+            support = tuple(cols[:size])
+            if support not in found:
+                found[support] = support if size == r else _first_basis(red_a, support)
 
-        t = tab[:, :-1]
+        t = tabs[:, :, :-1]
         enter = t > tol
-        enter[:, basis] = False
+        enter[np.arange(len(level))[:, None], :, level] = False
         if not enter.any():
-            continue
+            break
         ratio = np.full(t.shape, np.inf)
-        np.divide(np.where(xb > tol, xb, 0.0)[:, None], t, out=ratio, where=enter)
-        tied = enter & (ratio <= ratio.min(axis=0) + 1e-12)
-        for row, col in zip(*np.nonzero(tied)):
-            nxt = key ^ (1 << basis[row]) ^ (1 << int(col))
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, _pivot(tab, row, col)))
+        np.divide(np.where(pos, xb, 0.0)[:, :, None], t, out=ratio, where=enter)
+        tied = enter & (ratio <= ratio.min(axis=1, initial=np.inf)[:, None, :] + 1e-12)
+        parent, row, col = np.nonzero(tied)
+        fresh, keys_next = [], []
+        leaving = level[parent, row]
+        for i, (p, drop, add) in enumerate(zip(parent.tolist(), leaving.tolist(), col.tolist())):
+            nxt = keys[p] ^ (1 << drop) ^ (1 << add)
+            if nxt not in seen:
+                seen.add(nxt)
+                fresh.append(i)
+                keys_next.append(nxt)
+        if not fresh:
+            break
+        parent, row, col = parent[fresh], row[fresh], col[fresh]
+        level = level[parent]
+        level[np.arange(len(parent)), row] = col
+        tabs, keys = _pivot_stack(tabs, parent, row, col), keys_next
 
     bases = [c for c in found.values() if len(c) == r]
     vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)

@@ -287,9 +287,9 @@ def test_audit_reads_direct_pad_fields(tmp_path):
     assert "violation = direct-pad: message length is not exactly 2" in out
 
 
-def _uniform4x3_doc_with(key, value):
-    """The uniform 4x3 golden code document with ``key`` set to ``value``."""
-    text = (GOLDEN / "uniform4x3.code.txt").read_text(encoding="utf-8")
+def _golden_doc_with(name, key, value):
+    """The golden code document of ``name`` with ``key`` set to ``value``."""
+    text = (GOLDEN / f"{name}.code.txt").read_text(encoding="utf-8")
     return "".join(
         f"{key} = {value}\n" if line.startswith(f"{key} =") else line + "\n"
         for line in text.splitlines()
@@ -301,7 +301,7 @@ def _uniform4x3_doc_with(key, value):
 )
 def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key, value):
     path = tmp_path / "edited.txt"
-    path.write_text(_uniform4x3_doc_with(key, value))
+    path.write_text(_golden_doc_with("uniform4x3", key, value))
     status, _ = run_cli(["--cmd", "audit", "--input", str(path)])
     assert status == 2
     assert "direct-pad.key_size" in capsys.readouterr().err
@@ -363,10 +363,16 @@ def test_sweep_deterministic_given_seed():
         ("analyze", "joint:\n1 1e400\n", "line 2, column 2"),
         ("analyze", None, "Is a directory"),
         ("analyze", b"\x89PNG\r\n\x1a\n\xff\xfe", "can't decode"),
-        ("audit", _uniform4x3_doc_with("x_size", 0), "shape"),
-        ("audit", _uniform4x3_doc_with("x_size", 2), "|Y| = 3 > |X| = 2"),
-        ("audit", _uniform4x3_doc_with("joint.0", "inf 0.1 0.1"), "entry inf is not finite"),
-        ("audit", _uniform4x3_doc_with("joint.2", "0.1 nan 0.1"), "entry nan is not finite"),
+        ("audit", _golden_doc_with("uniform4x3", "x_size", 0), "shape"),
+        ("audit", _golden_doc_with("uniform4x3", "x_size", 2), "|Y| = 3 > |X| = 2"),
+        ("audit", _golden_doc_with("uniform4x3", "joint.0", "inf 0.1 0.1"), "entry inf is not finite"),
+        ("audit", _golden_doc_with("uniform4x3", "joint.2", "0.1 nan 0.1"), "entry nan is not finite"),
+        ("audit", _golden_doc_with("example1", "two-part.p_u", "0 0 0 0"), "two-part.p_u has no positive mass"),
+        (
+            "audit",
+            _golden_doc_with("example1", "two-part.p_y_given_u.0", "nan 0 0 0 0 0"),
+            "kernel entry nan is not finite",
+        ),
     ],
     ids=[
         "negative-joint-entry",
@@ -379,6 +385,8 @@ def test_sweep_deterministic_given_seed():
         "doc-direct-pad-y-above-x",
         "doc-joint-inf",
         "doc-joint-nan",
+        "doc-p-u-zero",
+        "doc-kernel-nan",
     ],
 )
 def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, content, named):

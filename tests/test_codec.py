@@ -284,6 +284,9 @@ def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, lengths=(2.75, 2.75)):
         (codec.DIRECT_PAD, {"lengths": (2.0, 2.0, 2.0)}, None),
         (codec.DIRECT_PAD, {"mi_c_x": 1e-10, "lengths": (2.0, 2.0, 2.0)}, "leakage"),
         (codec.DIRECT_PAD, {"lengths": (3.0, 3.0, 3.0)}, "not exactly 2"),
+        # the audit's numpy float is printed as a plain float
+        (codec.TWO_PART, {"lossless_prob": np.float64(0.5)}, "lossless_prob = 0.5"),
+        (codec.TWO_PART, {"lossless_prob": np.float64(math.nan)}, "lossless_prob = nan"),
     ],
 )
 def test_check_audit_names_each_invariant(scheme, fields, named):

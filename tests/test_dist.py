@@ -81,6 +81,16 @@ def test_from_conditional_rejects_bad_column():
         dist.from_conditional([[0.5, 1.0], [0.4, 0.0]], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_rejects_non_finite_entries(bad):
+    # NaN compares False against every tolerance, so the column-sum and
+    # minimum checks alone would let it through
+    k = EX1_KERNEL.copy()
+    k[0, 0] = bad
+    with pytest.raises(NonFiniteMass, match="not finite"):
+        dist.Kernel(k)
+
+
 def test_kernel_example1():
     d = example1()
     assert np.allclose(dist.kernel_x_given_y(d).k, EX1_KERNEL, atol=1e-12)

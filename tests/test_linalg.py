@@ -1,17 +1,24 @@
 """Rank/nullity, the simplex solver, and basic-feasible-solution enumeration."""
 
 import itertools
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zeroleak import dist, families
+from zeroleak import dist, families, linalg
 from zeroleak import mechanism as mm
 from zeroleak.errors import Infeasible, NumericalFailure
 from zeroleak.linalg import (
+    TAU_LP,
     LinearProgram,
+    _basic_solutions,
+    _first_basis,
+    _pivot,
+    _rref,
     enumerate_vertices,
     rank_and_nullity,
     solve_lp,
@@ -312,6 +319,126 @@ def test_vertices_square_full_rank_single_basis():
 def test_vertices_rank_zero():
     v = assert_matches_scan(np.zeros((2, 3)), np.zeros(2))
     assert np.array_equal(v, np.zeros((1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the walk one basis at a time from a FIFO queue, kept as the oracle for the
+# walk one breadth-first level at a time on stacked tableaux
+
+
+def queue_enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
+    a = np.array(eq_lhs, dtype=float, ndmin=2)
+    b = np.asarray(eq_rhs, dtype=float)
+    if a.shape[0] != b.size:
+        raise ValueError(f"shape mismatch: A {a.shape}, b {b.size}")
+    red_a, red_b, pivots = _rref(a, b)
+    r = red_a.shape[0]
+    # red_a[:, pivots] is the identity, so that basis solves to red_b and its
+    # tableau is [red_a | red_b] itself
+    start = tuple(pivots)
+    tab = np.hstack([red_a, red_b[:, None]])
+    if red_b.min(initial=0.0) < -tol:
+        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b), tol=tol)
+        if out.status != "optimal":
+            raise Infeasible("polytope has no basic feasible solution")
+        start = _first_basis(red_a, np.nonzero(out.point > tol)[0])
+        if len(start) != r:
+            raise NumericalFailure("phase-1 point does not extend to a basis")
+        tab = np.linalg.solve(red_a[:, start], tab)
+
+    # A basis is a tuple of columns in tableau row order, keyed by its bitmask.
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}  # support -> basis to solve on
+    key = sum(1 << c for c in start)
+    seen = {key}
+    queue = deque([(start, key, tab)])
+    while queue:
+        basis, key, tab = queue.popleft()
+        xb = tab[:, -1]
+        if xb.min(initial=0.0) < -tol:
+            continue
+        support = tuple(sorted(basis[i] for i in np.nonzero(xb > tol)[0]))
+        if support not in found:
+            found[support] = support if len(support) == r else _first_basis(red_a, support)
+
+        t = tab[:, :-1]
+        enter = t > tol
+        enter[:, basis] = False
+        if not enter.any():
+            continue
+        ratio = np.full(t.shape, np.inf)
+        np.divide(np.where(xb > tol, xb, 0.0)[:, None], t, out=ratio, where=enter)
+        tied = enter & (ratio <= ratio.min(axis=0) + 1e-12)
+        for row, col in zip(*np.nonzero(tied)):
+            nxt = key ^ (1 << basis[row]) ^ (1 << int(col))
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, _pivot(tab, row, col)))
+
+    bases = [c for c in found.values() if len(c) == r]
+    vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)
+    if not len(vertices):
+        raise Infeasible("polytope has no basic feasible solution")
+    return vertices[np.lexsort(vertices.T[::-1])]
+
+
+def _walk_input(kind, seed):
+    """One (A, b) of ``kind``: a sliced simplex, a degenerate rational
+    polytope, or the P(X|Y) kernel and P_X of a ``families.FAMILIES`` joint."""
+    rng = np.random.default_rng(seed)
+    if kind == "sliced-simplex":
+        n = int(rng.integers(2, 9))
+        a = np.vstack([np.ones(n), rng.normal(size=(int(rng.integers(0, n)), n))])
+        return a, a @ rng.dirichlet(np.ones(n))
+    if kind == "degenerate-rational":
+        n, cuts = int(rng.integers(4, 10)), int(rng.integers(2, 5))
+        a = np.vstack([np.ones(n), rng.integers(-2, 4, size=(cuts, n))]).astype(float)
+        p = np.zeros(n)
+        support = rng.choice(n, size=int(rng.integers(2, cuts + 1)), replace=False)
+        p[support] = rng.integers(1, 7, size=support.size)
+        return a, a @ (p / p.sum())
+    d = families.FAMILIES[kind](rng)
+    return dist.kernel_x_given_y(d).k, dist.marginal_x(d)
+
+
+PHASE1_EXAMPLE = ("degenerate-rational", 0)  # its reduced right-hand side has a negative entry
+
+
+def _recording(f, log):
+    def record(*args):
+        out = f(*args)
+        log.append(out)
+        return out
+
+    return record
+
+
+@given(st.sampled_from(["sliced-simplex", "degenerate-rational", *families.FAMILIES]), seeds)
+@example(*PHASE1_EXAMPLE)
+def test_walk_matches_queue_oracle(kind, seed):
+    # the same vertex array, bit for bit, or the same exception type; and the
+    # same child tableaux, bit for bit, in the order the queue made them
+    a, b = _walk_input(kind, seed)
+    queue_tabs, level_tabs = [], []
+    with mock.patch.dict(globals(), _pivot=_recording(_pivot, queue_tabs)):
+        try:
+            want = queue_enumerate_vertices(a, b)
+        except (Infeasible, NumericalFailure) as exc:
+            want = exc
+    with mock.patch.object(linalg, "_pivot_stack", _recording(linalg._pivot_stack, level_tabs)):
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)):
+                enumerate_vertices(a, b)
+        else:
+            assert np.array_equal(enumerate_vertices(a, b), want)
+    children = [tab for stack in level_tabs for tab in stack]
+    assert len(children) == len(queue_tabs)
+    assert all(np.array_equal(got, tab) for got, tab in zip(children, queue_tabs))
+
+
+def test_phase1_example_starts_off_the_pivot_basis():
+    a, b = _walk_input(*PHASE1_EXAMPLE)
+    assert _rref(a, b)[1].min() < -TAU_LP
 
 
 # ---------------------------------------------------------------------------
