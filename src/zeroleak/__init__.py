@@ -24,9 +24,10 @@ from .codec import (
 from .dist import (
     JointDistribution,
     Kernel,
-    conditional_entropy_per_x,
+    conditional_entropies,
     conditional_entropy_y_given_x,
     entropy,
+    entropy_rows,
     from_conditional,
     kernel_x_given_y,
     kernel_y_given_x,
@@ -62,8 +63,9 @@ __all__ = [
     "kernel_x_given_y",
     "kernel_y_given_x",
     "entropy",
+    "entropy_rows",
     "conditional_entropy_y_given_x",
-    "conditional_entropy_per_x",
+    "conditional_entropies",
     "mutual_information",
     "LinearProgram",
     "LpOutcome",

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import codec, dist, families, mechanism as mech_mod, report as report_mod
 from .dist import JointDistribution, Kernel
-from .errors import InputError, MalformedBits, NotDecodable, ParseError, ZeroLeakError
+from .errors import InputError, MalformedBits, NonFiniteMass, NotDecodable, ParseError, ZeroLeakError
 from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
@@ -41,7 +43,20 @@ CODE_FORMAT = "zeroleak-code-v1"
 # input parsing
 
 
+_DECIMAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+
+
 def _parse_token(tok: str, line_no: int, col: int) -> float:
+    """``float(Fraction(tok))``, bit for bit; ParseError where that raises."""
+    if _DECIMAL.fullmatch(tok):
+        # float rounds a plain decimal to the same double as Fraction. They
+        # part only at zero and past the largest double: Fraction turns an
+        # exact -0 into 0.0 (hence the + 0.0) but keeps the sign of a value
+        # that underflows, and raises where float gives inf; those two cases
+        # go the Fraction way
+        v = float(tok)
+        if math.isfinite(v) and (v or not tok.strip("+-.0")):
+            return v + 0.0
     try:
         return float(Fraction(tok))
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -333,6 +348,8 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
         else:
             u_size = _doc_field(doc, "two-part.u_size", int)
             p_u = _doc_vector(doc, "two-part.p_u", u_size)
+            if not np.isfinite(p_u).all():
+                raise NonFiniteMass(f"two-part.p_u entry {p_u[~np.isfinite(p_u)][0]} is not finite")
             if not (p_u > 0.0).any():
                 raise ParseError("two-part.p_u has no positive mass")
             cols = np.array(

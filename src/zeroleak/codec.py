@@ -265,11 +265,6 @@ def _events(code: PrivateCode, d: JointDistribution):
     return x, y, u, w, d.p[x, y] * q[u, y] / m
 
 
-def _sum_in_order(v: np.ndarray) -> float:
-    """0.0 + v[0] + v[1] + ..., added left to right."""
-    return float(np.concatenate(([0.0], v)).cumsum()[-1])
-
-
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ids numbered by first occurrence, and each group's first index."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
@@ -330,15 +325,15 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
         ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
         decode(code, message_bits(code, *ev), ev[3])
         raise InternalError(f"audit finds event (x, u, y, w) = {ev} undecodable, decode does not")
-    total = _sum_in_order(mass)
-    failed = _sum_in_order(mass[y_hat != y])
+    total = dist.sum_in_order(mass)
+    failed = dist.sum_in_order(mass[y_hat != y])
     per_key = np.bincount(w, weights=mass * length, minlength=m) * m  # divide out P(w) = 1/m
 
     # p(c, x) and p(x, y, c), each group numbered and summed in event order
     cx = msg * d.x_size + x
     g, first = _first_seen(cx)
     p_cx = np.bincount(g, weights=mass)
-    mi = _sum_in_order(
+    mi = dist.sum_in_order(
         p_cx * np.log2(p_cx / (_totals(msg[first], p_cx) * _totals(x[first], p_cx)))
     )
     g, first = _first_seen(cx * d.y_size + y)
@@ -348,8 +343,8 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     p_xc = _totals(cx[first], p_xyc)
     p_y = dist.marginal_y(d)
     # I(X;C|Y) = sum p(x,y,c) log [ p(x,y,c) p(y) / (p(x,y) p(y,c)) ]
-    mi_cond = _sum_in_order(p_xyc * np.log2(p_xyc * p_y[y_g] / (d.p[x_g, y_g] * p_yc)))
-    h_y_given_xc = _sum_in_order(-(p_xyc * np.log2(p_xyc / p_xc)))
+    mi_cond = dist.sum_in_order(p_xyc * np.log2(p_xyc * p_y[y_g] / (d.p[x_g, y_g] * p_yc)))
+    h_y_given_xc = dist.sum_in_order(-(p_xyc * np.log2(p_xyc / p_xc)))
 
     return LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),
@@ -378,8 +373,7 @@ def check_audit(
     spread = float(np.ptp(lengths))
     if spread > 1e-12:
         violations.append(f"{scheme}: per-key length varies by {spread:.3g}")
-    converse = max(dist.conditional_entropy_per_x(d, x) for x in range(d.x_size))
-    if lengths.max() < converse - 1e-9:
+    if lengths.max() < dist.conditional_entropies(d).max() - 1e-9:
         violations.append(f"{scheme}: per-key length below the converse max_x H(Y|X=x)")
     if scheme == TWO_PART and achieved_hu is not None:
         cap = achieved_hu + 1.0 + ceil_log2(d.x_size) + 1e-9

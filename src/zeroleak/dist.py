@@ -2,7 +2,10 @@
 
 All probabilities are doubles, all logarithms base 2, all entropies in bits.
 Zero rows/columns are stripped at construction so every marginal has full
-support; the original indices are kept in ``x_map`` / ``y_map``.
+support; the original indices are kept in ``x_map`` / ``y_map``. Entropies
+of many rows are taken in one batch (``entropy_rows``) that equals the
+one-row ``entropy`` of each row bit for bit, and weighted sums of them add
+left to right (``sum_in_order``), as a Python loop would.
 """
 
 from __future__ import annotations
@@ -146,16 +149,40 @@ def entropy(v) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def conditional_entropy_per_x(d: JointDistribution, x: int) -> float:
-    """H(Y | X = x) in bits."""
-    row = d.p[x]
-    return entropy(row / row.sum())
+def entropy_rows(m) -> np.ndarray:
+    """``entropy(row)`` for every row of the 2-d array ``m``, bit for bit.
+
+    The positive entries are compacted in row order and their p log p terms
+    taken in one pass. Rows are grouped by how many positive entries they
+    have, and each group is reduced by one 2-d ``sum(axis=1)``, which pairs
+    each row's additions as the one-row ``sum`` does.
+    """
+    a = np.asarray(m, dtype=float)
+    pos = a > 0.0
+    nz = a[pos]
+    terms = nz * np.log2(nz)
+    counts = pos.sum(axis=1)
+    ends = counts.cumsum()
+    out = np.empty(a.shape[0])
+    for c in set(counts.tolist()):
+        rows = np.nonzero(counts == c)[0]
+        out[rows] = -terms[(ends[rows] - c)[:, None] + np.arange(c)].sum(axis=1)
+    return out
+
+
+def sum_in_order(v: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ..., added left to right."""
+    return float(np.concatenate(([0.0], v)).cumsum()[-1])
+
+
+def conditional_entropies(d: JointDistribution) -> np.ndarray:
+    """H(Y | X = x) in bits for every x."""
+    return entropy_rows(d.p / marginal_x(d)[:, None])
 
 
 def conditional_entropy_y_given_x(d: JointDistribution) -> float:
     """H(Y | X) = sum_x P(x) H(Y | X = x) in bits."""
-    px = marginal_x(d)
-    return float(sum(px[x] * conditional_entropy_per_x(d, x) for x in range(d.x_size)))
+    return sum_in_order(marginal_x(d) * conditional_entropies(d))
 
 
 def mutual_information(d: JointDistribution) -> float:

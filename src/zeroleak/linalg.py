@@ -249,45 +249,10 @@ def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.nd
     return x[np.abs(x @ a.T - b).max(axis=1) <= max(tol, 1e-9)]
 
 
-def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
-    """All basic feasible solutions of {x >= 0 : eq_lhs @ x = eq_rhs}.
-
-    Walks the graph of feasible bases breadth first, one level at a time:
-    the level's tableaux are stacked, each test runs once over the stack,
-    and all children are pivoted in one stacked step. Bases are visited in
-    the order a FIFO queue would pop them, from the same parents, with
-    tableaux equal to one-at-a-time pivots bit for bit. The walk starts at
-    the pivot columns of the reduced system, or, when those solve to an
-    entry below -tol, at a basis around a phase-1 simplex point. From each
-    basis it takes every min-ratio pivot, with every leaving row whose ratio
-    ties the minimum within 1e-12, so degenerate vertices are reached too.
-    Each vertex is keyed by its support (entries above ``tol``) and solved
-    on the lexicographically first nonsingular basis containing that
-    support, which is the basis on which a scan over column subsets in
-    lexicographic order would first meet it.
-    Solutions with an entry below -tol or a residual above max(tol, 1e-9)
-    are dropped. Rows are returned in canonical (lexicographic) order.
-    Raises Infeasible when no basic feasible solution exists.
-    """
-    a = np.array(eq_lhs, dtype=float, ndmin=2)
-    b = np.asarray(eq_rhs, dtype=float)
-    if a.shape[0] != b.size:
-        raise ValueError(f"shape mismatch: A {a.shape}, b {b.size}")
-    red_a, red_b, pivots = _rref(a, b)
-    r = red_a.shape[0]
-    # red_a[:, pivots] is the identity, so that basis solves to red_b and its
-    # tableau is [red_a | red_b] itself
-    start = tuple(pivots)
-    tab = np.hstack([red_a, red_b[:, None]])
-    if red_b.min(initial=0.0) < -tol:
-        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b), tol=tol)
-        if out.status != "optimal":
-            raise Infeasible("polytope has no basic feasible solution")
-        start = _first_basis(red_a, np.nonzero(out.point > tol)[0])
-        if len(start) != r:
-            raise NumericalFailure("phase-1 point does not extend to a basis")
-        tab = np.linalg.solve(red_a[:, start], tab)
-
+def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol: float) -> list:
+    """The basis to solve each vertex on, found by a breadth-first walk over
+    the feasible bases of ``red_a`` from ``start``, whose tableau is ``tab``."""
+    r, n = red_a.shape
     # A basis is a row of columns in tableau row order, keyed by its bitmask.
     # Each BFS level is one stack of bases and tableaux, in the order a FIFO
     # queue would pop them; every step below runs once over the whole stack.
@@ -303,7 +268,7 @@ def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
         xb = tabs[:, :, -1]
         pos = xb > tol
         # each support sorted, padded past its end with the column count
-        padded = np.where(pos, level, a.shape[1])
+        padded = np.where(pos, level, n)
         padded.sort(axis=1)
         for cols, size in zip(padded.tolist(), pos.sum(axis=1).tolist()):
             support = tuple(cols[:size])
@@ -334,7 +299,55 @@ def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
         level[np.arange(len(parent)), row] = col
         tabs, keys = _pivot_stack(tabs, parent, row, col), keys_next
 
-    bases = [c for c in found.values() if len(c) == r]
+    return [c for c in found.values() if len(c) == r]
+
+
+def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
+    """All basic feasible solutions of {x >= 0 : eq_lhs @ x = eq_rhs}.
+
+    Walks the graph of feasible bases breadth first, one level at a time:
+    the level's tableaux are stacked, each test runs once over the stack,
+    and all children are pivoted in one stacked step. Bases are visited in
+    the order a FIFO queue would pop them, from the same parents, with
+    tableaux equal to one-at-a-time pivots bit for bit. The walk starts at
+    the pivot columns of the reduced system, or, when those solve to an
+    entry below -tol, at a basis around a phase-1 simplex point. From each
+    basis it takes every min-ratio pivot, with every leaving row whose ratio
+    ties the minimum within 1e-12, so degenerate vertices are reached too.
+    When the rank equals the column count the start basis is the only
+    basis, and no walk is made.
+    Each vertex is keyed by its support (entries above ``tol``) and solved
+    on the lexicographically first nonsingular basis containing that
+    support, which is the basis on which a scan over column subsets in
+    lexicographic order would first meet it.
+    Solutions with an entry below -tol or a residual above max(tol, 1e-9)
+    are dropped. Rows are returned in canonical (lexicographic) order.
+    Raises Infeasible when no basic feasible solution exists.
+    """
+    a = np.array(eq_lhs, dtype=float, ndmin=2)
+    b = np.asarray(eq_rhs, dtype=float)
+    if a.shape[0] != b.size:
+        raise ValueError(f"shape mismatch: A {a.shape}, b {b.size}")
+    red_a, red_b, pivots = _rref(a, b)
+    r = red_a.shape[0]
+    # red_a[:, pivots] is the identity, so that basis solves to red_b and its
+    # tableau is [red_a | red_b] itself
+    start = tuple(pivots)
+    tab = np.hstack([red_a, red_b[:, None]])
+    if red_b.min(initial=0.0) < -tol:
+        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b), tol=tol)
+        if out.status != "optimal":
+            raise Infeasible("polytope has no basic feasible solution")
+        start = _first_basis(red_a, np.nonzero(out.point > tol)[0])
+        if len(start) != r:
+            raise NumericalFailure("phase-1 point does not extend to a basis")
+        tab = np.linalg.solve(red_a[:, start], tab)
+
+    if r == a.shape[1]:
+        # every column is basic, so the start basis is the only basis
+        bases = [] if tab[:, -1].min(initial=0.0) < -tol else [tuple(range(r))]
+    else:
+        bases = _walk_bases(red_a, start, tab, tol)
     vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)
     if not len(vertices):
         raise Infeasible("polytope has no basic feasible solution")

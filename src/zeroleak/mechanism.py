@@ -8,6 +8,9 @@ linear program over vertex weights. This module synthesizes that optimizer,
 tests whether the synthesis is information-lossless (the funnel value equals
 H(Y|X)), and computes LP sandwich bounds on the minimum achievable H(U).
 ``analyze`` runs these steps once for a joint; every command starts there.
+The vertex entropies, the decode table and H(Y|X,U) are taken as array
+operations over all vertices or (x, u) pairs at once; each figure equals
+that of a loop over them with the one-row ``dist.entropy``, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,11 +92,7 @@ def build_bound_matrices(d: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     py = dist.marginal_y(d)
     pyx = dist.kernel_y_given_x(d).k  # [y][x]
     h_cond = dist.conditional_entropy_y_given_x(d)
-    a = py[None, :] - pyx.T
-    b = np.array(
-        [dist.conditional_entropy_per_x(d, x) - h_cond for x in range(d.x_size)]
-    )
-    return a, b
+    return py[None, :] - pyx.T, dist.conditional_entropies(d) - h_cond
 
 
 def feasible_columns(d: JointDistribution, tol_lp: float = 1e-9) -> np.ndarray:
@@ -115,8 +114,7 @@ def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechani
     """
     py = dist.marginal_y(d)
     verts = feasible_columns(d, tol_lp)
-    ent = np.array([dist.entropy(v) for v in verts])
-    out = solve_lp(LinearProgram(ent, verts.T, py, sense="min"), tol=tol_lp)
+    out = solve_lp(LinearProgram(dist.entropy_rows(verts), verts.T, py, sense="min"), tol=tol_lp)
     if out.status != "optimal":
         raise InternalError(f"mixture weight LP came back {out.status}")
     w = out.point
@@ -201,22 +199,21 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     """Fill decode(x, u) with the unique y compatible with both.
 
     Verifies H(Y | X, U) <= 1e-7 bits on the exact joint. Raises
-    NotDecodable when some positive-mass (x, u) pair leaves two candidate
-    y symbols (possible when the membership equality fails).
+    NotDecodable for the first (x, u) pair, in (x, u) order, that leaves
+    two candidate y symbols (possible when the membership equality fails).
+    The table is filled in (x, u) order.
     """
     joint = mechanism_joint(d, mech)
-    table: dict[tuple[int, int], int] = {}
-    for x in range(d.x_size):
-        for u in range(mech.u_size):
-            mass = joint[x, :, u]
-            ys = np.nonzero(mass > 1e-12)[0]
-            if ys.size == 0:
-                continue
-            if ys.size > 1:
-                raise NotDecodable(
-                    f"pair (x={x}, u={u}) is consistent with y in {ys.tolist()}"
-                )
-            table[(x, u)] = int(ys[0])
+    live = joint > 1e-12  # [x][y][u]
+    n_live = live.sum(axis=1)
+    ambiguous = np.argwhere(n_live > 1)
+    if len(ambiguous):
+        x, u = ambiguous[0].tolist()
+        ys = np.nonzero(live[x, :, u])[0].tolist()
+        raise NotDecodable(f"pair (x={x}, u={u}) is consistent with y in {ys}")
+    xs, us = np.nonzero(n_live)
+    ys = live.argmax(axis=1)[xs, us]
+    table = dict(zip(zip(xs.tolist(), us.tolist()), ys.tolist()))
     h_y_given_xu = _entropy_y_given_xu(joint)
     if h_y_given_xu > TAU_ENT:
         raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")
@@ -224,13 +221,11 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
 
 
 def _entropy_y_given_xu(joint: np.ndarray) -> float:
+    """sum over (x, u) with P(x, u) > 0 of P(x, u) H(Y | x, u), added in (x, u) order."""
     p_xu = joint.sum(axis=1)
-    h = 0.0
-    for x in range(joint.shape[0]):
-        for u in range(joint.shape[2]):
-            if p_xu[x, u] > 0.0:
-                h += p_xu[x, u] * dist.entropy(joint[x, :, u] / p_xu[x, u])
-    return h
+    live = p_xu > 0.0
+    w = p_xu[live]
+    return dist.sum_in_order(w * dist.entropy_rows(joint.transpose(0, 2, 1)[live] / w[:, None]))
 
 
 def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9) -> Analysis:

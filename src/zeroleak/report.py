@@ -51,7 +51,7 @@ def upper_bounds(a: Analysis) -> list[BoundEntry]:
     d, b = a.d, a.bounds
     t, q = d.x_size, d.y_size
     logx = ceil_log2(t)
-    sum_h = float(sum(dist.conditional_entropy_per_x(d, x) for x in range(t)))
+    sum_h = dist.sum_in_order(dist.conditional_entropies(d))
     closed = 1.0 + min(sum_h, float(np.ceil(np.log2(t * (q - 1) + 1) - 1.0))) + logx
     out = []
     if b is not None:
@@ -82,7 +82,7 @@ def lower_bounds(a: Analysis, key_size: int) -> tuple[list[BoundEntry], bool]:
     out = [
         BoundEntry(
             "max_conditional_entropy",
-            float(max(dist.conditional_entropy_per_x(d, x) for x in range(d.x_size))),
+            float(dist.conditional_entropies(d).max()),
             ALWAYS,
             key_size,
         )

@@ -6,16 +6,21 @@ bounded so the suite stays fast.
 
 The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, the per-symbol entropy profile of a
-mechanism, and the loop audit that is the oracle for ``codec.audit``.
+mechanism, the loop audit that is the oracle for ``codec.audit``, and the
+one-row-at-a-time entropy and decode-table loops that are the oracles for
+the batched forms in ``dist`` and ``mechanism``.
 """
+
+import struct
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import settings
 
 from zeroleak import codec, dist
 from zeroleak.dist import JointDistribution
-from zeroleak.errors import InternalError
-from zeroleak.mechanism import Mechanism, conditional_u_given_y
+from zeroleak.errors import InternalError, NotDecodable
+from zeroleak.mechanism import TAU_ENT, Mechanism, conditional_u_given_y, mechanism_joint
 
 settings.register_profile(
     "zeroleak", derandomize=True, deadline=None, max_examples=40, database=None
@@ -140,3 +145,57 @@ def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAu
         mi_c_x_given_y=float(max(mi_cond, 0.0)),
         h_y_given_x_c=float(max(h_y_given_xc, 0.0)),
     )
+
+
+def bits(values) -> list[bytes]:
+    """The IEEE 754 bytes of each value, so that comparing them is bit for bit."""
+    return [struct.pack("<d", float(v)) for v in np.ravel(values)]
+
+
+def loop_entropy_rows(m) -> list[float]:
+    """``dist.entropy`` of each row, one call per row (the per-vertex loop)."""
+    return [dist.entropy(row) for row in m]
+
+
+def loop_conditional_entropies(d: JointDistribution) -> list[float]:
+    """H(Y | X = x) for each x, one row at a time."""
+    return [dist.entropy(d.p[x] / d.p[x].sum()) for x in range(d.x_size)]
+
+
+def loop_conditional_entropy_y_given_x(d: JointDistribution) -> float:
+    """H(Y | X) = sum_x P(x) H(Y | X = x), added by a Python ``sum``."""
+    px = dist.marginal_x(d)
+    h = loop_conditional_entropies(d)
+    return float(sum(px[x] * h[x] for x in range(d.x_size)))
+
+
+def loop_entropy_y_given_xu(joint: np.ndarray) -> float:
+    """H(Y | X, U) of an (x, y, u) joint, one (x, u) pair at a time."""
+    p_xu = joint.sum(axis=1)
+    h = 0.0
+    for x in range(joint.shape[0]):
+        for u in range(joint.shape[2]):
+            if p_xu[x, u] > 0.0:
+                h += p_xu[x, u] * dist.entropy(joint[x, :, u] / p_xu[x, u])
+    return h
+
+
+def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
+    """``mechanism.build_decode_table`` one (x, u) pair at a time."""
+    joint = mechanism_joint(d, mech)
+    table: dict[tuple[int, int], int] = {}
+    for x in range(d.x_size):
+        for u in range(mech.u_size):
+            mass = joint[x, :, u]
+            ys = np.nonzero(mass > 1e-12)[0]
+            if ys.size == 0:
+                continue
+            if ys.size > 1:
+                raise NotDecodable(
+                    f"pair (x={x}, u={u}) is consistent with y in {ys.tolist()}"
+                )
+            table[(x, u)] = int(ys[0])
+    h_y_given_xu = loop_entropy_y_given_xu(joint)
+    if h_y_given_xu > TAU_ENT:
+        raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")
+    return replace(mech, decode=table)

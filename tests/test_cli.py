@@ -1,9 +1,14 @@
 """File parsing, commands, determinism, exit codes, audit round trips."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from conftest import bits
 
 from zeroleak import cli, dist, families
 from zeroleak import mechanism as mm
@@ -61,6 +66,60 @@ def test_parse_bad_token_reports_position():
     with pytest.raises(ParseError) as err:
         cli.parse_distribution_text("joint:\n0.5 oops\n")
     assert "line 2" in str(err.value)
+
+
+def _token_outcome(parse, tok):
+    """The parsed value's bytes, or that it raised."""
+    try:
+        return bits(parse(tok))
+    except (ParseError, ValueError, ZeroDivisionError, OverflowError):
+        return "raises"
+
+
+decimal_tokens = st.builds(
+    lambda sign, whole, dot, frac, exp: sign + whole + dot + frac + exp,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=25),
+    st.sampled_from(["", "."]),
+    st.text("0123456789", max_size=25),
+    st.one_of(st.just(""), st.builds("e{}{}".format, st.sampled_from(["", "-", "+"]), st.integers(0, 420))),
+)
+
+
+@given(decimal_tokens)
+@example("-0")
+@example("+0")
+@example("-0.0e7")
+@example("1e400")
+@example("1e-400")
+@example("-1e-400")
+@example("2.4703282292062328e-324")
+@example("nan")
+@example("inf")
+@example("1/3")
+@example("1_0")
+@example(".5")
+@example("5.")
+@example("\u0663")  # an Arabic-Indic digit 3
+def test_parse_token_equals_fraction_path(tok):
+    # the plain-decimal fast path gives float(Fraction(tok)) bit for bit,
+    # and raises where it raises
+    want = _token_outcome(lambda t: float(Fraction(t)), tok)
+    assert _token_outcome(lambda t: cli._parse_token(t, 1, 1), tok) == want
+
+
+def test_parse_token_equals_fraction_path_on_random_decimals():
+    # many digits, exponents near overflow and underflow, and shortest reprs
+    rng = np.random.default_rng(2)
+    for _ in range(5000):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 30))))
+        point = int(rng.integers(0, len(digits) + 1))
+        tok = str(rng.choice(["", "-", "+"])) + digits[:point] + "." + digits[point:]
+        if rng.random() < 0.7:
+            tok += f"e{int(rng.integers(-345, 330))}"
+        for t in (tok, repr(float(rng.random()) * 10.0 ** int(rng.integers(-320, 300)))):
+            want = _token_outcome(lambda s: float(Fraction(s)), t)
+            assert _token_outcome(lambda s: cli._parse_token(s, 1, 1), t) == want, t
 
 
 def test_parse_unknown_section():
@@ -373,6 +432,16 @@ def test_sweep_deterministic_given_seed():
             _golden_doc_with("example1", "two-part.p_y_given_u.0", "nan 0 0 0 0 0"),
             "kernel entry nan is not finite",
         ),
+        (
+            "audit",
+            _golden_doc_with("example1", "two-part.p_u", "nan 0.5 0.25 0.25"),
+            "two-part.p_u entry nan is not finite",
+        ),
+        (
+            "audit",
+            _golden_doc_with("example1", "two-part.p_u", "inf 0 0 0"),
+            "two-part.p_u entry inf is not finite",
+        ),
     ],
     ids=[
         "negative-joint-entry",
@@ -387,6 +456,8 @@ def test_sweep_deterministic_given_seed():
         "doc-joint-nan",
         "doc-p-u-zero",
         "doc-kernel-nan",
+        "doc-p-u-nan",
+        "doc-p-u-inf",
     ],
 )
 def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, content, named):

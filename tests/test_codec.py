@@ -240,7 +240,7 @@ def test_achieved_length_above_converse():
         _, mech = mm.solve_g0(d)
         mech = mm.build_decode_table(d, mech)
         a = codec.audit(codec.build_two_part(d, mech), d)
-        conv = max(dist.conditional_entropy_per_x(d, x) for x in range(d.x_size))
+        conv = dist.conditional_entropies(d).max()
         assert a.per_key_expected_length.max() >= conv - 1e-9
 
 

@@ -4,8 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from zeroleak import dist
+from conftest import (
+    bits,
+    loop_conditional_entropies,
+    loop_conditional_entropy_y_given_x,
+    loop_entropy_rows,
+    random_small_y_pair,
+)
+
+from zeroleak import dist, families, mechanism as mm
 from zeroleak.errors import (
     BadShape,
     EmptySupport,
@@ -122,10 +132,9 @@ def test_example1_conditional_entropy():
     assert oracle == pytest.approx(1.4693609377704335, abs=1e-12)
     d = example1()
     assert dist.conditional_entropy_y_given_x(d) == pytest.approx(oracle, abs=1e-12)
-    assert dist.conditional_entropy_per_x(d, 0) == pytest.approx(
-        h_bits(1 / 6, 2 / 6, 3 / 6), abs=1e-12
-    )
-    assert dist.conditional_entropy_per_x(d, 1) == pytest.approx(1.5, abs=1e-12)
+    h = dist.conditional_entropies(d)
+    assert h[0] == pytest.approx(h_bits(1 / 6, 2 / 6, 3 / 6), abs=1e-12)
+    assert h[1] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_deterministic_y_of_x_has_zero_conditional_entropy():
@@ -166,3 +175,62 @@ def test_kernel_recomposition_reproduces_joint():
         k = dist.kernel_x_given_y(d).k
         recomposed = k * dist.marginal_y(d)[None, :]
         assert np.abs(recomposed - d.p).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched row entropies against one ``entropy`` call per row, bit for bit
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(0, 300))
+@example(seed=0, rows=6, width=300)
+def test_entropy_rows_matches_row_entropy(seed, rows, width):
+    # every row keeps a share of its entries positive, from none to all of
+    # them, so that sums of fewer than 8, up to 128 (numpy's 8-way unrolled
+    # block) and more than 128 terms (its recursive halving) all occur; the
+    # rest are zero, negative or NaN, which entropy skips
+    rng = np.random.default_rng(seed)
+    share = rng.choice([0.0, 0.03, 0.3, 0.6, 0.95, 1.0], size=(rows, 1))
+    m = rng.random((rows, width)) ** 4
+    m[rng.random(rows) < 0.5] *= 1e-300  # tiny and subnormal entries
+    skipped = rng.choice([0.0, -0.0, -0.5, np.nan], size=(rows, width))
+    m = np.where(rng.random((rows, width)) < share, m, skipped)
+    normal = rng.random(rows) < 0.5
+    m[normal] /= np.maximum(np.nansum(np.clip(m[normal], 0.0, None), axis=1), 1e-300)[:, None]
+    got = dist.entropy_rows(m)
+    assert got.shape == (rows,)
+    assert bits(got) == bits(loop_entropy_rows(m))
+    if seed == 0 and width == 300:  # the explicit example reaches the recursive halving
+        assert (m > 0.0).sum(axis=1).max() > 130
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300))
+def test_sum_in_order_adds_left_to_right(seed, n):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    h = 0.0
+    for t in v:
+        h += t
+    assert bits(dist.sum_in_order(v)) == bits(h)
+
+
+@given(st.sampled_from(["example1", "wide", *families.FAMILIES]), st.integers(0, 2**32 - 1))
+def test_conditional_entropies_match_row_loops(family, seed):
+    # H(Y|X=x), H(Y|X), the report's sum and max over x, the bound system's
+    # right-hand side and the g0 vertex entropies, against their loops
+    rng = np.random.default_rng(seed)
+    if family == "example1":
+        d = example1()
+    elif family == "wide":  # enough x that the sums over x pair differently
+        d = random_small_y_pair(rng, max_y=6, max_x=40)
+    else:
+        d = families.FAMILIES[family](rng)
+    h = dist.conditional_entropies(d)
+    want = loop_conditional_entropies(d)
+    assert bits(h) == bits(want)
+    assert bits(dist.conditional_entropy_y_given_x(d)) == bits(loop_conditional_entropy_y_given_x(d))
+    assert bits(dist.sum_in_order(h)) == bits(float(sum(want)))
+    assert bits(h.max()) == bits(float(max(want)))
+    h_cond = loop_conditional_entropy_y_given_x(d)
+    assert bits(mm.build_bound_matrices(d)[1]) == bits([hx - h_cond for hx in want])
+    verts = mm.feasible_columns(d)
+    assert bits(dist.entropy_rows(verts)) == bits(loop_entropy_rows(verts))

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import random_small_y_pair
+
 from zeroleak import dist, families, linalg
 from zeroleak import mechanism as mm
 from zeroleak.errors import Infeasible, NumericalFailure
@@ -434,6 +436,40 @@ def test_walk_matches_queue_oracle(kind, seed):
     children = [tab for stack in level_tabs for tab in stack]
     assert len(children) == len(queue_tabs)
     assert all(np.array_equal(got, tab) for got, tab in zip(children, queue_tabs))
+
+
+def _full_rank_input(kind, seed):
+    """A kernel whose rank is its column count: a square invertible one, a
+    full-support |Y| <= |X| one, or a small degenerate or infeasible system."""
+    rng = np.random.default_rng(seed)
+    if kind == "invertible":
+        d = families.random_invertible_pair(rng)
+    elif kind == "small-y":
+        d = random_small_y_pair(rng)
+    elif kind == "degenerate":
+        return np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]]), np.array([1.0, 1.0, 2.0])
+    else:
+        return np.eye(3), np.array([0.5, -0.25, 0.75])
+    return dist.kernel_x_given_y(d).k, dist.marginal_x(d)
+
+
+@given(st.sampled_from(["invertible", "small-y", "degenerate", "infeasible"]), seeds)
+def test_full_rank_kernel_skips_the_walk(kind, seed):
+    # the start basis is the only basis: the queue walk's vertices or
+    # exception, with no level walked and no tableau pivoted
+    a, b = _full_rank_input(kind, seed)
+    assert rank_and_nullity(a)[0] == a.shape[1]
+    try:
+        want = queue_enumerate_vertices(a, b)
+    except (Infeasible, NumericalFailure) as exc:
+        want = exc
+    with mock.patch.object(linalg, "_walk_bases", side_effect=AssertionError), \
+            mock.patch.object(linalg, "_pivot_stack", side_effect=AssertionError):
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)):
+                enumerate_vertices(a, b)
+        else:
+            assert np.array_equal(enumerate_vertices(a, b), want)
 
 
 def test_phase1_example_starts_off_the_pivot_basis():

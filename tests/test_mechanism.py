@@ -2,10 +2,14 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import entropy_profile
+from conftest import bits, entropy_profile, loop_build_decode_table, loop_entropy_y_given_xu
 
 from zeroleak import dist, families, mechanism as mm, report
 from zeroleak.dist import Kernel
@@ -332,3 +336,45 @@ def test_g0_is_not_beaten_by_random_mechanisms():
             parts = _random_feasible_mechanism(d, verts, rng)
             attained = hy - sum(w * dist.entropy(col) for w, col in parts)
             assert attained <= value + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the batched decode table and H(Y|X,U) against their (x, u) loops
+
+
+def _hostile_mechanisms(mech):
+    """The mechanism itself, then a NaN P(u), a column spread over every y
+    (so one (x, u) slab has two live y), a u of zero mass, and every column
+    spread (so every slab has every y of its x live)."""
+    yield "as-solved", mech
+    p_u = mech.p_u.copy()
+    p_u[0] = np.nan
+    yield "nan-p-u", replace(mech, p_u=p_u)
+    cols = mech.p_y_given_u.k.copy()
+    cols[:, 0] = 1.0 / cols.shape[0]
+    yield "two-live-y", replace(mech, p_y_given_u=Kernel(cols))
+    p_u = mech.p_u.copy()
+    p_u[-1] = 0.0
+    yield "zero-mass-u", replace(mech, p_u=p_u)
+    yield "all-spread", replace(mech, p_y_given_u=Kernel(np.full_like(cols, 1.0 / cols.shape[0])))
+
+
+def _decode_outcome(build, d, mech):
+    """The table's items in insertion order, or the NotDecodable message."""
+    try:
+        return list(build(d, mech).decode.items())
+    except NotDecodable as exc:
+        return f"NotDecodable: {exc}"
+
+
+@given(st.sampled_from(["example1", *families.FAMILIES]), st.integers(0, 2**32 - 1))
+def test_decode_table_and_h_y_given_xu_match_loops(family, seed):
+    d = example1() if family == "example1" else families.FAMILIES[family](np.random.default_rng(seed))
+    _, solved = mm.solve_g0(d)
+    for name, mech in _hostile_mechanisms(solved):
+        want = _decode_outcome(loop_build_decode_table, d, mech)
+        assert _decode_outcome(mm.build_decode_table, d, mech) == want, name
+        joint = mm.mechanism_joint(d, mech)
+        assert bits(mm._entropy_y_given_xu(joint)) == bits(loop_entropy_y_given_xu(joint)), name
+        if name == "two-live-y" and (d.p > 0.0).sum(axis=1).max() > 1:
+            assert want.startswith("NotDecodable: pair ("), want
