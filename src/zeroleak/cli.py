@@ -32,7 +32,15 @@ import numpy as np
 
 from . import codec, dist, families, mechanism as mech_mod, report as report_mod
 from .dist import JointDistribution, Kernel
-from .errors import InputError, MalformedBits, NonFiniteMass, NotDecodable, ParseError, ZeroLeakError
+from .errors import (
+    InputError,
+    MalformedBits,
+    NegativeMass,
+    NonFiniteMass,
+    NotDecodable,
+    ParseError,
+    ZeroLeakError,
+)
 from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
@@ -170,7 +178,7 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
     lines.kv("p_y", _vec(py, lines.structured))
     lines.kv("h_x", dist.entropy(px))
     lines.kv("h_y", dist.entropy(py))
-    lines.kv("h_y_given_x", dist.conditional_entropy_y_given_x(d))
+    lines.kv("h_y_given_x", a.h_cond)
     lines.kv("mutual_information", dist.mutual_information(d))
     lines.kv("kernel_rank", a.rank)
     lines.kv("kernel_nullity", a.nullity)
@@ -350,6 +358,8 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             p_u = _doc_vector(doc, "two-part.p_u", u_size)
             if not np.isfinite(p_u).all():
                 raise NonFiniteMass(f"two-part.p_u entry {p_u[~np.isfinite(p_u)][0]} is not finite")
+            if (p_u < 0.0).any():
+                raise NegativeMass(f"two-part.p_u entry {p_u[p_u < 0.0][0]} is negative")
             if not (p_u > 0.0).any():
                 raise ParseError("two-part.p_u has no positive mass")
             cols = np.array(
@@ -422,7 +432,7 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     if family in ("det-f", "common-info") and not a.member:
         return [f"expected membership, got g0 = {a.g0:.6g}"]
     if family == "invertible" and a.member and not a.boundary:
-        if dist.conditional_entropy_y_given_x(d) > 10 * args.tol_ent:
+        if a.h_cond > 10 * args.tol_ent:
             return ["invertible kernel unexpectedly a member"]
         return []
     if not a.member:

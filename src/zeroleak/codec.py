@@ -11,6 +11,8 @@ Two schemes:
 Audits never sample: they enumerate the exact joint over (x, y, u, w) and
 account for every message bit and every unit of probability mass, in one
 vectorised pass that sums the events in the order of a one-at-a-time loop.
+The (c, x) and (x, y, c) groups are numbered by first occurrence from a
+key-indexed table of first events, with no sort.
 ``build_codes`` picks the schemes that apply to an analysis, and
 ``check_audit`` names the invariants an audit shows broken.
 """
@@ -26,6 +28,7 @@ import numpy as np
 from . import dist
 from .dist import JointDistribution
 from .errors import (
+    EmptySupport,
     IncompleteMechanism,
     InternalError,
     MalformedBits,
@@ -259,17 +262,28 @@ def _events(code: PrivateCode, d: JointDistribution):
     m = code.key_size
     # direct-pad has the one symbol u = 0, and p * 1.0 / m is exactly p / m
     q = np.ones((1, d.y_size)) if code.scheme == DIRECT_PAD else code.p_u_given_y
-    xyu = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None])
-    x, y, u = np.repeat(xyu, m, axis=0).T
-    w = np.arange(x.size) % m
-    return x, y, u, w, d.p[x, y] * q[u, y] / m
+    x, y, u = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None]).T
+    mass = (d.p[x, y] * q[u, y] / m).repeat(m)  # each (x, y, u) mass, once per w
+    w = np.arange(m)[None].repeat(x.size, 0).ravel()  # 0..m-1 once per (x, y, u)
+    return x.repeat(m), y.repeat(m), u.repeat(m), w, mass
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group ids numbered by first occurrence, and each group's first index."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = first.argsort()
-    return order.argsort()[inverse], first[order]
+    """Group ids numbered by first occurrence, and each group's first index.
+
+    ``keys`` are ints >= 0. A table indexed by key holds each key's first
+    index, in the narrowest dtype that holds len(keys); an event leads
+    its group when its index is that first index, and counting the leaders
+    numbers the groups. Nothing is sorted: the cost is O(len(keys) + max key).
+    """
+    at = np.arange(keys.size, dtype=np.min_scalar_type(keys.size))
+    first = np.full(keys.max(initial=-1) + 1, keys.size, dtype=at.dtype)
+    np.minimum.at(first, keys, at)
+    first_of = first[keys]
+    lead = first_of == at
+    ids = lead.cumsum()
+    ids -= 1
+    return ids[first_of], np.flatnonzero(lead)
 
 
 def _totals(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -286,6 +300,46 @@ def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
     return u_hat if 0 <= u_hat < u_size else -1
 
 
+def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
+    """Each event's message as an int, its length in bits and the y decode
+    reads off it. Raises decode's MalformedBits for the first event that
+    does not decode."""
+    n, width = code.pad_modulus, min(code.field_bits, 62)
+    padded = (y if code.scheme == DIRECT_PAD else x) + w
+    padded %= n
+    # to_bits cannot render a value too wide for a nonempty field; an empty
+    # field holds any value and reads back as 0
+    bad = (padded >> width != 0) & (width > 0)
+    padded %= 1 << width
+    if code.scheme == DIRECT_PAD:
+        msg, length, y_hat = padded, code.field_bits, (padded - w) % n
+    else:
+        assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
+        u_size = code.p_u_given_y.shape[0]
+        words = [code.u_code.codewords[s] for s in range(u_size)]
+        length = (code.field_bits + np.array([len(c) for c in words]))[u]
+        # symbols that share a codeword decode to the same one, so once every
+        # event decodes, the message C is the pair (padded field, u_hat)
+        u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
+        msg = padded * u_size
+        msg += u_hat
+        # decode's y: -2 if absent, -1 if not in 0..|Y|-1; the last column,
+        # which u_hat = -1 reads, stays -2
+        table = np.full((n, u_size + 1), -2, dtype=np.min_scalar_type(-d.y_size))
+        for (x_key, u_key), y_val in code.mech.decode.items():
+            if 0 <= x_key < n and 0 <= u_key < u_size:
+                table[x_key, u_key] = y_val if 0 <= y_val < d.y_size else -1
+        padded -= w
+        padded %= n
+        y_hat = table[padded, u_hat]
+        bad |= y_hat == -2
+    if bad.any():
+        ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
+        decode(code, message_bits(code, *ev), ev[3])
+        raise InternalError(f"audit finds event (x, u, y, w) = {ev} undecodable, decode does not")
+    return msg, length, y_hat
+
+
 def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     """Enumerate every (x, y, u, w) event and account for it exactly.
 
@@ -297,46 +351,29 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     """
     if code.y_size != d.y_size:
         raise InternalError("code and distribution disagree on |Y|")
-    m, n, width = code.key_size, code.pad_modulus, min(code.field_bits, 62)
+    m = code.key_size
     x, y, u, w, mass = _events(code, d)
-    padded = ((y if code.scheme == DIRECT_PAD else x) + w) % n
-    # to_bits cannot render a value too wide for a nonempty field; an empty
-    # field holds any value and reads back as 0
-    bad = (padded >> width != 0) & (width > 0)
-    padded %= 1 << width
-    if code.scheme == DIRECT_PAD:
-        msg, length, y_hat = padded, code.field_bits, (padded - w) % n
-    else:
-        assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
-        u_size = code.p_u_given_y.shape[0]
-        words = [code.u_code.codewords[s] for s in range(u_size)]
-        length = code.field_bits + np.array([len(c) for c in words])[u]
-        # symbols that share a codeword decode to the same one, so once every
-        # event decodes, the message C is the pair (padded field, u_hat)
-        u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
-        msg = padded * u_size + u_hat
-        table = np.full((n, u_size), -2)  # decode's y: -2 if absent, -1 if not in 0..|Y|-1
-        for (x_key, u_key), y_val in code.mech.decode.items():
-            if 0 <= x_key < n and 0 <= u_key < u_size:
-                table[x_key, u_key] = y_val if 0 <= y_val < d.y_size else -1
-        y_hat = np.where(u_hat >= 0, table[(padded - w) % n, u_hat], -2)
-        bad |= y_hat == -2
-    if bad.any():
-        ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
-        decode(code, message_bits(code, *ev), ev[3])
-        raise InternalError(f"audit finds event (x, u, y, w) = {ev} undecodable, decode does not")
+    msg, length, y_hat = _messages(code, d, x, y, u, w)
+    if not (mass > 0.0).any():
+        raise EmptySupport("no (x, y, u, w) event has positive mass")
     total = dist.sum_in_order(mass)
     failed = dist.sum_in_order(mass[y_hat != y])
     per_key = np.bincount(w, weights=mass * length, minlength=m) * m  # divide out P(w) = 1/m
+    del u, w, length, y_hat  # the groups need only x, y, msg and mass; this lowers the peak
 
     # p(c, x) and p(x, y, c), each group numbered and summed in event order
-    cx = msg * d.x_size + x
+    cx = msg * d.x_size
+    cx += x
     g, first = _first_seen(cx)
     p_cx = np.bincount(g, weights=mass)
     mi = dist.sum_in_order(
         p_cx * np.log2(p_cx / (_totals(msg[first], p_cx) * _totals(x[first], p_cx)))
     )
-    g, first = _first_seen(cx * d.y_size + y)
+    # the (x, y, c) key is built on the compact (c, x) ids, so its table has
+    # |Y| entries per (c, x) group however sparse the message numbers are
+    g *= d.y_size
+    g += y
+    g, first = _first_seen(g)
     p_xyc = np.bincount(g, weights=mass)
     x_g, y_g, c_g = x[first], y[first], msg[first]
     p_yc = _totals(c_g * d.y_size + y_g, p_xyc)

@@ -57,12 +57,15 @@ class MechanismBounds:
 
 @dataclass(frozen=True)
 class Analysis:
-    """What the reports and codes of one joint are built from: the rank and
-    nullity of P_{X|Y}, whether X = f(Y), membership, and for a member the g0
-    optimizer ``mech`` (with a decode table when ``mech_decodable``), its
-    H(U) sandwich ``bounds`` and its entropy ``achieved_hu`` (else None)."""
+    """What the reports and codes of one joint are built from: H(Y|X=x) for
+    every x (``h_given_x``) and H(Y|X) (``h_cond``), the rank and nullity of
+    P_{X|Y}, whether X = f(Y), membership, and for a member the g0 optimizer
+    ``mech`` (with a decode table when ``mech_decodable``), its H(U)
+    sandwich ``bounds`` and its entropy ``achieved_hu`` (else None)."""
 
     d: JointDistribution
+    h_given_x: np.ndarray
+    h_cond: float
     rank: int
     nullity: int
     x_det: bool
@@ -81,18 +84,16 @@ def x_is_function_of_y(d: JointDistribution, tol: float = 1e-9) -> bool:
     return bool((k.max(axis=0) >= 1.0 - tol).all())
 
 
-def y_is_function_of_x(d: JointDistribution, tol: float = TAU_ENT) -> bool:
-    return dist.conditional_entropy_y_given_x(d) <= tol
-
-
-def build_bound_matrices(d: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
+def build_bound_matrices(
+    d: JointDistribution, h_given_x: np.ndarray, h_cond: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Equality system (a, b) whose nonnegative solutions are the admissible
     per-symbol conditional entropies a_j = H(U | Y = y_j):
-    a[i][j] = P(y_j) - P(y_j | x_i),  b[i] = H(Y|X=x_i) - H(Y|X)."""
+    a[i][j] = P(y_j) - P(y_j | x_i),  b[i] = H(Y|X=x_i) - H(Y|X), where
+    ``h_given_x`` holds H(Y|X=x) for every x and ``h_cond`` is H(Y|X)."""
     py = dist.marginal_y(d)
     pyx = dist.kernel_y_given_x(d).k  # [y][x]
-    h_cond = dist.conditional_entropy_y_given_x(d)
-    return py[None, :] - pyx.T, dist.conditional_entropies(d) - h_cond
+    return py[None, :] - pyx.T, h_given_x - h_cond
 
 
 def feasible_columns(d: JointDistribution, tol_lp: float = 1e-9) -> np.ndarray:
@@ -131,18 +132,23 @@ def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechani
 
 
 def theorem1_bounds(
-    d: JointDistribution, nullity: int, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
+    d: JointDistribution,
+    nullity: int,
+    h_given_x: np.ndarray,
+    h_cond: float,
+    tol_ent: float = TAU_ENT,
+    tol_lp: float = 1e-9,
 ) -> MechanismBounds:
     """LP sandwich on the minimum entropy over zero-leakage optimizers.
 
     k_lower / k_upper are H(Y|X) plus the min / max of sum_j P(y_j) a_j over
     the bound polytope; the strengthened upper bound caps that sum at
-    log2(nullity + 1) - H(Y|X), where ``nullity`` is that of P_{X|Y}. The
+    log2(nullity + 1) - H(Y|X), where ``nullity`` is that of P_{X|Y}.
+    ``h_given_x`` and ``h_cond`` are as in ``build_bound_matrices``. The
     bounds are claimed only for members, so only ``analyze`` calls this.
     """
-    a_xy, b_xy = build_bound_matrices(d)
+    a_xy, b_xy = build_bound_matrices(d, h_given_x, h_cond)
     py = dist.marginal_y(d)
-    h_cond = dist.conditional_entropy_y_given_x(d)
     log_nullity = float(np.log2(nullity + 1))
 
     lo = solve_lp(LinearProgram(py, a_xy, b_xy, sense="min"), tol=tol_lp)
@@ -172,7 +178,7 @@ def theorem1_bounds(
         k_upper_s = min(k_upper, log_nullity)
 
     rank_a, _ = rank_and_nullity(a_xy)
-    unique = bool(rank_a == d.y_size and not y_is_function_of_x(d, tol_ent))
+    unique = bool(rank_a == d.y_size and not h_cond <= tol_ent)  # Y is not a function of X
     return MechanismBounds(
         k_lower=float(k_lower),
         k_upper=float(k_upper),
@@ -239,9 +245,10 @@ def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
     is a known sufficient condition, so there g0 is reported as H(Y|X).
     Gaps within a decade of the tolerance either side are flagged
     ``boundary`` instead of being silently classified."""
+    h_given_x = dist.conditional_entropies(d)
+    h_cond = dist.sum_in_order(dist.marginal_x(d) * h_given_x)
     rank, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
     x_det = x_is_function_of_y(d)
-    h_cond = dist.conditional_entropy_y_given_x(d)
     g0, mech = solve_g0(d, tol_lp)
     if x_det:
         g0 = h_cond
@@ -251,7 +258,7 @@ def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
     decodable = False
     if member:
         achieved = dist.entropy(mech.p_u)
-        bounds = theorem1_bounds(d, nullity, tol_ent, tol_lp)
+        bounds = theorem1_bounds(d, nullity, h_given_x, h_cond, tol_ent, tol_lp)
         try:
             mech = build_decode_table(d, mech)
             decodable = True
@@ -260,8 +267,8 @@ def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
     else:
         mech = None
     return Analysis(
-        d, rank, nullity, x_det, member, tol_ent / 10.0 <= gap <= 10.0 * tol_ent,
-        g0, mech, decodable, bounds, achieved,
+        d, h_given_x, h_cond, rank, nullity, x_det, member,
+        tol_ent / 10.0 <= gap <= 10.0 * tol_ent, g0, mech, decodable, bounds, achieved,
     )
 
 

@@ -51,7 +51,7 @@ def upper_bounds(a: Analysis) -> list[BoundEntry]:
     d, b = a.d, a.bounds
     t, q = d.x_size, d.y_size
     logx = ceil_log2(t)
-    sum_h = dist.sum_in_order(dist.conditional_entropies(d))
+    sum_h = dist.sum_in_order(a.h_given_x)
     closed = 1.0 + min(sum_h, float(np.ceil(np.log2(t * (q - 1) + 1) - 1.0))) + logx
     out = []
     if b is not None:
@@ -82,7 +82,7 @@ def lower_bounds(a: Analysis, key_size: int) -> tuple[list[BoundEntry], bool]:
     out = [
         BoundEntry(
             "max_conditional_entropy",
-            float(dist.conditional_entropies(d).max()),
+            float(a.h_given_x.max()),
             ALWAYS,
             key_size,
         )

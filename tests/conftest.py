@@ -2,11 +2,14 @@
 
 Property tests run under a derandomized hypothesis profile: every run draws
 the same examples, no example database is kept, and the example count is
-bounded so the suite stays fast.
+bounded so the suite stays fast. The ``ci`` profile is the same with ten
+times the examples; ``--hypothesis-profile=ci`` selects it, as CI does for
+the oracle properties (``-k oracle``).
 
 The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, the per-symbol entropy profile of a
-mechanism, the loop audit that is the oracle for ``codec.audit``, and the
+mechanism, the loop audit that is the oracle for ``codec.audit``, the
+sorting group numbering that is the oracle for its grouping, and the
 one-row-at-a-time entropy and decode-table loops that are the oracles for
 the batched forms in ``dist`` and ``mechanism``.
 """
@@ -19,12 +22,19 @@ from hypothesis import settings
 
 from zeroleak import codec, dist
 from zeroleak.dist import JointDistribution
-from zeroleak.errors import InternalError, NotDecodable
-from zeroleak.mechanism import TAU_ENT, Mechanism, conditional_u_given_y, mechanism_joint
+from zeroleak.errors import EmptySupport, InternalError, NotDecodable
+from zeroleak.mechanism import (
+    TAU_ENT,
+    Mechanism,
+    build_bound_matrices,
+    conditional_u_given_y,
+    mechanism_joint,
+)
 
 settings.register_profile(
     "zeroleak", derandomize=True, deadline=None, max_examples=40, database=None
 )
+settings.register_profile("ci", settings.get_profile("zeroleak"), max_examples=400)
 settings.load_profile("zeroleak")
 
 
@@ -56,6 +66,13 @@ def random_small_y_pair(
     x_size = int(rng.integers(y_size, max_x + 1))
     joint = rng.dirichlet(np.ones(x_size * y_size)).reshape(x_size, y_size) + 1e-3
     return dist.validate_and_normalize(joint / joint.sum())
+
+
+def bound_matrices(d: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """``mechanism.build_bound_matrices`` with H(Y|X=x) and H(Y|X) from ``dist``."""
+    return build_bound_matrices(
+        d, dist.conditional_entropies(d), dist.conditional_entropy_y_given_x(d)
+    )
 
 
 def entropy_profile(d: JointDistribution, mech: Mechanism) -> np.ndarray:
@@ -113,6 +130,8 @@ def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAu
         p_xyc[(x, y, c)] = p_xyc.get((x, y, c), 0.0) + mass
         if codec.decode(code, c, w) != y:
             failed += mass
+    if total == 0.0:
+        raise EmptySupport("no (x, y, u, w) event has positive mass")
     per_key = len_w * m  # divide out P(w) = 1/m per conditional expectation
 
     p_c: dict[str, float] = {}
@@ -145,6 +164,14 @@ def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAu
         mi_c_x_given_y=float(max(mi_cond, 0.0)),
         h_y_given_x_c=float(max(h_y_given_xc, 0.0)),
     )
+
+
+def unique_first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids numbered by first occurrence, and each group's first index,
+    by sorting: the oracle for ``codec._first_seen``."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = first.argsort()
+    return order.argsort()[inverse], first[order]
 
 
 def bits(values) -> list[bytes]:

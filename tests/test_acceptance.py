@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_small_y_pair, unpadded_reference_leakage
+from conftest import bound_matrices, random_small_y_pair, unpadded_reference_leakage
 
 from zeroleak import codec, dist, families, mechanism as mm, report
 from zeroleak.linalg import rank_and_nullity
@@ -243,11 +243,11 @@ def test_criterion_8_unique_optimizer_sweep():
         if d.x_size < d.y_size + 1:
             continue
         n_size += 1
-        a_xy, _ = mm.build_bound_matrices(d)
+        a_xy, _ = bound_matrices(d)
         if rank_and_nullity(a_xy)[0] != d.y_size:
             continue
         n_rank += 1
-        if mm.y_is_function_of_x(d):
+        if dist.conditional_entropy_y_given_x(d) <= mm.TAU_ENT:  # Y = f(X)
             continue
         n_notf += 1
         a = mm.analyze(d)

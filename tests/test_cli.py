@@ -367,15 +367,17 @@ def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key,
 
 
 def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
-    # rank/nullity and X = f(Y) live in the Analysis: the kernel rank is
-    # taken once, plus once for the bound matrix; X = f(Y) and g0 once each
+    # rank/nullity, X = f(Y) and H(Y|X=x) live in the Analysis: the kernel
+    # rank is taken once, plus once for the bound matrix; X = f(Y), g0 and
+    # the per-x entropies once each
     import sys
     from collections import Counter
 
     from zeroleak import linalg
 
     counts = Counter()
-    for original in (linalg.rank_and_nullity, mm.x_is_function_of_y, mm.solve_g0):
+    originals = (linalg.rank_and_nullity, mm.x_is_function_of_y, mm.solve_g0, dist.conditional_entropies)
+    for original in originals:
 
         def counting(*args, _f=original, **kwargs):
             counts[_f.__name__] += 1
@@ -388,7 +390,9 @@ def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
                         monkeypatch.setattr(mod, attr, counting)
     status, out = run_cli(["--cmd", "analyze", "--input", example1_file])
     assert status == 0 and "kernel_nullity = 4" in out
-    assert counts == {"rank_and_nullity": 2, "x_is_function_of_y": 1, "solve_g0": 1}
+    assert counts == {
+        "rank_and_nullity": 2, "x_is_function_of_y": 1, "solve_g0": 1, "conditional_entropies": 1
+    }
 
 
 def test_code_direct_pad_small_y(tmp_path):
@@ -442,6 +446,16 @@ def test_sweep_deterministic_given_seed():
             _golden_doc_with("example1", "two-part.p_u", "inf 0 0 0"),
             "two-part.p_u entry inf is not finite",
         ),
+        (
+            "audit",
+            _golden_doc_with("example1", "two-part.p_u", "-0.25 0.75 0.25 0.25"),
+            "two-part.p_u entry -0.25 is negative",
+        ),
+        (
+            "audit",
+            _golden_doc_with("example1", "two-part.p_u", "5e-324 0 0 0"),
+            "no (x, y, u, w) event has positive mass",
+        ),
     ],
     ids=[
         "negative-joint-entry",
@@ -458,6 +472,8 @@ def test_sweep_deterministic_given_seed():
         "doc-kernel-nan",
         "doc-p-u-nan",
         "doc-p-u-inf",
+        "doc-p-u-negative",
+        "doc-p-u-subnormal",
     ],
 )
 def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, content, named):

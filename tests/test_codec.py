@@ -3,16 +3,17 @@
 import math
 import struct
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import loop_audit, random_small_y_pair, unpadded_reference_leakage
+from conftest import loop_audit, random_small_y_pair, unique_first_seen, unpadded_reference_leakage
 
 from zeroleak import codec, dist, families, mechanism as mm
-from zeroleak.errors import IncompleteMechanism, MalformedBits, WrongRegime
+from zeroleak.errors import EmptySupport, IncompleteMechanism, MalformedBits, WrongRegime
 
 EX1_KERNEL = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
 EX1_PY = np.array([1 / 8, 2 / 8, 3 / 8, 1 / 8, 1 / 16, 1 / 16])
@@ -413,6 +414,62 @@ def test_audit_matches_loop_oracle(family, seed):
                 code.scheme,
                 name,
             )
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324], ids=["zero", "underflowing"])
+def test_audit_without_positive_mass_is_empty_support(scale):
+    # every P(u|y), or every event mass p(x, y) P(u|y) / m, is 0
+    d, _, code = example1_code()
+    code = replace(code, p_u_given_y=code.p_u_given_y * scale)
+    for audit_fn in (codec.audit, loop_audit):
+        with pytest.raises(EmptySupport, match="no .* event has positive mass"):
+            audit_fn(code, d)
+
+
+def _ints(values):
+    return np.array(values, dtype=np.int64)
+
+
+# key arrays >= 0: empty, one key, all equal, all distinct, a few keys far
+# above their count, and many keys over a small alphabet; the longer ones
+# pass 256 keys, where the first-index table widens from 8 to 16 bits
+KEY_ARRAYS = st.one_of(
+    st.just(_ints([])),
+    st.integers(0, 10**5).map(lambda k: _ints([k])),
+    st.builds(lambda k, n: _ints([k] * n), st.integers(0, 10**5), st.integers(2, 300)),
+    st.integers(2, 300).flatmap(lambda n: st.permutations(range(n))).map(_ints),
+    st.lists(st.integers(0, 10**5), max_size=20).map(_ints),
+    st.integers(1, 5).flatmap(lambda k: st.lists(st.integers(0, k), max_size=200)).map(_ints),
+)
+
+
+def _same_groups(keys):
+    got, want = codec._first_seen(keys), unique_first_seen(keys)
+    return all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+@given(KEY_ARRAYS)
+def test_first_seen_matches_unique_oracle(keys):
+    assert _same_groups(keys)
+
+
+@given(st.sampled_from(["example1", *families.FAMILIES]), st.integers(0, 2**32 - 1))
+def test_first_seen_matches_unique_oracle_on_audit_keys(family, seed):
+    # every key array the audit groups, for the code and each of its mutations
+    rng = np.random.default_rng(seed)
+    d = example1() if family == "example1" else families.FAMILIES[family](rng)
+    seen = []
+
+    def recording(keys):
+        seen.append(keys.copy())
+        return first_seen(keys)
+
+    first_seen = codec._first_seen
+    with patch.object(codec, "_first_seen", recording):
+        for code in codec.build_codes(mm.analyze(d)):
+            for _, mutant in _mutations(code, rng):
+                _outcome(codec.audit, mutant, d)
+    assert seen and all(_same_groups(keys) for keys in seen)
 
 
 def test_audit_zero_conditional_entropy_is_positive_zero():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bits,
+    bound_matrices,
     loop_conditional_entropies,
     loop_conditional_entropy_y_given_x,
     loop_entropy_rows,
@@ -231,6 +232,6 @@ def test_conditional_entropies_match_row_loops(family, seed):
     assert bits(dist.sum_in_order(h)) == bits(float(sum(want)))
     assert bits(h.max()) == bits(float(max(want)))
     h_cond = loop_conditional_entropy_y_given_x(d)
-    assert bits(mm.build_bound_matrices(d)[1]) == bits([hx - h_cond for hx in want])
+    assert bits(bound_matrices(d)[1]) == bits([hx - h_cond for hx in want])
     verts = mm.feasible_columns(d)
     assert bits(dist.entropy_rows(verts)) == bits(loop_entropy_rows(verts))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_small_y_pair
+from conftest import bound_matrices, random_small_y_pair
 
 from zeroleak import dist, families, linalg
 from zeroleak import mechanism as mm
@@ -91,10 +91,8 @@ def test_lp_extra_inequality():
 
 
 def test_example1_bound_system_is_feasible():
-    from zeroleak.mechanism import build_bound_matrices
-
     d = dist.from_conditional(EX1_KERNEL, np.array([1 / 8, 2 / 8, 3 / 8, 1 / 8, 1 / 16, 1 / 16]))
-    a_xy, b_xy = build_bound_matrices(d)
+    a_xy, b_xy = bound_matrices(d)
     py = dist.marginal_y(d)
     out = solve_lp(LinearProgram(py, a_xy, b_xy, sense="max"))
     assert out.status != "infeasible"
@@ -604,7 +602,7 @@ def assert_matches_oracle(lp):
 def test_lp_matches_oracle_on_family_lps(seed, family):
     # the three bound LPs of theorem1_bounds and the g0 mixture LP
     d = family(np.random.default_rng(seed))
-    a_xy, b_xy = mm.build_bound_matrices(d)
+    a_xy, b_xy = bound_matrices(d)
     py = dist.marginal_y(d)
     assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="min"))
     assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="max"))

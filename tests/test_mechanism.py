@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bits, entropy_profile, loop_build_decode_table, loop_entropy_y_given_xu
+from conftest import bits, bound_matrices, entropy_profile, loop_build_decode_table, loop_entropy_y_given_xu
 
 from zeroleak import dist, families, mechanism as mm, report
 from zeroleak.dist import Kernel
@@ -35,7 +35,7 @@ def noisy_2x4():
 
 
 def test_bound_matrices_example1_first_row():
-    a_xy, b_xy = mm.build_bound_matrices(example1())
+    a_xy, b_xy = bound_matrices(example1())
     expected = [1 / 8 - 1 / 6, 2 / 8 - 2 / 6, 3 / 8 - 3 / 6, 1 / 8, 1 / 16, 1 / 16]
     assert np.allclose(a_xy[0], expected, atol=1e-12)
     assert b_xy[0] == pytest.approx(
@@ -45,14 +45,14 @@ def test_bound_matrices_example1_first_row():
 
 def test_bound_matrices_independent_pair_all_zero():
     d = dist.validate_and_normalize(np.outer([0.4, 0.6], [0.1, 0.2, 0.7]))
-    a_xy, b_xy = mm.build_bound_matrices(d)
+    a_xy, b_xy = bound_matrices(d)
     assert np.abs(a_xy).max() <= 1e-12
     assert np.abs(b_xy).max() <= 1e-12
 
 
 def test_bound_matrices_single_x_all_zero():
     d = dist.validate_and_normalize(np.array([[0.2, 0.3, 0.5]]))
-    a_xy, b_xy = mm.build_bound_matrices(d)
+    a_xy, b_xy = bound_matrices(d)
     assert np.abs(a_xy).max() <= 1e-12
     assert np.abs(b_xy).max() <= 1e-12
 
@@ -64,7 +64,7 @@ def test_bound_matrices_weighted_identities_random():
         d = dist.validate_and_normalize(
             rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape) + 1e-4
         )
-        a_xy, b_xy = mm.build_bound_matrices(d)
+        a_xy, b_xy = bound_matrices(d)
         px = dist.marginal_x(d)
         assert np.abs(a_xy.sum(axis=1)).max() <= 1e-10
         assert np.abs(px @ a_xy).max() <= 1e-10
@@ -283,7 +283,7 @@ def test_entropy_profile_solves_bound_system():
     for _ in range(30):
         d = families.random_deterministic_pair(rng)
         _, mech = mm.solve_g0(d)
-        a_xy, b_xy = mm.build_bound_matrices(d)
+        a_xy, b_xy = bound_matrices(d)
         prof = entropy_profile(d, mech)
         assert np.abs(a_xy @ prof - b_xy).max() <= 1e-8
 
