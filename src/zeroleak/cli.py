@@ -259,7 +259,8 @@ def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str
         else:
             lines.kv("direct-pad.key_size", code.key_size)
             lines.kv("direct-pad.field_bits", code.field_bits)
-        violations += render_audit_result(code, codec.audit(code, d), a.achieved_hu, d, lines)
+        audit = codec.audit(code, d)
+        violations += render_audit_result(code, audit, a.achieved_hu, d, a.h_given_x.max(), lines)
     return schemes, violations
 
 
@@ -268,6 +269,7 @@ def render_audit_result(
     audit: codec.LeakageAudit,
     achieved_hu: float | None,
     d: JointDistribution,
+    converse: float,
     lines: Lines,
 ) -> list[str]:
     scheme = code.scheme
@@ -280,7 +282,7 @@ def render_audit_result(
     )
     lines.kv(f"{scheme}.audit.mi_c_x_given_y", audit.mi_c_x_given_y)
     lines.kv(f"{scheme}.audit.h_y_given_x_c", audit.h_y_given_x_c)
-    violations = codec.check_audit(code, audit, d, achieved_hu)
+    violations = codec.check_audit(code, audit, d, achieved_hu, converse)
     lines.kv(f"{scheme}.audit.ok", not violations)
     return violations
 
@@ -343,6 +345,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     schemes = _doc_field(doc, "schemes", str.split)
     if not schemes:
         raise ParseError("code document's schemes entry is empty")
+    converse = dist.conditional_entropies(d).max()
     violations: list[str] = []
     for scheme in schemes:
         if scheme == codec.DIRECT_PAD:
@@ -416,7 +419,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
         except MalformedBits as exc:
             violations.append(f"{scheme}: a message does not decode ({exc})")
             continue
-        violations += render_audit_result(code, audit, hu, d, lines)
+        violations += render_audit_result(code, audit, hu, d, converse, lines)
     return violations
 
 
@@ -446,7 +449,7 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     if mech_mod.information_identity_residual(d, a.mech) > 1e-9:
         problems.append("information identity residual above 1e-9")
     for code in codec.build_codes(a):
-        problems += codec.check_audit(code, codec.audit(code, d), d, hu)
+        problems += codec.check_audit(code, codec.audit(code, d), d, hu, a.h_given_x.max())
     return problems
 
 

@@ -8,11 +8,14 @@ Two schemes:
 * direct-pad: when |Y| <= |X|, pad Y itself and send it in a fixed
   ceil(log2 |Y|)-bit field.
 
-Audits never sample: they enumerate the exact joint over (x, y, u, w) and
-account for every message bit and every unit of probability mass, in one
-vectorised pass that sums the events in the order of a one-at-a-time loop.
-The (c, x) and (x, y, c) groups are numbered by first occurrence from a
-key-indexed table of first events, with no sort.
+Audits never sample: they account exactly for every (x, y, u, w) event,
+every message bit and every unit of probability mass, in one vectorised
+pass that sums in the order of a one-at-a-time loop over the events. For
+every code ``build_codes`` makes, the uniform key spreads each padded
+symbol evenly over the fields (the one-time pad), so the pass enumerates
+only the (x, y, u) triples and expands them to events inside the ordered
+sums (see ``audit``). The (c, x) and (x, y, c) groups are numbered by first
+occurrence from a key-indexed table of first entries, with no sort.
 ``build_codes`` picks the schemes that apply to an analysis, and
 ``check_audit`` names the invariants an audit shows broken.
 """
@@ -257,22 +260,34 @@ class LeakageAudit:
     h_y_given_x_c: float
 
 
-def _events(code: PrivateCode, d: JointDistribution):
-    """Arrays x, y, u, w, mass over the positive-mass events, in (x, y, u, w) order."""
+def _folds(code: PrivateCode) -> bool:
+    """Whether the key runs over whole pad cycles into a field that holds
+    every padded value. Then each source symbol (x for two-part, y for
+    direct-pad) reaches each of the pad_modulus fields key_size //
+    pad_modulus times, and decoding does not depend on the key."""
+    n, width = code.pad_modulus, code.field_bits
+    whole_cycles = code.key_size > 0 and code.key_size % n == 0
+    return whole_cycles and (n == 1 or (width > 0 and n <= 1 << min(width, 62)))
+
+
+def _events(code: PrivateCode, d: JointDistribution, keys: int):
+    """Arrays x, y, u, w, mass over the positive-mass events with w < ``keys``,
+    in (x, y, u, w) order."""
     m = code.key_size
     # direct-pad has the one symbol u = 0, and p * 1.0 / m is exactly p / m
     q = np.ones((1, d.y_size)) if code.scheme == DIRECT_PAD else code.p_u_given_y
     x, y, u = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None]).T
-    mass = (d.p[x, y] * q[u, y] / m).repeat(m)  # each (x, y, u) mass, once per w
-    w = np.arange(m)[None].repeat(x.size, 0).ravel()  # 0..m-1 once per (x, y, u)
-    return x.repeat(m), y.repeat(m), u.repeat(m), w, mass
+    mass = d.p[x, y] * q[u, y] / m
+    if keys > 1:  # each (x, y, u) once per w
+        x, y, u, mass = (a.repeat(keys) for a in (x, y, u, mass))
+    return x, y, u, np.arange(x.size) % keys, mass
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ids numbered by first occurrence, and each group's first index.
 
     ``keys`` are ints >= 0. A table indexed by key holds each key's first
-    index, in the narrowest dtype that holds len(keys); an event leads
+    index, in the narrowest dtype that holds len(keys); an entry leads
     its group when its index is that first index, and counting the leaders
     numbers the groups. Nothing is sorted: the cost is O(len(keys) + max key).
     """
@@ -284,6 +299,14 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = lead.cumsum()
     ids -= 1
     return ids[first_of], np.flatnonzero(lead)
+
+
+def _sums(ids: np.ndarray, values: np.ndarray, reps: int) -> np.ndarray:
+    """Each id's total (ids are small ints >= 0), added in array order with
+    every value ``reps`` times in a row."""
+    if reps > 1:
+        ids, values = ids.repeat(reps), values.repeat(reps)
+    return np.bincount(ids, weights=values)
 
 
 def _totals(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -301,9 +324,10 @@ def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
 
 
 def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
-    """Each event's message as an int, its length in bits and the y decode
-    reads off it. Raises decode's MalformedBits for the first event that
-    does not decode."""
+    """Each event's message as the int u_hat * pad_modulus + padded field
+    (u_hat = 0 for direct-pad), its length in bits and the y decode reads
+    off it. Raises decode's MalformedBits for the first event that does not
+    decode."""
     n, width = code.pad_modulus, min(code.field_bits, 62)
     padded = (y if code.scheme == DIRECT_PAD else x) + w
     padded %= n
@@ -319,16 +343,20 @@ def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
         words = [code.u_code.codewords[s] for s in range(u_size)]
         length = (code.field_bits + np.array([len(c) for c in words]))[u]
         # symbols that share a codeword decode to the same one, so once every
-        # event decodes, the message C is the pair (padded field, u_hat)
+        # event decodes, the message C is the pair (u_hat, padded field)
         u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
-        msg = padded * u_size
-        msg += u_hat
+        msg = u_hat * n
+        msg += padded
         # decode's y: -2 if absent, -1 if not in 0..|Y|-1; the last column,
-        # which u_hat = -1 reads, stays -2
-        table = np.full((n, u_size + 1), -2, dtype=np.min_scalar_type(-d.y_size))
+        # which u_hat = -1 reads, stays -2. The dict's ints may be of any
+        # size, and converting it to arrays costs as much per entry as this
+        # loop, which fills a list and converts that once.
+        cols, y_size = u_size + 1, d.y_size
+        flat = [-2] * (n * cols)
         for (x_key, u_key), y_val in code.mech.decode.items():
             if 0 <= x_key < n and 0 <= u_key < u_size:
-                table[x_key, u_key] = y_val if 0 <= y_val < d.y_size else -1
+                flat[x_key * cols + u_key] = y_val if 0 <= y_val < y_size else -1
+        table = np.array(flat, dtype=np.min_scalar_type(-y_size)).reshape(n, cols)
         padded -= w
         padded %= n
         y_hat = table[padded, u_hat]
@@ -341,64 +369,81 @@ def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
 
 
 def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
-    """Enumerate every (x, y, u, w) event and account for it exactly.
+    """Account exactly for every (x, y, u, w) event.
 
     Computes I(C; X), the probability of correct decoding, the expected
     message length conditioned on each key value, and the two received-code
     diagnostics I(C; X | Y) and H(Y | X, C). Every sum runs in event order,
     so each figure is, bit for bit, that of adding the events one at a time.
     Raises decode's MalformedBits for the first event that does not decode.
+
+    When the key folds (``_folds``; every code ``build_codes`` makes), the
+    (x, y, u) triples at w = 0 stand for all their events: a (c, x) or
+    (x, y, c) group is a class of triples, (x, u_hat) and (x, u_hat, y) for
+    two-part, (x) and (x, y) for direct-pad, at one field, with the same
+    mass at every field. Masses are expanded only inside the ordered sums:
+    key_size times for the total and the failed mass, key_size //
+    pad_modulus times in each group's sum, and pad_modulus times, class
+    first, for each group term. Other codes are enumerated event by event.
     """
     if code.y_size != d.y_size:
         raise InternalError("code and distribution disagree on |Y|")
     m = code.key_size
-    x, y, u, w, mass = _events(code, d)
+    keys, fields = (1, code.pad_modulus) if _folds(code) else (m, 1)
+    x, y, u, w, mass = _events(code, d, keys)
     msg, length, y_hat = _messages(code, d, x, y, u, w)
     if not (mass > 0.0).any():
         raise EmptySupport("no (x, y, u, w) event has positive mass")
-    total = dist.sum_in_order(mass)
-    failed = dist.sum_in_order(mass[y_hat != y])
-    per_key = np.bincount(w, weights=mass * length, minlength=m) * m  # divide out P(w) = 1/m
+    each = m // keys  # events per enumerated one: the keys it stands for
+    total = dist.sum_in_order(mass.repeat(each))
+    failed = dist.sum_in_order(mass[y_hat != y].repeat(each))
+    # divide out P(w) = 1/m
+    per_key = np.bincount(w, weights=mass * length, minlength=keys).repeat(each) * m
     del u, w, length, y_hat  # the groups need only x, y, msg and mass; this lowers the peak
+    msg //= fields  # the message class: the field is dropped under the fold
+    k = each // fields  # times each enumerated event enters its group at one field
 
     # p(c, x) and p(x, y, c), each group numbered and summed in event order
     cx = msg * d.x_size
     cx += x
     g, first = _first_seen(cx)
-    p_cx = np.bincount(g, weights=mass)
-    mi = dist.sum_in_order(
-        p_cx * np.log2(p_cx / (_totals(msg[first], p_cx) * _totals(x[first], p_cx)))
-    )
+    p_cx = _sums(g, mass, k)
+    p_c_p_x = _totals(msg[first], p_cx) * _sums(x[first], p_cx, fields)[x[first]]
+    mi = dist.sum_in_order((p_cx * np.log2(p_cx / p_c_p_x)).repeat(fields))
     # the (x, y, c) key is built on the compact (c, x) ids, so its table has
     # |Y| entries per (c, x) group however sparse the message numbers are
     g *= d.y_size
     g += y
     g, first = _first_seen(g)
-    p_xyc = np.bincount(g, weights=mass)
+    p_xyc = _sums(g, mass, k)
     x_g, y_g, c_g = x[first], y[first], msg[first]
     p_yc = _totals(c_g * d.y_size + y_g, p_xyc)
     p_xc = _totals(cx[first], p_xyc)
     p_y = dist.marginal_y(d)
     # I(X;C|Y) = sum p(x,y,c) log [ p(x,y,c) p(y) / (p(x,y) p(y,c)) ]
-    mi_cond = dist.sum_in_order(p_xyc * np.log2(p_xyc * p_y[y_g] / (d.p[x_g, y_g] * p_yc)))
-    h_y_given_xc = dist.sum_in_order(-(p_xyc * np.log2(p_xyc / p_xc)))
+    mi_cond = p_xyc * np.log2(p_xyc * p_y[y_g] / (d.p[x_g, y_g] * p_yc))
+    h_y_given_xc = -(p_xyc * np.log2(p_xyc / p_xc))
 
     return LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),
         lossless_prob=np.float64(1.0 - failed / total),  # a numpy float, as the loop audit returned
         per_key_expected_length=per_key,
-        mi_c_x_given_y=float(max(mi_cond, 0.0)),
-        h_y_given_x_c=float(max(h_y_given_xc, 0.0)),
+        mi_c_x_given_y=float(max(dist.sum_in_order(mi_cond.repeat(fields)), 0.0)),
+        h_y_given_x_c=float(max(dist.sum_in_order(h_y_given_xc.repeat(fields)), 0.0)),
     )
 
 
 def check_audit(
-    code: PrivateCode, audit: LeakageAudit, d: JointDistribution, achieved_hu: float | None
+    code: PrivateCode,
+    audit: LeakageAudit,
+    d: JointDistribution,
+    achieved_hu: float | None,
+    converse: float,
 ) -> list[str]:
     """Name every invariant the audit shows broken: zero leakage, lossless,
-    one length for every key, the converse max_x H(Y|X=x), and at most
-    H(U) + 1 + ceil(log2 |X|) bits (two-part, when ``achieved_hu`` is given)
-    or exactly ceil(log2 |Y|) bits (direct-pad)."""
+    one length for every key, at least the ``converse`` max_x H(Y|X=x), and
+    at most H(U) + 1 + ceil(log2 |X|) bits (two-part, when ``achieved_hu`` is
+    given) or exactly ceil(log2 |Y|) bits (direct-pad)."""
     scheme = code.scheme
     lengths = audit.per_key_expected_length
     violations = []
@@ -410,7 +455,7 @@ def check_audit(
     spread = float(np.ptp(lengths))
     if spread > 1e-12:
         violations.append(f"{scheme}: per-key length varies by {spread:.3g}")
-    if lengths.max() < dist.conditional_entropies(d).max() - 1e-9:
+    if lengths.max() < converse - 1e-9:
         violations.append(f"{scheme}: per-key length below the converse max_x H(Y|X=x)")
     if scheme == TWO_PART and achieved_hu is not None:
         cap = achieved_hu + 1.0 + ceil_log2(d.x_size) + 1e-9

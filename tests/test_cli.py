@@ -366,10 +366,9 @@ def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key,
     assert "direct-pad.key_size" in capsys.readouterr().err
 
 
-def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
-    # rank/nullity, X = f(Y) and H(Y|X=x) live in the Analysis: the kernel
-    # rank is taken once, plus once for the bound matrix; X = f(Y), g0 and
-    # the per-x entropies once each
+def _count_calls(monkeypatch, argv):
+    """Run the CLI on ``argv``, counting the calls of rank/nullity, X = f(Y),
+    g0 and the per-x entropies H(Y|X=x) through every binding in the package."""
     import sys
     from collections import Counter
 
@@ -388,11 +387,27 @@ def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
                 for attr, obj in list(vars(mod).items()):
                     if obj is original:
                         monkeypatch.setattr(mod, attr, counting)
-    status, out = run_cli(["--cmd", "analyze", "--input", example1_file])
+    status, out = run_cli(argv)
+    return status, out, counts
+
+
+def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
+    # rank/nullity, X = f(Y) and H(Y|X=x) live in the Analysis: the kernel
+    # rank is taken once, plus once for the bound matrix; X = f(Y), g0 and
+    # the per-x entropies once each
+    status, out, counts = _count_calls(monkeypatch, ["--cmd", "analyze", "--input", example1_file])
     assert status == 0 and "kernel_nullity = 4" in out
     assert counts == {
         "rank_and_nullity": 2, "x_is_function_of_y": 1, "solve_g0": 1, "conditional_entropies": 1
     }
+
+
+def test_code_computes_the_converse_once(monkeypatch):
+    # both schemes' audit checks read max_x H(Y|X=x) from the Analysis
+    argv = ["--cmd", "code", "--input", str(GOLDEN / "uniform4x3.txt"), "--format", "structured"]
+    status, out, counts = _count_calls(monkeypatch, argv)
+    assert status == 0 and "two-part.audit.ok = true" in out and "direct-pad.audit.ok = true" in out
+    assert counts["conditional_entropies"] == 1
 
 
 def test_code_direct_pad_small_y(tmp_path):

@@ -297,7 +297,8 @@ def test_check_audit_names_each_invariant(scheme, fields, named):
     else:
         d = uniform_pair(4, 3)
         code, hu = codec.build_direct_pad(d), None
-    violations = codec.check_audit(code, _leakage_audit(**fields), d, hu)
+    converse = dist.conditional_entropies(d).max()
+    violations = codec.check_audit(code, _leakage_audit(**fields), d, hu, converse)
     if named is None:
         assert violations == []
     else:
@@ -357,6 +358,7 @@ def _mutations(code, rng):
     yield "as built", code
     yield "key_size = 1", replace(code, key_size=1)
     yield "key_size + 2", replace(code, key_size=code.key_size + 2)
+    yield "key_size x 2", replace(code, key_size=code.key_size * 2)
     yield "field_bits + 1", replace(code, field_bits=code.field_bits + 1)
     yield "field_bits = 0", replace(code, field_bits=0)
     if code.field_bits > 1:
@@ -385,6 +387,8 @@ def _mutations(code, rng):
     yield "wrong decode entry", with_table({**table, key: (table[key] + 1) % code.y_size})
     yield "missing decode entry", with_table({k: v for k, v in table.items() if k != key})
     yield "out-of-range decode value", with_table({**table, key: code.y_size})
+    # a code document may hold integers of any size
+    yield "decode entries beyond 64 bits", with_table({**table, key: 1 << 64, (-1 << 64, 0): 0})
 
 
 def _outcome(audit_fn, code, d):
@@ -404,16 +408,23 @@ def _outcome(audit_fn, code, d):
     )
 
 
-@given(st.sampled_from(["example1", *families.FAMILIES]), st.integers(0, 2**32 - 1))
-def test_audit_matches_loop_oracle(family, seed):
-    rng = np.random.default_rng(seed)
-    d = example1() if family == "example1" else families.FAMILIES[family](rng)
-    for code in codec.build_codes(mm.analyze(d)):
+def _audits_match_loop(d, rng):
+    """Assert that each code of ``d`` and each of its mutations audits as the
+    loop oracle does; return the schemes checked."""
+    codes = codec.build_codes(mm.analyze(d))
+    for code in codes:
         for name, mutant in _mutations(code, rng):
             assert _outcome(codec.audit, mutant, d) == _outcome(loop_audit, mutant, d), (
                 code.scheme,
                 name,
             )
+    return [code.scheme for code in codes]
+
+
+@given(st.sampled_from(["example1", *families.FAMILIES]), st.integers(0, 2**32 - 1))
+def test_audit_matches_loop_oracle(family, seed):
+    rng = np.random.default_rng(seed)
+    _audits_match_loop(example1() if family == "example1" else families.FAMILIES[family](rng), rng)
 
 
 @pytest.mark.parametrize("scale", [0.0, 5e-324], ids=["zero", "underflowing"])
@@ -475,3 +486,12 @@ def test_first_seen_matches_unique_oracle_on_audit_keys(family, seed):
 def test_audit_zero_conditional_entropy_is_positive_zero():
     d, mech, code = example1_code()
     assert struct.pack("<d", codec.audit(code, d).h_y_given_x_c) == struct.pack("<d", 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 8), (2, 14, 9), (3, 11, 5)], ids=str)
+def test_audit_matches_loop_oracle_on_audit_heavy_shapes(shape):
+    # common-info (|V|, |N1|, |N2|) with |X| up to 33, the audit-heavy
+    # benchmark's widest shapes, which the families never draw
+    rng = np.random.default_rng(1)
+    d = families.random_common_info_pair(rng, *shape)
+    assert _audits_match_loop(d, rng) == [codec.TWO_PART, codec.DIRECT_PAD]
