@@ -193,6 +193,8 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
         lines.kv("k_lower", b.k_lower)
         lines.kv("k_upper", b.k_upper)
         lines.kv("k_upper_strengthened", b.k_upper_strengthened)
+        if b.strengthened_fallback:
+            lines.kv("k_upper_strengthened_fallback", True)
         lines.kv("log_nullity_bound", b.log_nullity_bound)
         lines.kv("unique_optimizer", b.unique)
         lines.kv("achieved_entropy", a.achieved_hu)

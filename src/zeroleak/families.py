@@ -22,11 +22,16 @@ def _random_simplex(rng: np.random.Generator, n: int, floor: float = 0.02) -> np
 
 
 def random_deterministic_pair(
-    rng: np.random.Generator, max_x: int = 4, max_y: int = 10
+    rng: np.random.Generator,
+    max_x: int = 4,
+    max_y: int = 10,
+    x_size: int | None = None,
+    y_size: int | None = None,
 ) -> JointDistribution:
-    """X = f(Y) with a uniformly random surjective f and full-support P_Y."""
-    y_size = int(rng.integers(2, max_y + 1))
-    x_size = int(rng.integers(1, min(max_x, y_size) + 1))
+    """X = f(Y) with a uniformly random surjective f and full-support P_Y;
+    sizes not given are drawn up to ``max_x`` and ``max_y``."""
+    y_size = y_size or int(rng.integers(2, max_y + 1))
+    x_size = x_size or int(rng.integers(1, min(max_x, y_size) + 1))
     f = np.concatenate([np.arange(x_size), rng.integers(0, x_size, y_size - x_size)])
     rng.shuffle(f)
     p_y = _random_simplex(rng, y_size)

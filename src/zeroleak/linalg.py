@@ -10,10 +10,18 @@ every min-ratio pivot, so the work grows with the number of feasible bases
 rather than with the C(n, rank) column subsets. The walk handles one BFS
 level at a time, its tableaux stacked into one array, and visits the same
 bases in the same order as a FIFO queue would. One Gauss-Jordan step,
-``_pivot``, serves the row reduction and the simplex; ``_pivot_stack`` is
-the same elementwise step over a stack, for the vertex walk. One
-elimination routine, ``_rref``, serves rank/nullity, the reduction to
-independent rows and the choice of basis on which each vertex is solved.
+``_pivot``, serves the row reduction and the simplex, each updating a
+tableau it owns in place; ``_pivot_stack`` is the same step over a stack,
+for the vertex walk. Both form the rank-1 term as a product with no summed
+index (BLAS dgemm with k = 1, and one ``einsum`` for the stack), so each
+entry is one rounded product, as in ``np.outer``, and every pivot gives the
+elementwise step's values, value for value. Zeros may differ in sign (BLAS
+writes +0.0 where ``np.outer`` writes -0.0), and no output can see it:
+every decision compares against a tolerance, every divisor exceeds a
+tolerance in magnitude, and LP points and vertices are clipped at zero
+(``np.clip`` writes +0.0 for either zero). One elimination routine,
+``_rref``, serves rank/nullity, the reduction to independent rows and the
+choice of basis on which each vertex is solved.
 """
 
 from __future__ import annotations
@@ -28,22 +36,23 @@ TAU_LP = 1e-9
 RANK_TOL = 1e-10
 
 
-def _pivot(tab: np.ndarray, row: int, col: int) -> np.ndarray:
-    """The tableau after one Gauss-Jordan step on entry (row, col): that
-    column becomes the unit vector of ``row``."""
+def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """One Gauss-Jordan step on entry (row, col), in place: that column
+    becomes the unit vector of ``row``. The rank-1 term is dgemm with k = 1,
+    the elementwise step value for value; zeros may differ in sign."""
     prow = tab[row] / tab[row, col]
-    out = tab - np.outer(tab[:, col], prow)
-    out[row] = prow
-    return out
+    tab -= np.dot(tab[:, col, None], prow[None, :])
+    tab[row] = prow
 
 
 def _pivot_stack(tabs: np.ndarray, parent, row, col) -> np.ndarray:
-    """``_pivot(tabs[p], r, c)`` for each (p, r, c), as one stack; the same
-    elementwise operations, so each result equals ``_pivot``'s bit for bit."""
+    """``_pivot`` on a copy of ``tabs[p]`` at (r, c), for each (p, r, c), as
+    one new stack; its products are one ``einsum`` with no summed index, so
+    each tableau is ``_pivot``'s value for value, zeros may differ in sign."""
     out = tabs[parent]
     k = np.arange(len(parent))
     prow = out[k, row] / out[k, row, col][:, None]
-    out -= out[k, :, col][:, :, None] * prow[:, None, :]
+    out -= np.einsum("kr,kn->krn", out[k, :, col], prow)
     out[k, row] = prow
     return out
 
@@ -70,7 +79,7 @@ def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarr
             continue
         if piv != rank:
             work[[rank, piv]] = work[[piv, rank]]
-        work = _pivot(work, rank, c)
+        _pivot(work, rank, c)
         pivots.append(c)
     rank = len(pivots)
     if rank < rows and (np.abs(work[rank:, -1]) > 1e-7 * scale).any():
@@ -110,21 +119,23 @@ class LpOutcome:
     point: np.ndarray | None
 
 
-def _bland_iterate(tab, basis, costs, n_allowed, tol) -> tuple[str, np.ndarray]:
-    """Run simplex pivots on the tableau [T | rhs] under Bland's rule until
-    optimal or unbounded; returns the status and the final tableau.
+def _bland_iterate(tab, basis, costs, n_allowed, tol) -> str:
+    """Run simplex pivots on the tableau [T | rhs], in place, under Bland's
+    rule until optimal or unbounded; returns the status.
 
     Only columns with index < n_allowed may enter (used to shut out
     artificials in phase 2).
     """
+    if not n_allowed:
+        return "optimal"
     m = tab.shape[0]
+    cb = costs[basis]
     cap = 10_000 + 100 * (m + tab.shape[1] - 1)
     for _ in range(cap):
-        red = costs - costs[basis] @ tab[:, :-1]
-        improving = (red[:n_allowed] < -tol).nonzero()[0]
-        if not improving.size:
-            return "optimal", tab
-        enter = int(improving[0])
+        improving = (costs - cb @ tab[:, :-1])[:n_allowed] < -tol
+        enter = int(improving.argmax())
+        if not improving[enter]:
+            return "optimal"
         # Python floats compare and divide exactly as float64 scalars do
         col, b = tab[:, enter].tolist(), tab[:, -1].tolist()
         best = np.inf
@@ -137,9 +148,10 @@ def _bland_iterate(tab, basis, costs, n_allowed, tol) -> tuple[str, np.ndarray]:
                 elif r <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
                     leave = i
         if leave < 0:
-            return "unbounded", tab
-        tab = _pivot(tab, leave, enter)
+            return "unbounded"
+        _pivot(tab, leave, enter)
         basis[leave] = enter
+        cb[leave] = costs[enter]
     raise NumericalFailure(f"simplex exceeded {cap} pivots without certifying a status")
 
 
@@ -178,7 +190,7 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
     tab = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    _, tab = _bland_iterate(tab, basis, phase1, n + m, tol)
+    _bland_iterate(tab, basis, phase1, n + m, tol)
     scale = 1.0 + float(np.abs(b).sum())
     if phase1[basis] @ tab[:, -1] > tol * scale:
         return LpOutcome("infeasible", float("nan"), None)
@@ -192,13 +204,13 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
         row = tab[i, :n]
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > tol:
-            tab = _pivot(tab, i, j)
+            _pivot(tab, i, j)
             basis[i] = j
             keep.append(i)
     tab = tab[np.ix_(keep, [*range(n), n + m])]
     basis = [basis[i] for i in keep]
 
-    status, tab = _bland_iterate(tab, basis, c, n, tol)
+    status = _bland_iterate(tab, basis, c, n, tol)
     if status == "unbounded":
         return LpOutcome("unbounded", sign * float("-inf"), None)
 
@@ -309,7 +321,8 @@ def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
     the level's tableaux are stacked, each test runs once over the stack,
     and all children are pivoted in one stacked step. Bases are visited in
     the order a FIFO queue would pop them, from the same parents, with
-    tableaux equal to one-at-a-time pivots bit for bit. The walk starts at
+    tableaux equal to one-at-a-time pivots value for value (zeros may
+    differ in sign; see the module docstring). The walk starts at
     the pivot columns of the reduced system, or, when those solve to an
     entry below -tol, at a basis around a phase-1 simplex point. From each
     basis it takes every min-ratio pivot, with every leaving row whose ratio

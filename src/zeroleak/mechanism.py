@@ -15,7 +15,6 @@ that of a loop over them with the one-row ``dist.entropy``, bit for bit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,11 +47,16 @@ class Mechanism:
 
 @dataclass(frozen=True)
 class MechanismBounds:
+    """The H(U) sandwich of ``theorem1_bounds``. ``strengthened_fallback`` is
+    True when the strengthened LP found no optimum in floating point and
+    ``k_upper_strengthened`` is min(k_upper, log_nullity_bound) instead."""
+
     k_lower: float
     k_upper: float
     k_upper_strengthened: float
     log_nullity_bound: float
     unique: bool
+    strengthened_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -165,17 +169,10 @@ def theorem1_bounds(
     hi_s = solve_lp(
         LinearProgram(py, a_xy, b_xy, extra_ineq=(py, cap), sense="max"), tol=tol_lp
     )
-    if hi_s.status == "optimal":
-        k_upper_s = h_cond + hi_s.value
-    else:
-        # Exact arithmetic guarantees a feasible point; floating point can
-        # miss it, so fall back to the weaker of the two valid caps.
-        warnings.warn(
-            "strengthened bound LP infeasible in floating point; "
-            "falling back to min(k_upper, log2(nullity + 1))",
-            RuntimeWarning,
-        )
-        k_upper_s = min(k_upper, log_nullity)
+    # Exact arithmetic guarantees a feasible point; floating point can miss
+    # it, so then fall back to the weaker of the two valid caps.
+    fallback = hi_s.status != "optimal"
+    k_upper_s = min(k_upper, log_nullity) if fallback else h_cond + hi_s.value
 
     rank_a, _ = rank_and_nullity(a_xy)
     unique = bool(rank_a == d.y_size and not h_cond <= tol_ent)  # Y is not a function of X
@@ -185,6 +182,7 @@ def theorem1_bounds(
         k_upper_strengthened=float(k_upper_s),
         log_nullity_bound=log_nullity,
         unique=unique,
+        strengthened_fallback=fallback,
     )
 
 

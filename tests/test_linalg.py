@@ -172,6 +172,28 @@ def test_lp_feasibility_residuals():
         assert out.point.min() >= -1e-9
 
 
+def test_solvers_leave_their_inputs_unchanged():
+    # the simplex and the walk update their own tableaux in place; negative
+    # right-hand sides make solve_lp flip rows and the walk run phase 1
+    rng = np.random.default_rng(31)
+    a = rng.integers(-3, 4, size=(3, 6)).astype(float)
+    b = a @ rng.dirichlet(np.ones(6))
+    b[0] = -abs(b[0]) - 0.5
+    a[0] = -np.abs(a[0]) - 1.0
+    c, ineq = rng.normal(size=6), (rng.normal(size=6), -0.25)
+    arrays = [c, a, b, ineq[0]]
+    before = [x.copy() for x in arrays]
+    for sense in ("min", "max"):
+        for extra in (None, ineq):
+            solve_lp(LinearProgram(c, a, b, extra_ineq=extra, sense=sense))
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
+
+    a, b = _walk_input(*PHASE1_EXAMPLE)
+    before = a.copy(), b.copy()
+    enumerate_vertices(a, b)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+
 # ---------------------------------------------------------------------------
 # the column-subset scan, kept as the oracle for the pivoting enumerator
 
@@ -373,7 +395,9 @@ def queue_enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
             if nxt in seen:
                 continue
             seen.add(nxt)
-            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, _pivot(tab, row, col)))
+            child = tab.copy()  # _pivot updates in place; the parent has more children
+            _pivot(child, row, col)
+            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, child))
 
     bases = [c for c in found.values() if len(c) == r]
     vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)
@@ -382,9 +406,21 @@ def queue_enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
     return vertices[np.lexsort(vertices.T[::-1])]
 
 
+# benchmark-ladder shapes, larger than the families draw by default:
+# det-f (|X|, |Y|) and common-info (|V|, |N1|, |N2|)
+LADDER_SHAPES = {
+    "det-6x18": lambda rng: families.random_deterministic_pair(rng, x_size=6, y_size=18),
+    "det-6x20": lambda rng: families.random_deterministic_pair(rng, x_size=6, y_size=20),
+    "ci-4x2x4": lambda rng: families.random_common_info_pair(rng, 4, 2, 4),
+    "ci-5x2x3": lambda rng: families.random_common_info_pair(rng, 5, 2, 3),
+    "ci-2x16x8": lambda rng: families.random_common_info_pair(rng, 2, 16, 8),
+}
+
+
 def _walk_input(kind, seed):
     """One (A, b) of ``kind``: a sliced simplex, a degenerate rational
-    polytope, or the P(X|Y) kernel and P_X of a ``families.FAMILIES`` joint."""
+    polytope, or the P(X|Y) kernel and P_X of a ``families.FAMILIES`` or
+    ``LADDER_SHAPES`` joint."""
     rng = np.random.default_rng(seed)
     if kind == "sliced-simplex":
         n = int(rng.integers(2, 9))
@@ -397,7 +433,7 @@ def _walk_input(kind, seed):
         support = rng.choice(n, size=int(rng.integers(2, cuts + 1)), replace=False)
         p[support] = rng.integers(1, 7, size=support.size)
         return a, a @ (p / p.sum())
-    d = families.FAMILIES[kind](rng)
+    d = (families.FAMILIES | LADDER_SHAPES)[kind](rng)
     return dist.kernel_x_given_y(d).k, dist.marginal_x(d)
 
 
@@ -405,9 +441,11 @@ PHASE1_EXAMPLE = ("degenerate-rational", 0)  # its reduced right-hand side has a
 
 
 def _recording(f, log):
+    """``f``, logging each result; for an in-place step, its updated argument."""
+
     def record(*args):
         out = f(*args)
-        log.append(out)
+        log.append(args[0] if out is None else out)
         return out
 
     return record
@@ -415,6 +453,7 @@ def _recording(f, log):
 
 @given(st.sampled_from(["sliced-simplex", "degenerate-rational", *families.FAMILIES]), seeds)
 @example(*PHASE1_EXAMPLE)
+@example("det-6x18", 1)
 def test_walk_matches_queue_oracle(kind, seed):
     # the same vertex array, bit for bit, or the same exception type; and the
     # same child tableaux, bit for bit, in the order the queue made them
@@ -600,8 +639,16 @@ def assert_matches_oracle(lp):
     ),
 )
 def test_lp_matches_oracle_on_family_lps(seed, family):
-    # the three bound LPs of theorem1_bounds and the g0 mixture LP
-    d = family(np.random.default_rng(seed))
+    assert_family_lps_match_oracle(family(np.random.default_rng(seed)))
+
+
+@given(seeds, st.sampled_from(sorted(LADDER_SHAPES)))
+def test_lp_matches_oracle_on_ladder_shapes(seed, shape):
+    assert_family_lps_match_oracle(LADDER_SHAPES[shape](np.random.default_rng(seed)))
+
+
+def assert_family_lps_match_oracle(d):
+    """The three bound LPs of theorem1_bounds and the g0 mixture LP of ``d``."""
     a_xy, b_xy = bound_matrices(d)
     py = dist.marginal_y(d)
     assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="min"))
