@@ -277,7 +277,9 @@ def render_audit_result(
     scheme = code.scheme
     lines.header(f"audit {scheme}")
     lines.kv(f"{scheme}.audit.mi_c_x", audit.mi_c_x)
-    lines.kv(f"{scheme}.audit.lossless_prob", audit.lossless_prob)
+    # all 17 digits in both formats: the audit fails on any value below 1,
+    # which .6g would print as 1
+    lines.kv(f"{scheme}.audit.lossless_prob", _f(audit.lossless_prob, True))
     lines.kv(
         f"{scheme}.audit.per_key_expected_length",
         _vec(audit.per_key_expected_length, lines.structured),
@@ -434,7 +436,7 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     violated invariants."""
     family = args.family
     a = mech_mod.analyze(d, args.tol_ent, args.tol_lp)
-    if family in ("det-f", "common-info") and not a.member:
+    if family in ("det-f", "common-info", "rect") and not a.member:
         return [f"expected membership, got g0 = {a.g0:.6g}"]
     if family == "invertible" and a.member and not a.boundary:
         if a.h_cond > 10 * args.tol_ent:

@@ -142,6 +142,32 @@ def kernel_y_given_x(d: JointDistribution) -> Kernel:
     return Kernel(d.p.T / marginal_x(d)[None, :])
 
 
+def support_components(d: JointDistribution) -> tuple[int, np.ndarray, np.ndarray]:
+    """Connected components of the bipartite support graph: the x and y
+    symbols are the nodes, and (x, y) is an edge wherever P(x, y) > 0.
+
+    Returns (count, x_part, y_part), the component of every x and every y,
+    numbered in the order of each component's lowest x. A row with no zero
+    meets every y, so then there is one component. Otherwise every symbol
+    starts labelled by its own x index (a y by the least x it meets) and
+    takes the least label among its neighbours, one pass over the whole
+    support at a time, until nothing changes; each component then carries
+    the index of its lowest x.
+    """
+    pos = d.p > 0.0
+    if pos.all(axis=1).any():
+        return 1, np.zeros(d.x_size, dtype=int), np.zeros(d.y_size, dtype=int)
+    label = np.arange(d.x_size)
+    while True:
+        y_label = np.where(pos, label[:, None], d.x_size).min(axis=0)
+        x_label = np.where(pos, y_label, d.x_size).min(axis=1)
+        if (x_label == label).all():
+            break
+        label = x_label
+    roots = np.flatnonzero(label == np.arange(d.x_size))
+    return roots.size, np.searchsorted(roots, label), np.searchsorted(roots, y_label)
+
+
 def entropy(v) -> float:
     """Shannon entropy of a probability vector in bits, with 0*log(0) = 0."""
     a = np.asarray(v, dtype=float)

@@ -4,6 +4,8 @@ Three families cover the three membership branches: deterministic X = f(Y)
 (member by construction), common-structure pairs X = (V, N1), Y = (V, N2)
 (member by the shared-component condition), and invertible square kernels
 (the disclosure polytope collapses to a point, so nothing can be revealed).
+A fourth, rectangle partitions, builds members from a hidden decodable U;
+its vertices differ in entropy, so the g0 LP has a live objective there.
 """
 
 from __future__ import annotations
@@ -71,8 +73,43 @@ def random_invertible_pair(rng: np.random.Generator, max_n: int = 4) -> JointDis
     return dist.from_conditional(kernel, p_y)
 
 
+def random_rectangle_member(rng: np.random.Generator, max_x: int = 4, max_u: int = 5) -> JointDistribution:
+    """A member built from a hidden U: draw P_X and P_U (each 0.9 Dirichlet(1)
+    plus 0.1 uniform, |X| in 2..max_x, |U| in 2..max_u) and cut the |X| x |U|
+    grid into rectangles A_y x B_y by guillotine cuts, each y one rectangle,
+    so P(x, y) = P_X(x) P_U(B_y) on A_y. Then U is independent of X, Y is a
+    function of (X, U) and P(u | x, y) = P_U(u) / P_U(B_y) on B_y depends on
+    y alone, so U is a zero-leakage decodable disclosure and the joint a
+    member. The whole grid is always cut; each piece after that stays whole
+    with probability 0.35, and a piece of one cell is never cut. Columns
+    are in depth-first order of the cuts."""
+    nx, nu = int(rng.integers(2, max_x + 1)), int(rng.integers(2, max_u + 1))
+    p_x = 0.9 * rng.dirichlet(np.ones(nx)) + 0.1 / nx
+    p_u = 0.9 * rng.dirichlet(np.ones(nu)) + 0.1 / nu
+    cols = []
+
+    def cut(x0: int, x1: int, u0: int, u1: int, first: bool) -> None:
+        axes = [axis for axis, n in enumerate((x1 - x0, u1 - u0)) if n > 1]
+        if not axes or (not first and rng.random() < 0.35):
+            col = np.zeros(nx)
+            col[x0:x1] = p_x[x0:x1] * p_u[u0:u1].sum()
+            cols.append(col)
+        elif axes[int(rng.integers(len(axes)))] == 0:
+            at = int(rng.integers(x0 + 1, x1))
+            cut(x0, at, u0, u1, False)
+            cut(at, x1, u0, u1, False)
+        else:
+            at = int(rng.integers(u0 + 1, u1))
+            cut(x0, x1, u0, at, False)
+            cut(x0, x1, at, u1, False)
+
+    cut(0, nx, 0, nu, True)
+    return dist.validate_and_normalize(np.array(cols).T)
+
+
 FAMILIES = {
     "det-f": random_deterministic_pair,
     "common-info": random_common_info_pair,
     "invertible": random_invertible_pair,
+    "rect": random_rectangle_member,
 }

@@ -247,7 +247,9 @@ def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.nd
     solution equals np.linalg.solve(red_a[:, basis], red_b) bit for bit.
     Drops singular bases (|det| <= RANK_TOL), solutions with an entry below
     -tol and solutions whose residual on the original system exceeds
-    max(tol, 1e-9); clips the rest at zero.
+    max(tol, 1e-9). In the rest, every entry at or below ``tol`` (outside
+    the support the vertex is keyed by) is written as an exact zero, so no
+    round-off gives a vertex mass where it has none.
     """
     k, r = bases.shape
     x = np.zeros((k, a.shape[1]))
@@ -258,7 +260,9 @@ def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.nd
         sol = np.linalg.solve(subs[keep], red_b[None, :, None])[..., 0]
         x[np.arange(len(bases))[:, None], bases] = sol
     x = np.clip(x[x.min(axis=1) >= -tol], 0.0, None)
-    return x[np.abs(x @ a.T - b).max(axis=1) <= max(tol, 1e-9)]
+    x = x[np.abs(x @ a.T - b).max(axis=1) <= max(tol, 1e-9)]
+    x[x <= tol] = 0.0
+    return x
 
 
 def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol: float) -> list:

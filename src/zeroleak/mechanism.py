@@ -4,10 +4,15 @@ A mechanism is a variable U produced from Y alone (Markov X - Y - U) whose
 encoded view reveals nothing about X: every conditional column P(Y|U=u)
 must satisfy P_{X|Y} @ P(Y|u) = P_X. The set of such columns is a polytope;
 an entropy-maximizing disclosure is a mixture of its vertices found by a
-linear program over vertex weights. This module synthesizes that optimizer,
-tests whether the synthesis is information-lossless (the funnel value equals
-H(Y|X)), and computes LP sandwich bounds on the minimum achievable H(U).
-``analyze`` runs these steps once for a joint; every command starts there.
+linear program over vertex weights. The polytope is a product of one
+polytope per connected component of the support of P_XY (the Gacs-Korner
+common part), so ``solve_g0`` solves each component alone, with no LP at
+all where X and Y are independent on it, and joins the components' optima
+by a greedy minimum-entropy coupling, which keeps the optimum and shortens
+the code. This module synthesizes that optimizer, tests whether the
+synthesis is information-lossless (the funnel value equals H(Y|X)), and
+computes LP sandwich bounds on the minimum achievable H(U). ``analyze``
+runs these steps once for a joint; every command starts there.
 The vertex entropies, the decode table and H(Y|X,U) are taken as array
 operations over all vertices or (x, u) pairs at once; each figure equals
 that of a loop over them with the one-row ``dist.entropy``, bit for bit.
@@ -22,9 +27,10 @@ import numpy as np
 from . import dist
 from .dist import JointDistribution, Kernel
 from .errors import InfeasibleBoundLP, InternalError, NotDecodable
-from .linalg import LinearProgram, enumerate_vertices, rank_and_nullity, solve_lp
+from .linalg import RANK_TOL, LinearProgram, enumerate_vertices, rank_and_nullity, solve_lp
 
 TAU_ENT = 1e-7
+WEIGHT_FLOOR = 1e-12  # a vertex weight at or below this counts as zero
 
 
 @dataclass(frozen=True)
@@ -110,26 +116,108 @@ def feasible_columns(d: JointDistribution, tol_lp: float = 1e-9) -> np.ndarray:
     return enumerate_vertices(k, dist.marginal_x(d), tol=tol_lp)
 
 
+def _lp_mixture(d: JointDistribution, tol_lp: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The g0 mixture LP over every vertex of ``d``'s polytope: the vertices
+    given weight above WEIGHT_FLOOR, those weights scaled to sum 1, and the
+    LP's value sum_v w_v H(v)."""
+    verts = feasible_columns(d, tol_lp)
+    lp = LinearProgram(dist.entropy_rows(verts), verts.T, dist.marginal_y(d), sense="min")
+    out = solve_lp(lp, tol=tol_lp)
+    if out.status != "optimal":
+        raise InternalError(f"mixture weight LP came back {out.status}")
+    support = np.nonzero(out.point > WEIGHT_FLOOR)[0]
+    w = out.point[support]
+    return verts[support], w / w.sum(), float(out.value)
+
+
+def _component_mixture(d: JointDistribution, xs: np.ndarray, ys: np.ndarray, tol_lp: float):
+    """(P_k, vertices, weights, value) of the component on rows ``xs`` and
+    columns ``ys``: its mass P_k, then ``_lp_mixture`` of its normalised
+    sub-joint. Where X and Y are independent on the component (its columns
+    of P(X|Y) agree within RANK_TOL, the tolerance at which the vertex
+    walk's elimination would find rank 1) its polytope is the simplex on
+    ``ys``: the vertices are the unit vectors, the weights are P(Y|k) and
+    the value is 0, with no enumeration and no LP. That holds exactly for
+    a component of one row, so for every component of X = f(Y), and for
+    every component of a common-information joint."""
+    sub = d.p[np.ix_(xs, ys)]
+    mass = sub.sum()
+    p_y = sub.sum(axis=0)
+    if np.ptp(sub / p_y, axis=1).max() <= RANK_TOL:
+        return mass, np.eye(ys.size), p_y / mass, 0.0
+    return (mass, *_lp_mixture(JointDistribution(sub / mass), tol_lp))
+
+
+def _couple(parts: list, y_parts: list[np.ndarray], y_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy minimum-entropy coupling of the components' weight vectors
+    (Kocaoglu et al., AAAI 2017); returns (p_u, P(Y|U) columns).
+
+    Each step takes every component's largest remaining weight, the lowest
+    index on ties, emits an atom of the smallest of them and subtracts it
+    from each. The atom's column is sum_k P_k v_k over the vertices v_k
+    taken. A remaining weight at or below WEIGHT_FLOOR counts as spent: it
+    is set to exactly 0, and the coupling stops once some component has
+    nothing left. So every atom outweighs WEIGHT_FLOOR, and the round-off
+    by which the weight vectors' sums differ leaves no atom of its own.
+    p_u holds the atoms as emitted, not rescaled: their sum misses 1 only
+    by that spent round-off. Atoms are ordered by their columns,
+    lexicographically, as ``enumerate_vertices`` orders vertices.
+    """
+    rest = np.zeros((len(parts), max(w.size for _, _, w, _ in parts)))
+    for k, (_, _, w, _) in enumerate(parts):
+        rest[k, : w.size] = np.where(w > WEIGHT_FLOOR, w, 0.0)
+    rows = np.arange(len(parts))
+    atoms, picks = [], []
+    while True:
+        pick = rest.argmax(axis=1)
+        top = rest[rows, pick]
+        atom = top.min()
+        if atom <= WEIGHT_FLOOR:
+            break
+        left = top - atom
+        rest[rows, pick] = np.where(left > WEIGHT_FLOOR, left, 0.0)
+        atoms.append(atom)
+        picks.append(pick)
+    picks = np.array(picks)
+    cols = np.zeros((y_size, len(atoms)))
+    for k, ((mass, verts, _, _), ys) in enumerate(zip(parts, y_parts)):
+        cols[ys] = mass * verts[picks[:, k]].T
+    cols = cols / cols.sum(axis=0)[None, :]
+    order = np.lexsort(cols[::-1])
+    return np.array(atoms)[order], cols[:, order]
+
+
 def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechanism]:
     """Maximize I(Y;U) over zero-leakage mechanisms; return (value, optimizer).
 
     Solves min sum_v w_v H(v) over vertex weights w >= 0 with mixture
-    constraint V w = P_Y; the simplex returns a basic solution, so the
-    surviving alphabet has at most nullity(P_{X|Y}) + 1 symbols.
+    constraint V w = P_Y. P_{X|Y} is block-diagonal over the connected
+    components of the support of P_XY (its Gacs-Korner common part), so the
+    polytope is the product of one polytope per component, each scaled by
+    the component's mass P_k, and H(v) = H(P_1..P_K) + sum_k P_k H(v_k).
+    A joint of one component solves the LP over all its vertices. Otherwise
+    each component is solved alone (``_component_mixture``) and the optima
+    are joined by ``_couple``, which any coupling would leave g0-optimal;
+    the value is H(Y) - [H(P_1..P_K) + sum_k P_k value_k]. A basic solution
+    keeps at most nullity_k + 1 weights per component and the coupling at
+    most sum_k |U_k| - K + 1 atoms, so the surviving alphabet has at most
+    nullity(P_{X|Y}) + 1 symbols.
     """
     py = dist.marginal_y(d)
-    verts = feasible_columns(d, tol_lp)
-    out = solve_lp(LinearProgram(dist.entropy_rows(verts), verts.T, py, sense="min"), tol=tol_lp)
-    if out.status != "optimal":
-        raise InternalError(f"mixture weight LP came back {out.status}")
-    w = out.point
-    support = np.nonzero(w > 1e-12)[0]
-    p_u = w[support]
-    p_u = p_u / p_u.sum()
-    cols = verts[support].T
-    cols = cols / cols.sum(axis=0)[None, :]
+    count, x_part, y_part = dist.support_components(d)
+    if count == 1:
+        verts, p_u, cost = _lp_mixture(d, tol_lp)
+        cols = verts.T / verts.T.sum(axis=0)[None, :]
+    else:
+        xs = [np.nonzero(x_part == k)[0] for k in range(count)]
+        ys = [np.nonzero(y_part == k)[0] for k in range(count)]
+        parts = [_component_mixture(d, xs[k], ys[k], tol_lp) for k in range(count)]
+        p_u, cols = _couple(parts, ys, d.y_size)
+        masses = np.array([mass for mass, *_ in parts])
+        values = np.array([value for *_, value in parts])
+        cost = dist.entropy(masses) + dist.sum_in_order(masses * values)
     mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols))
-    value = dist.entropy(py) - float(out.value)
+    value = dist.entropy(py) - cost
     if -1e-12 < value < 0.0:
         value = 0.0
     return value, mech

@@ -8,11 +8,12 @@ the oracle properties (``-k oracle``).
 
 The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, a fixture that makes the strengthened bound
-LP fail, the per-symbol entropy profile of a
-mechanism, the loop audit that is the oracle for ``codec.audit``, the
-sorting group numbering that is the oracle for its grouping, and the
-one-row-at-a-time entropy and decode-table loops that are the oracles for
-the batched forms in ``dist`` and ``mechanism``.
+LP fail, the whole-joint g0 LP that is the oracle for the factored
+``mechanism.solve_g0``, the per-symbol entropy profile of a mechanism, the
+loop audit that is the oracle for ``codec.audit``, the sorting group
+numbering that is the oracle for its grouping, and the one-row-at-a-time
+entropy and decode-table loops that are the oracles for the batched forms
+in ``dist`` and ``mechanism``.
 """
 
 import struct
@@ -23,9 +24,9 @@ import pytest
 from hypothesis import settings
 
 from zeroleak import codec, dist, mechanism
-from zeroleak.dist import JointDistribution
+from zeroleak.dist import JointDistribution, Kernel
 from zeroleak.errors import EmptySupport, InternalError, NotDecodable
-from zeroleak.linalg import LpOutcome
+from zeroleak.linalg import LinearProgram, LpOutcome, solve_lp
 from zeroleak.mechanism import (
     TAU_ENT,
     Mechanism,
@@ -88,6 +89,21 @@ def strengthened_lp_infeasible(monkeypatch):
         return LpOutcome("infeasible", float("nan"), None) if lp.extra_ineq else real(lp, tol=tol)
 
     monkeypatch.setattr(mechanism, "solve_lp", solve)
+
+
+def whole_joint_g0(d: JointDistribution) -> tuple[float, Mechanism]:
+    """g0 and its optimizer from one mixture LP over every vertex of the
+    whole joint's polytope (``feasible_columns`` + ``solve_lp``), with no
+    factoring by components: the oracle for ``mechanism.solve_g0``."""
+    py = dist.marginal_y(d)
+    verts = mechanism.feasible_columns(d)
+    out = solve_lp(LinearProgram(dist.entropy_rows(verts), verts.T, py, sense="min"))
+    assert out.status == "optimal"
+    support = np.nonzero(out.point > 1e-12)[0]
+    p_u = out.point[support]
+    cols = verts[support].T
+    mech = Mechanism(p_u=p_u / p_u.sum(), p_y_given_u=Kernel(cols / cols.sum(axis=0)[None, :]))
+    return dist.entropy(py) - float(out.value), mech
 
 
 def entropy_profile(d: JointDistribution, mech: Mechanism) -> np.ndarray:

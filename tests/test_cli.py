@@ -262,7 +262,7 @@ def test_audit_malformed_document_is_parse_error(
     [
         ("two-part.codeword.1", "0x1"),
         ("two-part.codeword.0", ""),
-        ("two-part.codeword.2", "11"),
+        ("two-part.codeword.2", "10"),
         ("two-part.decode.0.0", None),
     ],
     ids=["non-binary-codeword", "empty-codeword", "not-prefix-free", "decode-entry-missing"],
@@ -355,6 +355,38 @@ def _golden_doc_with(name, key, value):
     )
 
 
+def test_lossless_prob_prints_all_digits_in_both_formats(tmp_path):
+    # a wrong decode entry fails 1/48 of the mass; .6g would print 0.979167,
+    # and a failure a hair below 1 would print as 1
+    path = tmp_path / "tampered.txt"
+    path.write_text(_golden_doc_with("example1", "two-part.decode.1.1", "3"))
+    printed = []
+    for fmt in ("text", "structured"):
+        status, out = run_cli(["--cmd", "audit", "--input", str(path), "--format", fmt])
+        assert status == 1 and "violation = two-part: lossless_prob = 0.979166" in out
+        printed += [line for line in out.splitlines() if line.startswith("two-part.audit.lossless_prob")]
+    assert printed == ["two-part.audit.lossless_prob = 0.97916666666666663"] * 2
+
+
+def test_code_of_a_vertex_with_round_off_passes_its_audit(tmp_path):
+    # one component, so the whole-joint LP path: a vertex solved with
+    # 1.05e-16 where it is 0 used to leave a (x, y, u) event of ~1e-17 that
+    # the decode table skips, and the audit failed with lossless_prob =
+    # 0.9999999999999999
+    path = tmp_path / "round_off.txt"
+    path.write_text(
+        "joint:\n"
+        "0.4775918702971727 0.32600148648573934 0\n"
+        "0.03272398568080093 0 0.02233720596843733\n"
+        "0.06325205534542142 0 0.04317549218971223\n"
+        "0.02075242030447381 0 0.01416548372824208\n"
+    )
+    status, out = run_cli(["--cmd", "code", "--input", str(path), "--format", "structured"])
+    assert status == 0
+    assert "schemes = two-part direct-pad" in out
+    assert "two-part.audit.ok = true" in out
+
+
 @pytest.mark.parametrize(
     "key, value", [("direct-pad.key_size", "0"), ("direct-pad.field_bits", "1")]
 )
@@ -420,7 +452,7 @@ def test_code_direct_pad_small_y(tmp_path):
 
 
 def test_sweep_families():
-    for family in ("det-f", "common-info", "invertible"):
+    for family in families.FAMILIES:
         status, out = run_cli(["--cmd", "sweep", "--n", "5", "--family", family])
         assert status == 0, out
         assert "passed = 5/5" in out

@@ -235,3 +235,44 @@ def test_conditional_entropies_match_row_loops(family, seed):
     assert bits(bound_matrices(d)[1]) == bits([hx - h_cond for hx in want])
     verts = mm.feasible_columns(d)
     assert bits(dist.entropy_rows(verts)) == bits(loop_entropy_rows(verts))
+
+
+def search_components(d):
+    """Components of the support graph by depth-first search from each
+    unvisited x in index order: the oracle for ``dist.support_components``."""
+    x_part, y_part = [-1] * d.x_size, [-1] * d.y_size
+    count = 0
+    for root in range(d.x_size):
+        if x_part[root] >= 0:
+            continue
+        stack = [root]
+        x_part[root] = count
+        while stack:
+            x = stack.pop()
+            for y in np.nonzero(d.p[x] > 0.0)[0].tolist():
+                if y_part[y] < 0:
+                    y_part[y] = count
+                    for x2 in np.nonzero(d.p[:, y] > 0.0)[0].tolist():
+                        if x_part[x2] < 0:
+                            x_part[x2] = count
+                            stack.append(x2)
+        count += 1
+    return count, x_part, y_part
+
+
+@given(st.sampled_from(["sparse", "chain", *families.FAMILIES]), st.integers(0, 2**32 - 1))
+@example("chain", 0)
+def test_support_components_match_search_oracle(family, seed):
+    rng = np.random.default_rng(seed)
+    if family == "sparse":  # random zeros, then every row and column kept
+        shape = tuple(rng.integers(1, 9, size=2))
+        m = rng.random(shape) * (rng.random(shape) < rng.uniform(0.05, 0.6))
+        d = dist.validate_and_normalize(m + np.eye(*shape) * 1e-3)
+    elif family == "chain":  # a staircase in shuffled order: one component, many passes
+        n = int(rng.integers(2, 12))
+        m = np.eye(n) + np.eye(n, k=1)
+        d = dist.validate_and_normalize(m[rng.permutation(n)][:, rng.permutation(n)])
+    else:
+        d = families.FAMILIES[family](rng)
+    count, x_part, y_part = dist.support_components(d)
+    assert (count, x_part.tolist(), y_part.tolist()) == search_components(d)

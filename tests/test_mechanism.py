@@ -1,17 +1,24 @@
 """Mechanism synthesis, membership, bound LPs, and decode tables."""
 
 import math
-
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bits, bound_matrices, entropy_profile, loop_build_decode_table, loop_entropy_y_given_xu
+from conftest import (
+    bits,
+    bound_matrices,
+    entropy_profile,
+    loop_build_decode_table,
+    loop_entropy_y_given_xu,
+    whole_joint_g0,
+)
 
-from zeroleak import dist, families, mechanism as mm, report
+from zeroleak import cli, codec, dist, families, mechanism as mm, report
 from zeroleak.dist import Kernel
 from zeroleak.errors import NotDecodable
 from zeroleak.linalg import rank_and_nullity
@@ -125,6 +132,35 @@ def test_solve_g0_example1():
     assert np.abs(kern @ mech.p_y_given_u.k - px[:, None]).max() <= 1e-9
     # mixture reproduces P_Y
     assert np.abs(mech.p_y_given_u.k @ mech.p_u - EX1_PY).max() <= 1e-9
+
+
+def test_solve_g0_example1_couples_its_two_rows():
+    # two one-row components, P(Y|x=0) = (1/6, 1/3, 1/2) on y 0..2 and
+    # P(Y|x=1) = (1/2, 1/4, 1/4) on y 3..5: greedy coupling emits 1/2, 1/4,
+    # 1/6, 1/12, and the columns' lexicographic order puts them as below
+    _, mech = mm.solve_g0(example1())
+    assert np.abs(mech.p_u - [1 / 2, 1 / 12, 1 / 4, 1 / 6]).max() <= 1e-15
+    cols = [[0, 0, 3, 1, 0, 0], [0, 3, 0, 0, 0, 1], [0, 3, 0, 0, 1, 0], [3, 0, 0, 0, 0, 1]]
+    assert np.array_equal(mech.p_y_given_u.k.T, np.array(cols) / 4)
+
+
+def test_coupling_counts_weight_at_or_below_the_floor_as_spent():
+    # two components of mass 1/2 on y {0, 1} and {2, 3}, whose weights sum
+    # to 1 + 4e-13 and 1 + 3e-13: after the 0.75 + 2e-13 and 0.25 atoms
+    # they have 2e-13 and 1e-13 left, which are spent, not a third atom
+    eye = np.eye(2)
+    parts = [
+        (0.5, eye, np.array([0.25, 0.75 + 4e-13]), 0.0),
+        (0.5, eye, np.array([0.75 + 2e-13, 0.25 + 1e-13]), 0.0),
+    ]
+    p_u, cols = mm._couple(parts, [np.array([0, 1]), np.array([2, 3])], 4)
+    assert p_u.tolist() == [0.75 + 2e-13, 0.25]
+    assert cols.T.tolist() == [[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]]
+    # a weight at or below the floor never enters an atom
+    parts = [(0.5, eye, np.array([0.25, 0.75]), 0.0), (0.5, eye, np.array([1.0, mm.WEIGHT_FLOOR]), 0.0)]
+    p_u, cols = mm._couple(parts, [np.array([0, 1]), np.array([2, 3])], 4)
+    assert p_u.tolist() == [0.75, 0.25]
+    assert cols.T.tolist() == [[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.5, 0.0]]
 
 
 def test_solve_g0_independent_pair_discloses_y():
@@ -331,12 +367,16 @@ def _random_feasible_mechanism(d, verts, rng):
 
 def test_g0_is_not_beaten_by_random_mechanisms():
     """One-sided brute-force check: no sampled zero-leakage disclosure
-    achieves more than the LP value (instances with |Y| <= 5)."""
+    achieves more than the LP value (det-f instances with |Y| <= 5, where
+    every vertex has entropy H(X), and rectangle members, where vertex
+    entropies differ)."""
     from zeroleak.mechanism import feasible_columns
 
     rng = np.random.default_rng(59)
-    for _ in range(10):
-        d = families.random_deterministic_pair(rng, max_x=3, max_y=5)
+    draws = [lambda: families.random_deterministic_pair(rng, max_x=3, max_y=5)] * 10
+    draws += [lambda: families.random_rectangle_member(rng)] * 10
+    for draw in draws:
+        d = draw()
         value, _ = mm.solve_g0(d)
         verts = feasible_columns(d)
         hy = dist.entropy(dist.marginal_y(d))
@@ -386,3 +426,46 @@ def test_decode_table_and_h_y_given_xu_match_loops(family, seed):
         assert bits(mm._entropy_y_given_xu(joint)) == bits(loop_entropy_y_given_xu(joint)), name
         if name == "two-live-y" and (d.p > 0.0).sum(axis=1).max() > 1:
             assert want.startswith("NotDecodable: pair ("), want
+
+
+# ---------------------------------------------------------------------------
+# the factored g0 against the whole-joint LP
+
+
+GOLDEN = Path(__file__).parent / "golden"
+NAMED_JOINTS = {
+    "example1": example1,
+    **{
+        path.stem: lambda path=path: cli.parse_distribution(str(path))
+        for path in sorted(GOLDEN.glob("*.txt"))
+        if "." not in path.stem  # the golden inputs, not the outputs
+    },
+}
+
+
+def assert_factored_g0_matches_whole_joint(d):
+    """solve_g0's value equals the whole-joint LP's within 1e-9, one
+    component gives the whole-joint optimizer bit for bit, |U| <= nullity + 1,
+    no atom at or below 1e-12, and every code built passes its exact audit."""
+    value, mech = mm.solve_g0(d)
+    want, whole = whole_joint_g0(d)
+    assert abs(value - want) <= 1e-9
+    if dist.support_components(d)[0] == 1:
+        assert bits(mech.p_u) == bits(whole.p_u)
+        assert bits(mech.p_y_given_u.k) == bits(whole.p_y_given_u.k)
+    _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
+    assert mech.u_size <= nullity + 1
+    assert mech.p_u.min() > 1e-12
+    a = mm.analyze(d)
+    for code in codec.build_codes(a):
+        assert codec.check_audit(code, codec.audit(code, d), d, a.achieved_hu, a.h_given_x.max()) == []
+
+
+@given(st.sampled_from(sorted(families.FAMILIES)), st.integers(0, 2**32 - 1))
+def test_factored_g0_matches_whole_joint_oracle(family, seed):
+    assert_factored_g0_matches_whole_joint(families.FAMILIES[family](np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_JOINTS))
+def test_factored_g0_matches_whole_joint_oracle_on_named_joints(name):
+    assert_factored_g0_matches_whole_joint(NAMED_JOINTS[name]())
