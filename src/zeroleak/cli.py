@@ -193,8 +193,6 @@ def render_analysis(a: Analysis, lines: Lines) -> None:
         lines.kv("k_lower", b.k_lower)
         lines.kv("k_upper", b.k_upper)
         lines.kv("k_upper_strengthened", b.k_upper_strengthened)
-        if b.strengthened_fallback:
-            lines.kv("k_upper_strengthened_fallback", True)
         lines.kv("log_nullity_bound", b.log_nullity_bound)
         lines.kv("unique_optimizer", b.unique)
         lines.kv("achieved_entropy", a.achieved_hu)
@@ -448,8 +446,6 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     b, hu = a.bounds, a.achieved_hu
     if not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
         problems.append(f"sandwich failed: {b.k_lower} <= {hu} <= {b.k_upper_strengthened}")
-    if b.k_upper_strengthened > b.log_nullity_bound + 1e-6:
-        problems.append("strengthened bound above log2(nullity+1)")
     if mech_mod.information_identity_residual(d, a.mech) > 1e-9:
         problems.append("information identity residual above 1e-9")
     for code in codec.build_codes(a):

@@ -102,13 +102,12 @@ def rank_and_nullity(m, tol: float = RANK_TOL) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max objective . x  subject to  eq_lhs @ x = eq_rhs, x >= 0,
-    and optionally one extra inequality coef . x <= bound."""
+    """min or max objective . x  subject to  eq_lhs @ x = eq_rhs, x >= 0.
+    An inequality is written as an equality row with its own slack column."""
 
     objective: np.ndarray
     eq_lhs: np.ndarray
     eq_rhs: np.ndarray
-    extra_ineq: tuple[np.ndarray, float] | None = None
     sense: str = "min"
 
 
@@ -157,29 +156,21 @@ def _bland_iterate(tab, basis, costs, n_allowed, tol) -> str:
 
 def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
     """Two-phase primal simplex on the standard-form tableau: [A | I | b]
-    with an artificial basis in phase 1, [A | b] in phase 2.
+    with an artificial basis in phase 1, [A | b] in phase 2. Every
+    constraint is an equality row of ``lp``; the caller spells out slacks.
 
     Raises NumericalFailure when the final point does not satisfy the
     constraints within tolerance (a certificate could not be produced).
     """
-    c = np.asarray(lp.objective, dtype=float).copy()
+    c = np.asarray(lp.objective, dtype=float)
     a = np.array(lp.eq_lhs, dtype=float, ndmin=2)
     b = np.asarray(lp.eq_rhs, dtype=float).copy()
     n = c.size
     if a.shape != (b.size, n):
         raise ValueError(f"LP shape mismatch: A {a.shape}, b {b.size}, c {n}")
-    if lp.extra_ineq is not None:
-        coef, bound = lp.extra_ineq
-        a = np.vstack([a, np.asarray(coef, dtype=float)])
-        b = np.append(b, float(bound))
-        a = np.hstack([a, np.zeros((a.shape[0], 1))])
-        a[-1, -1] = 1.0  # slack for the single <= row
-        c = np.append(c, 0.0)
-        n += 1
     if lp.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {lp.sense!r}")
     sign = 1.0 if lp.sense == "min" else -1.0
-    c = sign * c
 
     neg = b < 0
     a[neg] *= -1.0
@@ -210,7 +201,7 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
     tab = tab[np.ix_(keep, [*range(n), n + m])]
     basis = [basis[i] for i in keep]
 
-    status = _bland_iterate(tab, basis, c, n, tol)
+    status = _bland_iterate(tab, basis, sign * c, n, tol)
     if status == "unbounded":
         return LpOutcome("unbounded", sign * float("-inf"), None)
 
@@ -222,10 +213,7 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
             f"simplex finished with residual {resid:.3g}, min entry {x.min():.3g}"
         )
     x = np.clip(x, 0.0, None)
-    if lp.extra_ineq is not None:
-        x = x[:-1]
-    value = float(np.asarray(lp.objective, dtype=float) @ x)
-    return LpOutcome("optimal", value, x)
+    return LpOutcome("optimal", float(c @ x), x)
 
 
 def _first_basis(red_a: np.ndarray, support) -> tuple[int, ...]:

@@ -53,16 +53,14 @@ class Mechanism:
 
 @dataclass(frozen=True)
 class MechanismBounds:
-    """The H(U) sandwich of ``theorem1_bounds``. ``strengthened_fallback`` is
-    True when the strengthened LP found no optimum in floating point and
-    ``k_upper_strengthened`` is min(k_upper, log_nullity_bound) instead."""
+    """The H(U) sandwich of ``theorem1_bounds``: ``k_upper_strengthened`` is
+    min(k_upper, log_nullity_bound)."""
 
     k_lower: float
     k_upper: float
     k_upper_strengthened: float
     log_nullity_bound: float
     unique: bool
-    strengthened_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -234,10 +232,12 @@ def theorem1_bounds(
     """LP sandwich on the minimum entropy over zero-leakage optimizers.
 
     k_lower / k_upper are H(Y|X) plus the min / max of sum_j P(y_j) a_j over
-    the bound polytope; the strengthened upper bound caps that sum at
-    log2(nullity + 1) - H(Y|X), where ``nullity`` is that of P_{X|Y}.
-    ``h_given_x`` and ``h_cond`` are as in ``build_bound_matrices``. The
-    bounds are claimed only for members, so only ``analyze`` calls this.
+    the bound polytope. The strengthened upper bound caps k_upper at
+    log2(nullity + 1), where ``nullity`` is that of P_{X|Y}: the capped LP
+    max sum_j P(y_j) a_j subject to that sum <= log2(nullity + 1) - H(Y|X)
+    caps its own objective, so its optimum is the min of the two. ``h_given_x``
+    and ``h_cond`` are as in ``build_bound_matrices``. The bounds are claimed
+    only for members, so only ``analyze`` calls this.
     """
     a_xy, b_xy = build_bound_matrices(d, h_given_x, h_cond)
     py = dist.marginal_y(d)
@@ -253,24 +253,14 @@ def theorem1_bounds(
         raise InfeasibleBoundLP("upper bound LP infeasible despite membership")
     k_upper = float("inf") if hi.status == "unbounded" else h_cond + hi.value
 
-    cap = log_nullity - h_cond
-    hi_s = solve_lp(
-        LinearProgram(py, a_xy, b_xy, extra_ineq=(py, cap), sense="max"), tol=tol_lp
-    )
-    # Exact arithmetic guarantees a feasible point; floating point can miss
-    # it, so then fall back to the weaker of the two valid caps.
-    fallback = hi_s.status != "optimal"
-    k_upper_s = min(k_upper, log_nullity) if fallback else h_cond + hi_s.value
-
     rank_a, _ = rank_and_nullity(a_xy)
     unique = bool(rank_a == d.y_size and not h_cond <= tol_ent)  # Y is not a function of X
     return MechanismBounds(
         k_lower=float(k_lower),
         k_upper=float(k_upper),
-        k_upper_strengthened=float(k_upper_s),
+        k_upper_strengthened=min(float(k_upper), log_nullity),
         log_nullity_bound=log_nullity,
         unique=unique,
-        strengthened_fallback=fallback,
     )
 
 

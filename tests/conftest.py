@@ -7,26 +7,24 @@ times the examples; ``--hypothesis-profile=ci`` selects it, as CI does for
 the oracle properties (``-k oracle``).
 
 The helpers below serve only the tests: a negative-control leakage figure,
-a |Y| <= |X| instance generator, a fixture that makes the strengthened bound
-LP fail, the whole-joint g0 LP that is the oracle for the factored
-``mechanism.solve_g0``, the per-symbol entropy profile of a mechanism, the
-loop audit that is the oracle for ``codec.audit``, the sorting group
-numbering that is the oracle for its grouping, and the one-row-at-a-time
-entropy and decode-table loops that are the oracles for the batched forms
-in ``dist`` and ``mechanism``.
+a |Y| <= |X| instance generator, the whole-joint g0 LP that is the oracle
+for the factored ``mechanism.solve_g0``, the per-symbol entropy profile of
+a mechanism, the loop audit that is the oracle for ``codec.audit``, the
+sorting group numbering that is the oracle for its grouping, and the
+one-row-at-a-time entropy and decode-table loops that are the oracles for
+the batched forms in ``dist`` and ``mechanism``.
 """
 
 import struct
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from hypothesis import settings
 
 from zeroleak import codec, dist, mechanism
 from zeroleak.dist import JointDistribution, Kernel
 from zeroleak.errors import EmptySupport, InternalError, NotDecodable
-from zeroleak.linalg import LinearProgram, LpOutcome, solve_lp
+from zeroleak.linalg import LinearProgram, solve_lp
 from zeroleak.mechanism import (
     TAU_ENT,
     Mechanism,
@@ -77,18 +75,6 @@ def bound_matrices(d: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
     return build_bound_matrices(
         d, dist.conditional_entropies(d), dist.conditional_entropy_y_given_x(d)
     )
-
-
-@pytest.fixture
-def strengthened_lp_infeasible(monkeypatch):
-    """Make the capped bound LP of ``mechanism.theorem1_bounds`` (the only
-    LP there with an extra inequality) come back infeasible."""
-    real = mechanism.solve_lp
-
-    def solve(lp, tol):
-        return LpOutcome("infeasible", float("nan"), None) if lp.extra_ineq else real(lp, tol=tol)
-
-    monkeypatch.setattr(mechanism, "solve_lp", solve)
 
 
 def whole_joint_g0(d: JointDistribution) -> tuple[float, Mechanism]:

@@ -555,13 +555,3 @@ def test_missing_input_is_usage_error():
 def test_nonexistent_file_is_usage_error(tmp_path):
     status, _ = run_cli(["--cmd", "analyze", "--input", str(tmp_path / "nope.txt")])
     assert status == 2
-
-
-@pytest.mark.parametrize("cmd", ["analyze", "mechanism"])
-def test_strengthened_bound_fallback_key(cmd, strengthened_lp_infeasible):
-    # printed once when the capped bound LP falls back (the goldens show
-    # that the key is absent otherwise)
-    args = ["--cmd", cmd, "--input", str(EXAMPLE1_PATH), "--format", "structured"]
-    status, out = run_cli(args)
-    assert status == 0
-    assert out.splitlines().count("k_upper_strengthened_fallback = true") == 1

@@ -288,6 +288,8 @@ def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, lengths=(2.75, 2.75)):
         # the audit's numpy float is printed as a plain float
         (codec.TWO_PART, {"lossless_prob": np.float64(0.5)}, "lossless_prob = 0.5"),
         (codec.TWO_PART, {"lossless_prob": np.float64(math.nan)}, "lossless_prob = nan"),
+        # exact within 1e-12 absolute, with no relative slack
+        (codec.DIRECT_PAD, {"lengths": (2.000001, 2.000001, 2.000001)}, "not exactly 2"),
     ],
 )
 def test_check_audit_names_each_invariant(scheme, fields, named):

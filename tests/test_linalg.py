@@ -27,6 +27,7 @@ from zeroleak.linalg import (
 )
 
 EX1_KERNEL = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
+EX1_PY = np.array([1 / 8, 2 / 8, 3 / 8, 1 / 8, 1 / 16, 1 / 16])
 ROUND_OFF_JOINT = np.array([
     [0.4775918702971727, 0.32600148648573934, 0],
     [0.03272398568080093, 0, 0.02233720596843733],
@@ -82,22 +83,8 @@ def test_lp_unbounded():
     assert out.value == float("inf")
 
 
-def test_lp_extra_inequality():
-    # max x subject to x = x (vacuous row), x <= 2
-    lp = LinearProgram(
-        np.array([1.0]),
-        np.array([[0.0]]),
-        np.array([0.0]),
-        extra_ineq=(np.array([1.0]), 2.0),
-        sense="max",
-    )
-    out = solve_lp(lp)
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(2.0, abs=1e-9)
-
-
 def test_example1_bound_system_is_feasible():
-    d = dist.from_conditional(EX1_KERNEL, np.array([1 / 8, 2 / 8, 3 / 8, 1 / 8, 1 / 16, 1 / 16]))
+    d = dist.from_conditional(EX1_KERNEL, EX1_PY)
     a_xy, b_xy = bound_matrices(d)
     py = dist.marginal_y(d)
     out = solve_lp(LinearProgram(py, a_xy, b_xy, sense="max"))
@@ -186,12 +173,11 @@ def test_solvers_leave_their_inputs_unchanged():
     b = a @ rng.dirichlet(np.ones(6))
     b[0] = -abs(b[0]) - 0.5
     a[0] = -np.abs(a[0]) - 1.0
-    c, ineq = rng.normal(size=6), (rng.normal(size=6), -0.25)
-    arrays = [c, a, b, ineq[0]]
+    c = rng.normal(size=6)
+    arrays = [c, a, b]
     before = [x.copy() for x in arrays]
     for sense in ("min", "max"):
-        for extra in (None, ineq):
-            solve_lp(LinearProgram(c, a, b, extra_ineq=extra, sense=sense))
+        solve_lp(LinearProgram(c, a, b, sense=sense))
     assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
 
     a, b = _walk_input(*PHASE1_EXAMPLE)
@@ -571,14 +557,6 @@ def oracle_solve_lp(lp, tol=1e-9):
     a = np.array(lp.eq_lhs, dtype=float, ndmin=2)
     b = np.asarray(lp.eq_rhs, dtype=float).copy()
     n = c.size
-    if lp.extra_ineq is not None:
-        coef, bound = lp.extra_ineq
-        a = np.vstack([a, np.asarray(coef, dtype=float)])
-        b = np.append(b, float(bound))
-        a = np.hstack([a, np.zeros((a.shape[0], 1))])
-        a[-1, -1] = 1.0
-        c = np.append(c, 0.0)
-        n += 1
     sign = 1.0 if lp.sense == "min" else -1.0
     c = sign * c
     neg = b < 0
@@ -614,8 +592,6 @@ def oracle_solve_lp(lp, tol=1e-9):
     if resid > 100 * tol * scale or x.min() < -100 * tol:
         raise NumericalFailure("simplex finished off the constraints")
     x = np.clip(x, 0.0, None)
-    if lp.extra_ineq is not None:
-        x = x[:-1]
     return "optimal", float(np.asarray(lp.objective, dtype=float) @ x), x
 
 
@@ -646,27 +622,45 @@ def test_lp_matches_oracle_on_ladder_shapes(seed, shape):
 
 
 def assert_family_lps_match_oracle(d):
-    """The three bound LPs of theorem1_bounds and the g0 mixture LP of ``d``."""
+    """The two bound LPs of theorem1_bounds and the g0 mixture LP of ``d``."""
     a_xy, b_xy = bound_matrices(d)
     py = dist.marginal_y(d)
     assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="min"))
     assert_matches_oracle(LinearProgram(py, a_xy, b_xy, sense="max"))
-    cap = float(np.log2(rank_and_nullity(dist.kernel_x_given_y(d).k)[1] + 1))
-    cap -= dist.conditional_entropy_y_given_x(d)
-    assert_matches_oracle(LinearProgram(py, a_xy, b_xy, extra_ineq=(py, cap), sense="max"))
     verts = mm.feasible_columns(d)
     ent = np.array([dist.entropy(v) for v in verts])
     assert_matches_oracle(LinearProgram(ent, verts.T, py, sense="min"))
 
 
 @given(seeds, st.integers(1, 4), st.integers(1, 7), st.sampled_from(["min", "max"]))
-def test_lp_matches_oracle_with_extra_inequality(seed, rows, n, sense):
-    # random feasible, infeasible and unbounded LPs, with and without a cap
+def test_lp_matches_oracle_on_random_lps(seed, rows, n, sense):
+    # random feasible, infeasible and unbounded LPs
     rng = np.random.default_rng(seed)
     a = rng.integers(-3, 4, size=(rows, n)).astype(float)
     b = a @ rng.dirichlet(np.ones(n)) if rng.random() < 0.7 else rng.normal(size=rows)
     c = rng.normal(size=n)
     assert_matches_oracle(LinearProgram(c, a, b, sense=sense))
-    assert_matches_oracle(
-        LinearProgram(c, a, b, extra_ineq=(rng.normal(size=n), float(rng.normal())), sense=sense)
-    )
+
+
+BOUND_JOINTS = families.FAMILIES | LADDER_SHAPES | {
+    "example1": lambda rng: dist.from_conditional(EX1_KERNEL, EX1_PY),
+}
+
+
+@given(seeds, st.sampled_from(sorted(BOUND_JOINTS)))
+def test_strengthened_bound_matches_capped_lp_oracle(seed, kind):
+    # the strengthened bound is min(k_upper, log2(nullity + 1)); the capped
+    # LP max P_Y . a subject to the bound system and P_Y . a <= cap, in
+    # standard form with its slack column spelled out, lands on that min
+    a = mm.analyze(BOUND_JOINTS[kind](np.random.default_rng(seed)))
+    if a.bounds is None:
+        return
+    b = a.bounds
+    assert b.k_upper_strengthened == min(b.k_upper, b.log_nullity_bound)
+    a_xy, b_xy = mm.build_bound_matrices(a.d, a.h_given_x, a.h_cond)
+    py = dist.marginal_y(a.d)
+    cap = b.log_nullity_bound - a.h_cond
+    lhs = np.block([[a_xy, np.zeros((a_xy.shape[0], 1))], [py, 1.0]])
+    out = solve_lp(LinearProgram(np.append(py, 0.0), lhs, np.append(b_xy, cap), sense="max"))
+    assert out.status == "optimal"
+    assert abs(a.h_cond + out.value - b.k_upper_strengthened) <= 1e-12

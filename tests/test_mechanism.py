@@ -189,8 +189,7 @@ def test_theorem1_bounds_example1():
     assert b.log_nullity_bound == pytest.approx(math.log2(5), abs=1e-12)
     assert b.k_lower >= EX1_H_COND - 1e-9
     assert b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6
-    assert b.k_upper_strengthened <= b.log_nullity_bound + 1e-9
-    assert not b.strengthened_fallback
+    assert b.k_upper_strengthened == min(b.k_upper, b.log_nullity_bound)
     # the disclosure the reference solution reports also sits in the sandwich
     assert b.k_lower - 1e-6 <= 1.9591 <= b.k_upper_strengthened + 1e-3
     assert not b.unique
@@ -241,20 +240,14 @@ def test_membership_boundary_band():
     d = dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
     a = mm.analyze(d, tol_ent=0.1)
     assert not a.member and a.boundary
-    # counted a member, the pair gets the bound LPs; its strengthened cap
-    # log2(nullity + 1) - H(Y|X) is negative, so that LP falls back
+    # counted a member, the pair gets the bound LPs; log2(nullity + 1) = 0
+    # lies below H(Y|X), and the strengthened bound is still the min
     a = mm.analyze(d, tol_ent=1.0)
     assert a.member and a.boundary
-    assert a.bounds.strengthened_fallback
+    b = a.bounds
+    assert b.k_upper_strengthened == min(b.k_upper, b.log_nullity_bound) == 0.0
     a = mm.analyze(d, tol_ent=1e-7)
     assert not a.member and not a.boundary
-
-
-def test_strengthened_bound_fallback_is_recorded(strengthened_lp_infeasible):
-    # the capped solve comes back infeasible: the weaker cap, and a record
-    b = mm.analyze(example1()).bounds
-    assert b.strengthened_fallback
-    assert b.k_upper_strengthened == min(b.k_upper, b.log_nullity_bound)
 
 
 # ---------------------------------------------------------------------------
