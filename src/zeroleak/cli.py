@@ -433,11 +433,11 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     """Property suite for one instance of ``args.family``; returns the
     violated invariants."""
     family = args.family
-    a = mech_mod.analyze(d, args.tol_ent, args.tol_lp)
+    a = mech_mod.analyze(d)
     if family in ("det-f", "common-info", "rect") and not a.member:
         return [f"expected membership, got g0 = {a.g0:.6g}"]
     if family == "invertible" and a.member and not a.boundary:
-        if a.h_cond > 10 * args.tol_ent:
+        if a.h_cond > 10 * mech_mod.TAU_ENT:
             return ["invertible kernel unexpectedly a member"]
         return []
     if not a.member:
@@ -489,7 +489,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         return (0 if not violations else 1), lines.text()
 
     d = parse_distribution(args.input_path)
-    a = mech_mod.analyze(d, args.tol_ent, args.tol_lp)
+    a = mech_mod.analyze(d)
     if args.cmd == "analyze":
         render_analysis(a, lines)
         return 0, lines.text()
@@ -521,8 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["analyze", "mechanism", "code", "audit", "sweep"],
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol-lp", type=float, default=1e-9, dest="tol_lp")
-    p.add_argument("--tol-ent", type=float, default=mech_mod.TAU_ENT, dest="tol_ent")
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--n", type=int, default=100, help="sweep instance count")
     p.add_argument(
@@ -537,8 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol_lp <= 0 or args.tol_ent <= 0:
-        parser.error("tolerances must be positive")
     if args.n < 1:
         parser.error("--n must be at least 1")
     try:

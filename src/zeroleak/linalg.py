@@ -5,27 +5,25 @@ solver favors transparency over speed: an explicit tableau, Bland's
 anti-cycling rule, and reduced costs recomputed from scratch each pivot.
 
 Vertices are enumerated by adjacency pivoting over feasible bases (Avis &
-Fukuda, DCG 1992): a breadth-first walk from one feasible basis that takes
-every min-ratio pivot, so the work grows with the number of feasible bases
-rather than with the C(n, rank) column subsets. The walk handles one BFS
-level at a time, its tableaux stacked into one array, and visits the same
-bases in the same order as a FIFO queue would. One Gauss-Jordan step,
-``_pivot``, serves the row reduction and the simplex, each updating a
-tableau it owns in place; ``_pivot_stack`` is the same step over a stack,
-for the vertex walk. Both form the rank-1 term as a product with no summed
-index (BLAS dgemm with k = 1, and one ``einsum`` for the stack), so each
-entry is one rounded product, as in ``np.outer``, and every pivot gives the
-elementwise step's values, value for value. Zeros may differ in sign (BLAS
-writes +0.0 where ``np.outer`` writes -0.0), and no output can see it:
-every decision compares against a tolerance, every divisor exceeds a
-tolerance in magnitude, and LP points and vertices are clipped at zero
-(``np.clip`` writes +0.0 for either zero). One elimination routine,
-``_rref``, serves rank/nullity, the reduction to independent rows and the
-choice of basis on which each vertex is solved.
+Fukuda, DCG 1992): a breadth-first walk from one feasible basis, one basis
+at a time from a FIFO queue, that takes every min-ratio pivot, so the work
+grows with the number of feasible bases rather than with the C(n, rank)
+column subsets. One Gauss-Jordan step, ``_pivot``, serves the row
+reduction, the simplex and the vertex walk, each updating a tableau it owns
+in place. It forms the rank-1 term as a product with no summed index (BLAS
+dgemm with k = 1), so each entry is one rounded product, as in
+``np.outer``, and every pivot gives the elementwise step's values, value
+for value. Zeros may differ in sign (BLAS writes +0.0 where ``np.outer``
+writes -0.0), and no output can see it: every decision compares against a
+tolerance, every divisor exceeds a tolerance in magnitude, and LP points
+and vertices are clipped at zero (``np.clip`` writes +0.0 for either zero).
+One elimination routine, ``_rref``, serves rank/nullity, the reduction to
+independent rows and the choice of basis on which each vertex is solved.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,18 +41,6 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     prow = tab[row] / tab[row, col]
     tab -= np.dot(tab[:, col, None], prow[None, :])
     tab[row] = prow
-
-
-def _pivot_stack(tabs: np.ndarray, parent, row, col) -> np.ndarray:
-    """``_pivot`` on a copy of ``tabs[p]`` at (r, c), for each (p, r, c), as
-    one new stack; its products are one ``einsum`` with no summed index, so
-    each tableau is ``_pivot``'s value for value, zeros may differ in sign."""
-    out = tabs[parent]
-    k = np.arange(len(parent))
-    prow = out[k, row] / out[k, row, col][:, None]
-    out -= np.einsum("kr,kn->krn", out[k, :, col], prow)
-    out[k, row] = prow
-    return out
 
 
 def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -256,52 +242,37 @@ def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.nd
 def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol: float) -> list:
     """The basis to solve each vertex on, found by a breadth-first walk over
     the feasible bases of ``red_a`` from ``start``, whose tableau is ``tab``."""
-    r, n = red_a.shape
-    # A basis is a row of columns in tableau row order, keyed by its bitmask.
-    # Each BFS level is one stack of bases and tableaux, in the order a FIFO
-    # queue would pop them; every step below runs once over the whole stack.
+    r = red_a.shape[0]
+    # A basis is a tuple of columns in tableau row order, keyed by its bitmask.
     found: dict[tuple[int, ...], tuple[int, ...]] = {}  # support -> basis to solve on
-    level, tabs = np.array(start, dtype=int).reshape(1, r), tab[None]
-    keys = [sum(1 << c for c in start)]
-    seen = set(keys)
-    while True:
-        feasible = ~(tabs[:, :, -1].min(axis=1, initial=0.0) < -tol)
-        if not feasible.all():
-            level, tabs = level[feasible], tabs[feasible]
-            keys = [key for key, ok in zip(keys, feasible.tolist()) if ok]
-        xb = tabs[:, :, -1]
-        pos = xb > tol
-        # each support sorted, padded past its end with the column count
-        padded = np.where(pos, level, n)
-        padded.sort(axis=1)
-        for cols, size in zip(padded.tolist(), pos.sum(axis=1).tolist()):
-            support = tuple(cols[:size])
-            if support not in found:
-                found[support] = support if size == r else _first_basis(red_a, support)
+    key = sum(1 << c for c in start)
+    seen = {key}
+    queue = deque([(start, key, tab)])
+    while queue:
+        basis, key, tab = queue.popleft()
+        xb = tab[:, -1]
+        if xb.min(initial=0.0) < -tol:
+            continue
+        support = tuple(sorted(basis[i] for i in np.nonzero(xb > tol)[0]))
+        if support not in found:
+            found[support] = support if len(support) == r else _first_basis(red_a, support)
 
-        t = tabs[:, :, :-1]
+        t = tab[:, :-1]
         enter = t > tol
-        enter[np.arange(len(level))[:, None], :, level] = False
+        enter[:, basis] = False
         if not enter.any():
-            break
+            continue
         ratio = np.full(t.shape, np.inf)
-        np.divide(np.where(pos, xb, 0.0)[:, :, None], t, out=ratio, where=enter)
-        tied = enter & (ratio <= ratio.min(axis=1, initial=np.inf)[:, None, :] + 1e-12)
-        parent, row, col = np.nonzero(tied)
-        fresh, keys_next = [], []
-        leaving = level[parent, row]
-        for i, (p, drop, add) in enumerate(zip(parent.tolist(), leaving.tolist(), col.tolist())):
-            nxt = keys[p] ^ (1 << drop) ^ (1 << add)
-            if nxt not in seen:
-                seen.add(nxt)
-                fresh.append(i)
-                keys_next.append(nxt)
-        if not fresh:
-            break
-        parent, row, col = parent[fresh], row[fresh], col[fresh]
-        level = level[parent]
-        level[np.arange(len(parent)), row] = col
-        tabs, keys = _pivot_stack(tabs, parent, row, col), keys_next
+        np.divide(np.where(xb > tol, xb, 0.0)[:, None], t, out=ratio, where=enter)
+        tied = enter & (ratio <= ratio.min(axis=0) + 1e-12)
+        for row, col in zip(*np.nonzero(tied)):
+            nxt = key ^ (1 << basis[row]) ^ (1 << int(col))
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            child = tab.copy()  # _pivot updates in place; the parent has more children
+            _pivot(child, row, col)
+            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, child))
 
     return [c for c in found.values() if len(c) == r]
 
@@ -309,16 +280,13 @@ def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol:
 def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
     """All basic feasible solutions of {x >= 0 : eq_lhs @ x = eq_rhs}.
 
-    Walks the graph of feasible bases breadth first, one level at a time:
-    the level's tableaux are stacked, each test runs once over the stack,
-    and all children are pivoted in one stacked step. Bases are visited in
-    the order a FIFO queue would pop them, from the same parents, with
-    tableaux equal to one-at-a-time pivots value for value (zeros may
-    differ in sign; see the module docstring). The walk starts at
-    the pivot columns of the reduced system, or, when those solve to an
-    entry below -tol, at a basis around a phase-1 simplex point. From each
-    basis it takes every min-ratio pivot, with every leaving row whose ratio
-    ties the minimum within 1e-12, so degenerate vertices are reached too.
+    Walks the graph of feasible bases breadth first, popping one basis at a
+    time from a FIFO queue and pivoting a copy of its tableau into each
+    unseen neighbour. The walk starts at the pivot columns of the reduced
+    system, or, when those solve to an entry below -tol, at a basis around
+    a phase-1 simplex point. From each basis it takes every min-ratio
+    pivot, with every leaving row whose ratio ties the minimum within
+    1e-12, so degenerate vertices are reached too.
     When the rank equals the column count the start basis is the only
     basis, and no walk is made.
     Each vertex is keyed by its support (entries above ``tol``) and solved

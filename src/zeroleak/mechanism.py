@@ -104,23 +104,23 @@ def build_bound_matrices(
     return py[None, :] - pyx.T, h_given_x - h_cond
 
 
-def feasible_columns(d: JointDistribution, tol_lp: float = 1e-9) -> np.ndarray:
+def feasible_columns(d: JointDistribution) -> np.ndarray:
     """Vertices of the zero-leakage polytope {p >= 0 : P_{X|Y} p = P_X}.
 
     The normalization row is implied because the kernel columns each sum
     to 1, so any solution automatically has total mass 1.
     """
     k = dist.kernel_x_given_y(d).k
-    return enumerate_vertices(k, dist.marginal_x(d), tol=tol_lp)
+    return enumerate_vertices(k, dist.marginal_x(d))
 
 
-def _lp_mixture(d: JointDistribution, tol_lp: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _lp_mixture(d: JointDistribution) -> tuple[np.ndarray, np.ndarray, float]:
     """The g0 mixture LP over every vertex of ``d``'s polytope: the vertices
     given weight above WEIGHT_FLOOR, those weights scaled to sum 1, and the
     LP's value sum_v w_v H(v)."""
-    verts = feasible_columns(d, tol_lp)
+    verts = feasible_columns(d)
     lp = LinearProgram(dist.entropy_rows(verts), verts.T, dist.marginal_y(d), sense="min")
-    out = solve_lp(lp, tol=tol_lp)
+    out = solve_lp(lp)
     if out.status != "optimal":
         raise InternalError(f"mixture weight LP came back {out.status}")
     support = np.nonzero(out.point > WEIGHT_FLOOR)[0]
@@ -128,7 +128,7 @@ def _lp_mixture(d: JointDistribution, tol_lp: float) -> tuple[np.ndarray, np.nda
     return verts[support], w / w.sum(), float(out.value)
 
 
-def _component_mixture(d: JointDistribution, xs: np.ndarray, ys: np.ndarray, tol_lp: float):
+def _component_mixture(d: JointDistribution, xs: np.ndarray, ys: np.ndarray):
     """(P_k, vertices, weights, value) of the component on rows ``xs`` and
     columns ``ys``: its mass P_k, then ``_lp_mixture`` of its normalised
     sub-joint. Where X and Y are independent on the component (its columns
@@ -143,7 +143,7 @@ def _component_mixture(d: JointDistribution, xs: np.ndarray, ys: np.ndarray, tol
     p_y = sub.sum(axis=0)
     if np.ptp(sub / p_y, axis=1).max() <= RANK_TOL:
         return mass, np.eye(ys.size), p_y / mass, 0.0
-    return (mass, *_lp_mixture(JointDistribution(sub / mass), tol_lp))
+    return (mass, *_lp_mixture(JointDistribution(sub / mass)))
 
 
 def _couple(parts: list, y_parts: list[np.ndarray], y_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +185,7 @@ def _couple(parts: list, y_parts: list[np.ndarray], y_size: int) -> tuple[np.nda
     return np.array(atoms)[order], cols[:, order]
 
 
-def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechanism]:
+def solve_g0(d: JointDistribution) -> tuple[float, Mechanism]:
     """Maximize I(Y;U) over zero-leakage mechanisms; return (value, optimizer).
 
     Solves min sum_v w_v H(v) over vertex weights w >= 0 with mixture
@@ -204,12 +204,12 @@ def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechani
     py = dist.marginal_y(d)
     count, x_part, y_part = dist.support_components(d)
     if count == 1:
-        verts, p_u, cost = _lp_mixture(d, tol_lp)
+        verts, p_u, cost = _lp_mixture(d)
         cols = verts.T / verts.T.sum(axis=0)[None, :]
     else:
         xs = [np.nonzero(x_part == k)[0] for k in range(count)]
         ys = [np.nonzero(y_part == k)[0] for k in range(count)]
-        parts = [_component_mixture(d, xs[k], ys[k], tol_lp) for k in range(count)]
+        parts = [_component_mixture(d, xs[k], ys[k]) for k in range(count)]
         p_u, cols = _couple(parts, ys, d.y_size)
         masses = np.array([mass for mass, *_ in parts])
         values = np.array([value for *_, value in parts])
@@ -222,12 +222,7 @@ def solve_g0(d: JointDistribution, tol_lp: float = 1e-9) -> tuple[float, Mechani
 
 
 def theorem1_bounds(
-    d: JointDistribution,
-    nullity: int,
-    h_given_x: np.ndarray,
-    h_cond: float,
-    tol_ent: float = TAU_ENT,
-    tol_lp: float = 1e-9,
+    d: JointDistribution, nullity: int, h_given_x: np.ndarray, h_cond: float
 ) -> MechanismBounds:
     """LP sandwich on the minimum entropy over zero-leakage optimizers.
 
@@ -243,18 +238,18 @@ def theorem1_bounds(
     py = dist.marginal_y(d)
     log_nullity = float(np.log2(nullity + 1))
 
-    lo = solve_lp(LinearProgram(py, a_xy, b_xy, sense="min"), tol=tol_lp)
+    lo = solve_lp(LinearProgram(py, a_xy, b_xy, sense="min"))
     if lo.status != "optimal":
         raise InfeasibleBoundLP(f"lower bound LP came back {lo.status}")
     k_lower = h_cond + lo.value
 
-    hi = solve_lp(LinearProgram(py, a_xy, b_xy, sense="max"), tol=tol_lp)
+    hi = solve_lp(LinearProgram(py, a_xy, b_xy, sense="max"))
     if hi.status == "infeasible":
         raise InfeasibleBoundLP("upper bound LP infeasible despite membership")
     k_upper = float("inf") if hi.status == "unbounded" else h_cond + hi.value
 
     rank_a, _ = rank_and_nullity(a_xy)
-    unique = bool(rank_a == d.y_size and not h_cond <= tol_ent)  # Y is not a function of X
+    unique = bool(rank_a == d.y_size and not h_cond <= TAU_ENT)  # Y is not a function of X
     return MechanismBounds(
         k_lower=float(k_lower),
         k_upper=float(k_upper),
@@ -310,14 +305,14 @@ def _entropy_y_given_xu(joint: np.ndarray) -> float:
     return dist.sum_in_order(w * dist.entropy_rows(joint.transpose(0, 2, 1)[live] / w[:, None]))
 
 
-def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9) -> Analysis:
+def analyze(d: JointDistribution) -> Analysis:
     """Rank and nullity of P_{X|Y}, whether X = f(Y), the funnel optimum g0
     and its optimizer (solved once), membership, then for a member the
     optimizer's entropy bounds and, when one exists, its decode table.
     Commands and the length report read these from the Analysis instead of
     computing them again.
 
-    A joint is a member when g0 equals H(Y|X) within ``tol_ent``; X = f(Y)
+    A joint is a member when g0 equals H(Y|X) within TAU_ENT; X = f(Y)
     is a known sufficient condition, so there g0 is reported as H(Y|X).
     Gaps within a decade of the tolerance either side are flagged
     ``boundary`` instead of being silently classified."""
@@ -325,16 +320,16 @@ def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
     h_cond = dist.sum_in_order(dist.marginal_x(d) * h_given_x)
     rank, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
     x_det = x_is_function_of_y(d)
-    g0, mech = solve_g0(d, tol_lp)
+    g0, mech = solve_g0(d)
     if x_det:
         g0 = h_cond
     gap = abs(g0 - h_cond)
-    member = gap <= tol_ent
+    member = gap <= TAU_ENT
     bounds = achieved = None
     decodable = False
     if member:
         achieved = dist.entropy(mech.p_u)
-        bounds = theorem1_bounds(d, nullity, h_given_x, h_cond, tol_ent, tol_lp)
+        bounds = theorem1_bounds(d, nullity, h_given_x, h_cond)
         try:
             mech = build_decode_table(d, mech)
             decodable = True
@@ -344,7 +339,7 @@ def analyze(d: JointDistribution, tol_ent: float = TAU_ENT, tol_lp: float = 1e-9
         mech = None
     return Analysis(
         d, h_given_x, h_cond, rank, nullity, x_det, member,
-        tol_ent / 10.0 <= gap <= 10.0 * tol_ent, g0, mech, decodable, bounds, achieved,
+        TAU_ENT / 10.0 <= gap <= 10.0 * TAU_ENT, g0, mech, decodable, bounds, achieved,
     )
 
 

@@ -1,7 +1,6 @@
 """Rank/nullity, the simplex solver, and basic-feasible-solution enumeration."""
 
 import itertools
-from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -17,9 +16,6 @@ from zeroleak.errors import Infeasible, NumericalFailure
 from zeroleak.linalg import (
     TAU_LP,
     LinearProgram,
-    _basic_solutions,
-    _first_basis,
-    _pivot,
     _rref,
     enumerate_vertices,
     rank_and_nullity,
@@ -180,7 +176,7 @@ def test_solvers_leave_their_inputs_unchanged():
         solve_lp(LinearProgram(c, a, b, sense=sense))
     assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
 
-    a, b = _walk_input(*PHASE1_EXAMPLE)
+    a, b = _phase1_example()
     before = a.copy(), b.copy()
     enumerate_vertices(a, b)
     assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
@@ -337,67 +333,8 @@ def test_vertices_rank_zero():
 
 
 # ---------------------------------------------------------------------------
-# the walk one basis at a time from a FIFO queue, kept as the oracle for the
-# walk one breadth-first level at a time on stacked tableaux
-
-
-def queue_enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
-    a = np.array(eq_lhs, dtype=float, ndmin=2)
-    b = np.asarray(eq_rhs, dtype=float)
-    if a.shape[0] != b.size:
-        raise ValueError(f"shape mismatch: A {a.shape}, b {b.size}")
-    red_a, red_b, pivots = _rref(a, b)
-    r = red_a.shape[0]
-    # red_a[:, pivots] is the identity, so that basis solves to red_b and its
-    # tableau is [red_a | red_b] itself
-    start = tuple(pivots)
-    tab = np.hstack([red_a, red_b[:, None]])
-    if red_b.min(initial=0.0) < -tol:
-        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b), tol=tol)
-        if out.status != "optimal":
-            raise Infeasible("polytope has no basic feasible solution")
-        start = _first_basis(red_a, np.nonzero(out.point > tol)[0])
-        if len(start) != r:
-            raise NumericalFailure("phase-1 point does not extend to a basis")
-        tab = np.linalg.solve(red_a[:, start], tab)
-
-    # A basis is a tuple of columns in tableau row order, keyed by its bitmask.
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}  # support -> basis to solve on
-    key = sum(1 << c for c in start)
-    seen = {key}
-    queue = deque([(start, key, tab)])
-    while queue:
-        basis, key, tab = queue.popleft()
-        xb = tab[:, -1]
-        if xb.min(initial=0.0) < -tol:
-            continue
-        support = tuple(sorted(basis[i] for i in np.nonzero(xb > tol)[0]))
-        if support not in found:
-            found[support] = support if len(support) == r else _first_basis(red_a, support)
-
-        t = tab[:, :-1]
-        enter = t > tol
-        enter[:, basis] = False
-        if not enter.any():
-            continue
-        ratio = np.full(t.shape, np.inf)
-        np.divide(np.where(xb > tol, xb, 0.0)[:, None], t, out=ratio, where=enter)
-        tied = enter & (ratio <= ratio.min(axis=0) + 1e-12)
-        for row, col in zip(*np.nonzero(tied)):
-            nxt = key ^ (1 << basis[row]) ^ (1 << int(col))
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            child = tab.copy()  # _pivot updates in place; the parent has more children
-            _pivot(child, row, col)
-            queue.append((basis[:row] + (int(col),) + basis[row + 1:], nxt, child))
-
-    bases = [c for c in found.values() if len(c) == r]
-    vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)
-    if not len(vertices):
-        raise Infeasible("polytope has no basic feasible solution")
-    return vertices[np.lexsort(vertices.T[::-1])]
-
+# benchmark-ladder shapes, the exact vertices of the det ladder, a phase-1
+# start and full-rank kernels
 
 # benchmark-ladder shapes, larger than the families draw by default:
 # det-f (|X|, |Y|) and common-info (|V|, |N1|, |N2|)
@@ -410,62 +347,46 @@ LADDER_SHAPES = {
 }
 
 
-def _walk_input(kind, seed):
-    """One (A, b) of ``kind``: a sliced simplex, a degenerate rational
-    polytope, or the P(X|Y) kernel and P_X of a ``families.FAMILIES`` or
-    ``LADDER_SHAPES`` joint."""
-    rng = np.random.default_rng(seed)
-    if kind == "sliced-simplex":
-        n = int(rng.integers(2, 9))
-        a = np.vstack([np.ones(n), rng.normal(size=(int(rng.integers(0, n)), n))])
-        return a, a @ rng.dirichlet(np.ones(n))
-    if kind == "degenerate-rational":
-        n, cuts = int(rng.integers(4, 10)), int(rng.integers(2, 5))
-        a = np.vstack([np.ones(n), rng.integers(-2, 4, size=(cuts, n))]).astype(float)
-        p = np.zeros(n)
-        support = rng.choice(n, size=int(rng.integers(2, cuts + 1)), replace=False)
-        p[support] = rng.integers(1, 7, size=support.size)
-        return a, a @ (p / p.sum())
-    d = (families.FAMILIES | LADDER_SHAPES)[kind](rng)
-    return dist.kernel_x_given_y(d).k, dist.marginal_x(d)
+def _phase1_example():
+    """A degenerate rational polytope whose reduced right-hand side has a
+    negative entry, so the walk starts at a basis around a phase-1 point."""
+    rng = np.random.default_rng(0)
+    n, cuts = int(rng.integers(4, 10)), int(rng.integers(2, 5))
+    a = np.vstack([np.ones(n), rng.integers(-2, 4, size=(cuts, n))]).astype(float)
+    p = np.zeros(n)
+    support = rng.choice(n, size=int(rng.integers(2, cuts + 1)), replace=False)
+    p[support] = rng.integers(1, 7, size=support.size)
+    return a, a @ (p / p.sum())
 
 
-PHASE1_EXAMPLE = ("degenerate-rational", 0)  # its reduced right-hand side has a negative entry
+# the det ladder's class sizes: X = f(Y) with |X| = 6 and |Y| = 18..22
+DET_LADDER = (
+    (4, 4, 3, 3, 2, 2),
+    (7, 3, 3, 2, 2, 2),
+    (8, 4, 3, 2, 2, 1),
+    (10, 3, 3, 2, 2, 1),
+    (15, 2, 2, 1, 1, 1),
+)
 
 
-def _recording(f, log):
-    """``f``, logging each result; for an in-place step, its updated argument."""
-
-    def record(*args):
-        out = f(*args)
-        log.append(args[0] if out is None else out)
-        return out
-
-    return record
-
-
-@given(st.sampled_from(["sliced-simplex", "degenerate-rational", *families.FAMILIES]), seeds)
-@example(*PHASE1_EXAMPLE)
-@example("det-6x18", 1)
-def test_walk_matches_queue_oracle(kind, seed):
-    # the same vertex array, bit for bit, or the same exception type; and the
-    # same child tableaux, bit for bit, in the order the queue made them
-    a, b = _walk_input(kind, seed)
-    queue_tabs, level_tabs = [], []
-    with mock.patch.dict(globals(), _pivot=_recording(_pivot, queue_tabs)):
-        try:
-            want = queue_enumerate_vertices(a, b)
-        except (Infeasible, NumericalFailure) as exc:
-            want = exc
-    with mock.patch.object(linalg, "_pivot_stack", _recording(linalg._pivot_stack, level_tabs)):
-        if isinstance(want, Exception):
-            with pytest.raises(type(want)):
-                enumerate_vertices(a, b)
-        else:
-            assert np.array_equal(enumerate_vertices(a, b), want)
-    children = [tab for stack in level_tabs for tab in stack]
-    assert len(children) == len(queue_tabs)
-    assert all(np.array_equal(got, tab) for got, tab in zip(children, queue_tabs))
+@pytest.mark.parametrize("class_sizes", DET_LADDER, ids=[f"det-6x{sum(s)}" for s in DET_LADDER])
+def test_det_ladder_vertices_are_one_y_per_class(class_sizes):
+    # for X = f(Y) the polytope's vertices are exactly the points that put
+    # P_X(x) on one y of each class x: the walk finds each of them, bit for
+    # bit, and nothing else
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        f = rng.permutation(np.repeat(np.arange(len(class_sizes)), class_sizes))
+        joint = np.zeros((len(class_sizes), f.size))
+        joint[f, np.arange(f.size)] = rng.dirichlet(np.ones(f.size))
+        d = dist.validate_and_normalize(joint)
+        px = dist.marginal_x(d)
+        classes = [np.nonzero(f == x)[0] for x in range(len(class_sizes))]
+        want = np.zeros((int(np.prod(class_sizes)), f.size))
+        for v, ys in zip(want, itertools.product(*classes)):
+            v[list(ys)] = px
+        want = want[np.lexsort(want.T[::-1])]
+        assert np.array_equal(mm.feasible_columns(d), want)
 
 
 def _full_rank_input(kind, seed):
@@ -485,26 +406,18 @@ def _full_rank_input(kind, seed):
 
 @given(st.sampled_from(["invertible", "small-y", "degenerate", "infeasible"]), seeds)
 def test_full_rank_kernel_skips_the_walk(kind, seed):
-    # the start basis is the only basis: the queue walk's vertices or
-    # exception, with no level walked and no tableau pivoted
+    # the start basis is the only basis: the scan's vertices or Infeasible,
+    # with no walk made
     a, b = _full_rank_input(kind, seed)
     assert rank_and_nullity(a)[0] == a.shape[1]
-    try:
-        want = queue_enumerate_vertices(a, b)
-    except (Infeasible, NumericalFailure) as exc:
-        want = exc
-    with mock.patch.object(linalg, "_walk_bases", side_effect=AssertionError), \
-            mock.patch.object(linalg, "_pivot_stack", side_effect=AssertionError):
-        if isinstance(want, Exception):
-            with pytest.raises(type(want)):
-                enumerate_vertices(a, b)
-        else:
-            assert np.array_equal(enumerate_vertices(a, b), want)
+    with mock.patch.object(linalg, "_walk_bases", side_effect=AssertionError):
+        assert_matches_scan(a, b)
 
 
 def test_phase1_example_starts_off_the_pivot_basis():
-    a, b = _walk_input(*PHASE1_EXAMPLE)
+    a, b = _phase1_example()
     assert _rref(a, b)[1].min() < -TAU_LP
+    assert_matches_scan(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -235,18 +235,22 @@ def test_theorem1_y_function_of_x_degenerate():
 
 
 def test_membership_boundary_band():
-    # the binary symmetric pair has gap = H(Y|X) - g0 = 0.469 bits; widen
-    # the tolerance so the gap lands inside the reported-boundary decade
-    d = dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5]))
-    a = mm.analyze(d, tol_ent=0.1)
-    assert not a.member and a.boundary
-    # counted a member, the pair gets the bound LPs; log2(nullity + 1) = 0
-    # lies below H(Y|X), and the strengthened bound is still the min
-    a = mm.analyze(d, tol_ent=1.0)
+    # [[0.5, e], [0, 0.5 - e]] is one mass e away from the X = f(Y) joint
+    # diag(0.5, 0.5); its gap H(Y|X) - g0 grows with e through the decade
+    # either side of TAU_ENT
+    def joint(e):
+        return dist.validate_and_normalize(np.array([[0.5, e], [0.0, 0.5 - e]]))
+
+    a = mm.analyze(joint(1e-9))  # gap 3.0e-8
     assert a.member and a.boundary
+    # counted a member, the joint gets the bound LPs; log2(nullity + 1) = 0
+    # lies below H(Y|X), and the strengthened bound is still the min
     b = a.bounds
     assert b.k_upper_strengthened == min(b.k_upper, b.log_nullity_bound) == 0.0
-    a = mm.analyze(d, tol_ent=1e-7)
+    a = mm.analyze(joint(5e-9))  # gap 1.4e-7
+    assert not a.member and a.boundary
+    # the binary symmetric pair has gap 0.469 bits, far outside the band
+    a = mm.analyze(dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5])))
     assert not a.member and not a.boundary
 
 
