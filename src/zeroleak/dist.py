@@ -74,14 +74,14 @@ class Kernel:
             raise NegativeMass(f"kernel has negative entry {self.k.min():.3g}")
 
 
-def validate_and_normalize(raw, tol: float = TAU_PROB) -> JointDistribution:
+def validate_and_normalize(raw) -> JointDistribution:
     """Build a JointDistribution from a raw matrix.
 
-    Clamps entries in [-tol, 0) to zero, renormalizes to total mass 1, and
-    deletes all-zero rows and columns, recording which original indices
+    Clamps entries in [-TAU_PROB, 0) to zero, renormalizes to total mass 1,
+    and deletes all-zero rows and columns, recording which original indices
     survive; a total that overflows is taken after dividing by the largest
     entry. Raises BadShape for ragged/empty input, NonFiniteMass for NaN or
-    infinite entries, NegativeMass for entries below -tol, EmptySupport
+    infinite entries, NegativeMass for entries below -TAU_PROB, EmptySupport
     when nothing remains.
     """
     try:
@@ -92,15 +92,15 @@ def validate_and_normalize(raw, tol: float = TAU_PROB) -> JointDistribution:
         raise BadShape(f"expected a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NonFiniteMass(f"entry {m[~np.isfinite(m)][0]} is not finite")
-    if m.min() < -tol:
-        raise NegativeMass(f"entry {m.min():.6g} is below -{tol:g}")
+    if m.min() < -TAU_PROB:
+        raise NegativeMass(f"entry {m.min():.6g} is below -{TAU_PROB:g}")
     m = np.clip(m, 0.0, None)
     with np.errstate(over="ignore"):
         total = m.sum()
     if np.isinf(total):
         m = m / m.max()
         total = m.sum()
-    if total <= tol:
+    if total <= TAU_PROB:
         raise EmptySupport("all probability mass is zero")
     m = m / total
     keep_x = np.nonzero(m.sum(axis=1) > 0.0)[0]
@@ -109,7 +109,7 @@ def validate_and_normalize(raw, tol: float = TAU_PROB) -> JointDistribution:
     return JointDistribution(m, tuple(int(i) for i in keep_x), tuple(int(j) for j in keep_y))
 
 
-def from_conditional(p_x_given_y, p_y, tol: float = TAU_PROB) -> JointDistribution:
+def from_conditional(p_x_given_y, p_y) -> JointDistribution:
     """Compose a joint from a column-stochastic kernel P(x|y) and a marginal P(y)."""
     k = np.asarray(p_x_given_y, dtype=float)
     v = np.asarray(p_y, dtype=float)
@@ -123,7 +123,7 @@ def from_conditional(p_x_given_y, p_y, tol: float = TAU_PROB) -> JointDistributi
         )
     if abs(v.sum() - 1.0) > 1e-6:
         raise StochasticityError(f"marginal sums to {v.sum():.12g}, expected 1")
-    return validate_and_normalize(k * v[None, :], tol)
+    return validate_and_normalize(k * v[None, :])
 
 
 def marginal_x(d: JointDistribution) -> np.ndarray:

@@ -43,13 +43,13 @@ def _pivot(tab: np.ndarray, row: int, col: int) -> None:
     tab[row] = prow
 
 
-def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _rref(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Gauss-Jordan elimination of [A | b] with partial pivoting.
 
     Returns (rows, rhs, pivots): the independent rows of the reduced A, their
     right-hand sides, and the pivot column of each row. The pivot columns are
     the lexicographically first basis of A's column space. Pivots no larger
-    than ``tol`` times the largest entry of [A | b] (or 1) count as zero.
+    than RANK_TOL times the largest entry of [A | b] (or 1) count as zero.
     Raises Infeasible when elimination exposes a row 0 = nonzero.
     """
     work = np.concatenate([a, b[:, None]], axis=1, dtype=float)
@@ -61,7 +61,7 @@ def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarr
         if rank == rows:
             break
         piv = rank + int(np.argmax(np.abs(work[rank:, c])))
-        if abs(work[piv, c]) <= tol * scale:
+        if abs(work[piv, c]) <= RANK_TOL * scale:
             continue
         if piv != rank:
             work[[rank, piv]] = work[[piv, rank]]
@@ -73,16 +73,16 @@ def _rref(a: np.ndarray, b: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarr
     return work[:rank, :cols], work[:rank, -1], pivots
 
 
-def rank_and_nullity(m, tol: float = RANK_TOL) -> tuple[int, int]:
+def rank_and_nullity(m) -> tuple[int, int]:
     """Rank and nullity of a dense matrix by Gaussian elimination.
 
-    Pivots smaller than ``tol`` (relative to the largest entry) are treated
+    Pivots smaller than RANK_TOL (relative to the largest entry) are treated
     as zero. Returns (rank, ncols - rank).
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("rank_and_nullity needs a nonempty 2-d matrix")
-    rank = len(_rref(a, np.zeros(a.shape[0]), tol)[2])
+    rank = len(_rref(a, np.zeros(a.shape[0]))[2])
     return rank, a.shape[1] - rank
 
 
@@ -104,7 +104,7 @@ class LpOutcome:
     point: np.ndarray | None
 
 
-def _bland_iterate(tab, basis, costs, n_allowed, tol) -> str:
+def _bland_iterate(tab, basis, costs, n_allowed) -> str:
     """Run simplex pivots on the tableau [T | rhs], in place, under Bland's
     rule until optimal or unbounded; returns the status.
 
@@ -117,7 +117,7 @@ def _bland_iterate(tab, basis, costs, n_allowed, tol) -> str:
     cb = costs[basis]
     cap = 10_000 + 100 * (m + tab.shape[1] - 1)
     for _ in range(cap):
-        improving = (costs - cb @ tab[:, :-1])[:n_allowed] < -tol
+        improving = (costs - cb @ tab[:, :-1])[:n_allowed] < -TAU_LP
         enter = int(improving.argmax())
         if not improving[enter]:
             return "optimal"
@@ -126,7 +126,7 @@ def _bland_iterate(tab, basis, costs, n_allowed, tol) -> str:
         best = np.inf
         leave = -1
         for i in range(m):
-            if col[i] > tol:
+            if col[i] > TAU_LP:
                 r = b[i] / col[i]
                 if r < best - 1e-12:
                     best, leave = r, i
@@ -140,7 +140,7 @@ def _bland_iterate(tab, basis, costs, n_allowed, tol) -> str:
     raise NumericalFailure(f"simplex exceeded {cap} pivots without certifying a status")
 
 
-def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
+def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Two-phase primal simplex on the standard-form tableau: [A | I | b]
     with an artificial basis in phase 1, [A | b] in phase 2. Every
     constraint is an equality row of ``lp``; the caller spells out slacks.
@@ -167,9 +167,9 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
     tab = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     phase1 = np.concatenate([np.zeros(n), np.ones(m)])
-    _bland_iterate(tab, basis, phase1, n + m, tol)
+    _bland_iterate(tab, basis, phase1, n + m)
     scale = 1.0 + float(np.abs(b).sum())
-    if phase1[basis] @ tab[:, -1] > tol * scale:
+    if phase1[basis] @ tab[:, -1] > TAU_LP * scale:
         return LpOutcome("infeasible", float("nan"), None)
 
     # Drive leftover artificials out of the basis; drop redundant rows.
@@ -180,21 +180,21 @@ def solve_lp(lp: LinearProgram, tol: float = TAU_LP) -> LpOutcome:
             continue
         row = tab[i, :n]
         j = int(np.argmax(np.abs(row)))
-        if abs(row[j]) > tol:
+        if abs(row[j]) > TAU_LP:
             _pivot(tab, i, j)
             basis[i] = j
             keep.append(i)
     tab = tab[np.ix_(keep, [*range(n), n + m])]
     basis = [basis[i] for i in keep]
 
-    status = _bland_iterate(tab, basis, sign * c, n, tol)
+    status = _bland_iterate(tab, basis, sign * c, n)
     if status == "unbounded":
         return LpOutcome("unbounded", sign * float("-inf"), None)
 
     x = np.zeros(n)
     x[basis] = tab[:, -1]
     resid = float(np.abs(a @ x - b).max()) if m else 0.0
-    if resid > 100 * tol * scale or x.min() < -100 * tol:
+    if resid > 100 * TAU_LP * scale or x.min() < -100 * TAU_LP:
         raise NumericalFailure(
             f"simplex finished with residual {resid:.3g}, min entry {x.min():.3g}"
         )
@@ -214,14 +214,14 @@ def _first_basis(red_a: np.ndarray, support) -> tuple[int, ...]:
     return tuple(sorted(int(order[p]) for p in pivots))
 
 
-def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.ndarray:
+def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray) -> np.ndarray:
     """Basic solutions on the rows of ``bases`` (sorted column indices).
 
     The determinant and solve run as one batched LAPACK call each, so every
     solution equals np.linalg.solve(red_a[:, basis], red_b) bit for bit.
     Drops singular bases (|det| <= RANK_TOL), solutions with an entry below
-    -tol and solutions whose residual on the original system exceeds
-    max(tol, 1e-9). In the rest, every entry at or below ``tol`` (outside
+    -TAU_LP and solutions whose residual on the original system exceeds
+    1e-9. In the rest, every entry at or below TAU_LP (outside
     the support the vertex is keyed by) is written as an exact zero, so no
     round-off gives a vertex mass where it has none.
     """
@@ -233,13 +233,13 @@ def _basic_solutions(a, b, red_a, red_b, bases: np.ndarray, tol: float) -> np.nd
         bases, x = bases[keep], x[keep]
         sol = np.linalg.solve(subs[keep], red_b[None, :, None])[..., 0]
         x[np.arange(len(bases))[:, None], bases] = sol
-    x = np.clip(x[x.min(axis=1) >= -tol], 0.0, None)
-    x = x[np.abs(x @ a.T - b).max(axis=1) <= max(tol, 1e-9)]
-    x[x <= tol] = 0.0
+    x = np.clip(x[x.min(axis=1) >= -TAU_LP], 0.0, None)
+    x = x[np.abs(x @ a.T - b).max(axis=1) <= 1e-9]
+    x[x <= TAU_LP] = 0.0
     return x
 
 
-def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol: float) -> list:
+def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray) -> list:
     """The basis to solve each vertex on, found by a breadth-first walk over
     the feasible bases of ``red_a`` from ``start``, whose tableau is ``tab``."""
     r = red_a.shape[0]
@@ -251,19 +251,19 @@ def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol:
     while queue:
         basis, key, tab = queue.popleft()
         xb = tab[:, -1]
-        if xb.min(initial=0.0) < -tol:
+        if xb.min(initial=0.0) < -TAU_LP:
             continue
-        support = tuple(sorted(basis[i] for i in np.nonzero(xb > tol)[0]))
+        support = tuple(sorted(basis[i] for i in np.nonzero(xb > TAU_LP)[0]))
         if support not in found:
             found[support] = support if len(support) == r else _first_basis(red_a, support)
 
         t = tab[:, :-1]
-        enter = t > tol
+        enter = t > TAU_LP
         enter[:, basis] = False
         if not enter.any():
             continue
         ratio = np.full(t.shape, np.inf)
-        np.divide(np.where(xb > tol, xb, 0.0)[:, None], t, out=ratio, where=enter)
+        np.divide(np.where(xb > TAU_LP, xb, 0.0)[:, None], t, out=ratio, where=enter)
         tied = enter & (ratio <= ratio.min(axis=0) + 1e-12)
         for row, col in zip(*np.nonzero(tied)):
             nxt = key ^ (1 << basis[row]) ^ (1 << int(col))
@@ -277,23 +277,23 @@ def _walk_bases(red_a: np.ndarray, start: tuple[int, ...], tab: np.ndarray, tol:
     return [c for c in found.values() if len(c) == r]
 
 
-def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
+def enumerate_vertices(eq_lhs, eq_rhs) -> np.ndarray:
     """All basic feasible solutions of {x >= 0 : eq_lhs @ x = eq_rhs}.
 
     Walks the graph of feasible bases breadth first, popping one basis at a
     time from a FIFO queue and pivoting a copy of its tableau into each
     unseen neighbour. The walk starts at the pivot columns of the reduced
-    system, or, when those solve to an entry below -tol, at a basis around
+    system, or, when those solve to an entry below -TAU_LP, at a basis around
     a phase-1 simplex point. From each basis it takes every min-ratio
     pivot, with every leaving row whose ratio ties the minimum within
     1e-12, so degenerate vertices are reached too.
     When the rank equals the column count the start basis is the only
     basis, and no walk is made.
-    Each vertex is keyed by its support (entries above ``tol``) and solved
+    Each vertex is keyed by its support (entries above TAU_LP) and solved
     on the lexicographically first nonsingular basis containing that
     support, which is the basis on which a scan over column subsets in
     lexicographic order would first meet it.
-    Solutions with an entry below -tol or a residual above max(tol, 1e-9)
+    Solutions with an entry below -TAU_LP or a residual above 1e-9
     are dropped. Rows are returned in canonical (lexicographic) order.
     Raises Infeasible when no basic feasible solution exists.
     """
@@ -307,21 +307,21 @@ def enumerate_vertices(eq_lhs, eq_rhs, tol: float = TAU_LP) -> np.ndarray:
     # tableau is [red_a | red_b] itself
     start = tuple(pivots)
     tab = np.hstack([red_a, red_b[:, None]])
-    if red_b.min(initial=0.0) < -tol:
-        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b), tol=tol)
+    if red_b.min(initial=0.0) < -TAU_LP:
+        out = solve_lp(LinearProgram(np.zeros(a.shape[1]), red_a, red_b))
         if out.status != "optimal":
             raise Infeasible("polytope has no basic feasible solution")
-        start = _first_basis(red_a, np.nonzero(out.point > tol)[0])
+        start = _first_basis(red_a, np.nonzero(out.point > TAU_LP)[0])
         if len(start) != r:
             raise NumericalFailure("phase-1 point does not extend to a basis")
         tab = np.linalg.solve(red_a[:, start], tab)
 
     if r == a.shape[1]:
         # every column is basic, so the start basis is the only basis
-        bases = [] if tab[:, -1].min(initial=0.0) < -tol else [tuple(range(r))]
+        bases = [] if tab[:, -1].min(initial=0.0) < -TAU_LP else [tuple(range(r))]
     else:
-        bases = _walk_bases(red_a, start, tab, tol)
-    vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r), tol)
+        bases = _walk_bases(red_a, start, tab)
+    vertices = _basic_solutions(a, b, red_a, red_b, np.array(bases, dtype=int).reshape(len(bases), r))
     if not len(vertices):
         raise Infeasible("polytope has no basic feasible solution")
     return vertices[np.lexsort(vertices.T[::-1])]

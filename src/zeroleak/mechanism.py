@@ -12,7 +12,10 @@ by a greedy minimum-entropy coupling, which keeps the optimum and shortens
 the code. This module synthesizes that optimizer, tests whether the
 synthesis is information-lossless (the funnel value equals H(Y|X)), and
 computes LP sandwich bounds on the minimum achievable H(U). ``analyze``
-runs these steps once for a joint; every command starts there.
+runs the synthesis and the membership test once for a joint, and every
+command starts there; the kernel's rank and nullity and the H(U) bounds,
+which ``code`` never prints, are computed on their first read from the
+``Analysis`` and kept there.
 The vertex entropies, the decode table and H(Y|X,U) are taken as array
 operations over all vertices or (x, u) pairs at once; each figure equals
 that of a loop over them with the one-row ``dist.entropy``, bit for bit.
@@ -21,6 +24,7 @@ that of a loop over them with the one-row ``dist.entropy``, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .linalg import RANK_TOL, LinearProgram, enumerate_vertices, rank_and_nullit
 
 TAU_ENT = 1e-7
 WEIGHT_FLOOR = 1e-12  # a vertex weight at or below this counts as zero
+TAU_DET = 1e-9  # a P(X|Y) column within this of a point mass counts as one
 
 
 @dataclass(frozen=True)
@@ -66,30 +71,46 @@ class MechanismBounds:
 @dataclass(frozen=True)
 class Analysis:
     """What the reports and codes of one joint are built from: H(Y|X=x) for
-    every x (``h_given_x``) and H(Y|X) (``h_cond``), the rank and nullity of
-    P_{X|Y}, whether X = f(Y), membership, and for a member the g0 optimizer
-    ``mech`` (with a decode table when ``mech_decodable``), its H(U)
-    sandwich ``bounds`` and its entropy ``achieved_hu`` (else None)."""
+    every x (``h_given_x``) and H(Y|X) (``h_cond``), whether X = f(Y),
+    membership, and for a member the g0 optimizer ``mech`` (with a decode
+    table when ``mech_decodable``) and its entropy ``achieved_hu`` (else
+    None). The rank and nullity of P_{X|Y} and the member's H(U) sandwich
+    ``bounds`` are computed on first read and cached, so a caller that
+    never reads them, such as ``code``, never pays for them."""
 
     d: JointDistribution
     h_given_x: np.ndarray
     h_cond: float
-    rank: int
-    nullity: int
     x_det: bool
     member: bool
     boundary: bool
     g0: float
     mech: Mechanism | None
     mech_decodable: bool
-    bounds: MechanismBounds | None
     achieved_hu: float | None
 
+    @cached_property
+    def rank(self) -> int:
+        """Rank of P_{X|Y}, taken on first read."""
+        return rank_and_nullity(dist.kernel_x_given_y(self.d).k)[0]
 
-def x_is_function_of_y(d: JointDistribution, tol: float = 1e-9) -> bool:
-    """True when every column of P(X|Y) is a point mass."""
+    @property
+    def nullity(self) -> int:
+        # P_{X|Y} is |X| x |Y|, so this is rank_and_nullity's nullity
+        return self.d.y_size - self.rank
+
+    @cached_property
+    def bounds(self) -> MechanismBounds | None:
+        """``theorem1_bounds`` for a member, None (no LP solved) otherwise."""
+        if not self.member:
+            return None
+        return theorem1_bounds(self.d, self.nullity, self.h_given_x, self.h_cond)
+
+
+def x_is_function_of_y(d: JointDistribution) -> bool:
+    """True when every column of P(X|Y) is a point mass (within TAU_DET)."""
     k = dist.kernel_x_given_y(d).k
-    return bool((k.max(axis=0) >= 1.0 - tol).all())
+    return bool((k.max(axis=0) >= 1.0 - TAU_DET).all())
 
 
 def build_bound_matrices(
@@ -232,7 +253,8 @@ def theorem1_bounds(
     max sum_j P(y_j) a_j subject to that sum <= log2(nullity + 1) - H(Y|X)
     caps its own objective, so its optimum is the min of the two. ``h_given_x``
     and ``h_cond`` are as in ``build_bound_matrices``. The bounds are claimed
-    only for members, so only ``analyze`` calls this.
+    only for members, so only ``Analysis.bounds`` calls this, on its first
+    read.
     """
     a_xy, b_xy = build_bound_matrices(d, h_given_x, h_cond)
     py = dist.marginal_y(d)
@@ -306,11 +328,11 @@ def _entropy_y_given_xu(joint: np.ndarray) -> float:
 
 
 def analyze(d: JointDistribution) -> Analysis:
-    """Rank and nullity of P_{X|Y}, whether X = f(Y), the funnel optimum g0
-    and its optimizer (solved once), membership, then for a member the
-    optimizer's entropy bounds and, when one exists, its decode table.
-    Commands and the length report read these from the Analysis instead of
-    computing them again.
+    """Whether X = f(Y), the funnel optimum g0 and its optimizer (solved
+    once), membership, then for a member the optimizer's entropy and, when
+    one exists, its decode table. Commands and the length report read these
+    from the Analysis instead of computing them again; the kernel's rank
+    and the H(U) bounds wait there until first read.
 
     A joint is a member when g0 equals H(Y|X) within TAU_ENT; X = f(Y)
     is a known sufficient condition, so there g0 is reported as H(Y|X).
@@ -318,18 +340,16 @@ def analyze(d: JointDistribution) -> Analysis:
     ``boundary`` instead of being silently classified."""
     h_given_x = dist.conditional_entropies(d)
     h_cond = dist.sum_in_order(dist.marginal_x(d) * h_given_x)
-    rank, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
     x_det = x_is_function_of_y(d)
     g0, mech = solve_g0(d)
     if x_det:
         g0 = h_cond
     gap = abs(g0 - h_cond)
     member = gap <= TAU_ENT
-    bounds = achieved = None
+    achieved = None
     decodable = False
     if member:
         achieved = dist.entropy(mech.p_u)
-        bounds = theorem1_bounds(d, nullity, h_given_x, h_cond)
         try:
             mech = build_decode_table(d, mech)
             decodable = True
@@ -338,8 +358,8 @@ def analyze(d: JointDistribution) -> Analysis:
     else:
         mech = None
     return Analysis(
-        d, h_given_x, h_cond, rank, nullity, x_det, member,
-        TAU_ENT / 10.0 <= gap <= 10.0 * TAU_ENT, g0, mech, decodable, bounds, achieved,
+        d, h_given_x, h_cond, x_det, member,
+        TAU_ENT / 10.0 <= gap <= 10.0 * TAU_ENT, g0, mech, decodable, achieved,
     )
 
 

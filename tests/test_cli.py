@@ -1,5 +1,6 @@
 """File parsing, commands, determinism, exit codes, audit round trips."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from zeroleak.errors import ParseError, StochasticityError
 
 GOLDEN = Path(__file__).parent / "golden"
 EXAMPLE1_PATH = Path(__file__).parents[1] / "data" / "example1.txt"
+README_PATH = Path(__file__).parents[1] / "README.md"
 EXAMPLE1_TEXT = """
 # deterministic grouping of six symbols into two
 p_x_given_y:
@@ -400,14 +402,21 @@ def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key,
 
 def _count_calls(monkeypatch, argv):
     """Run the CLI on ``argv``, counting the calls of rank/nullity, X = f(Y),
-    g0 and the per-x entropies H(Y|X=x) through every binding in the package."""
+    g0, the per-x entropies H(Y|X=x) and the H(U) bound LPs through every
+    binding in the package."""
     import sys
     from collections import Counter
 
     from zeroleak import linalg
 
     counts = Counter()
-    originals = (linalg.rank_and_nullity, mm.x_is_function_of_y, mm.solve_g0, dist.conditional_entropies)
+    originals = (
+        linalg.rank_and_nullity,
+        mm.x_is_function_of_y,
+        mm.solve_g0,
+        dist.conditional_entropies,
+        mm.theorem1_bounds,
+    )
     for original in originals:
 
         def counting(*args, _f=original, **kwargs):
@@ -424,22 +433,36 @@ def _count_calls(monkeypatch, argv):
 
 
 def test_analyze_computes_rank_and_determinism_once(example1_file, monkeypatch):
-    # rank/nullity, X = f(Y) and H(Y|X=x) live in the Analysis: the kernel
-    # rank is taken once, plus once for the bound matrix; X = f(Y), g0 and
-    # the per-x entropies once each
+    # rank/nullity, X = f(Y), H(Y|X=x) and the bounds live in the Analysis:
+    # the kernel rank is taken once, plus once for the bound matrix; X = f(Y),
+    # g0, the per-x entropies and the bound LPs once each, although both
+    # render_analysis and report.build_report read the bounds
     status, out, counts = _count_calls(monkeypatch, ["--cmd", "analyze", "--input", example1_file])
-    assert status == 0 and "kernel_nullity = 4" in out
+    assert status == 0 and "kernel_nullity = 4" in out and "k_lower" in out
     assert counts == {
-        "rank_and_nullity": 2, "x_is_function_of_y": 1, "solve_g0": 1, "conditional_entropies": 1
+        "rank_and_nullity": 2,
+        "x_is_function_of_y": 1,
+        "solve_g0": 1,
+        "conditional_entropies": 1,
+        "theorem1_bounds": 1,
     }
 
 
 def test_code_computes_the_converse_once(monkeypatch):
-    # both schemes' audit checks read max_x H(Y|X=x) from the Analysis
+    # both schemes' audit checks read max_x H(Y|X=x) from the Analysis; code
+    # prints no rank and no bound, so it takes no rank and solves no bound LP
     argv = ["--cmd", "code", "--input", str(GOLDEN / "uniform4x3.txt"), "--format", "structured"]
     status, out, counts = _count_calls(monkeypatch, argv)
     assert status == 0 and "two-part.audit.ok = true" in out and "direct-pad.audit.ok = true" in out
     assert counts["conditional_entropies"] == 1
+    assert counts["rank_and_nullity"] == 0 and counts["theorem1_bounds"] == 0
+
+
+def test_readme_library_example_runs():
+    # the README's one python block is run as written, so it cannot go stale
+    blocks = re.findall(r"```python\n(.*?)```", README_PATH.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README_PATH), "exec"), {})
 
 
 def test_code_direct_pad_small_y(tmp_path):

@@ -212,6 +212,24 @@ def test_theorem1_requires_membership():
     assert all(e.name != "lp_conditional_converse" for e in report.build_report(a).lower)
 
 
+def test_bounds_and_rank_are_computed_on_first_read(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed a figure that was not read")
+
+    # a non-member's bounds are None without any LP or rank
+    bsc = mm.analyze(dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), [0.5, 0.5]))
+    member = mm.analyze(dist.from_conditional(EX1_KERNEL, EX1_PY))
+    for name in ("theorem1_bounds", "solve_lp", "rank_and_nullity"):
+        monkeypatch.setattr(mm, name, forbidden)
+    assert bsc.bounds is None
+    # a member solves its bound LPs on the first read of ``bounds`` only
+    monkeypatch.undo()
+    calls = []
+    monkeypatch.setattr(mm, "theorem1_bounds", lambda *args: calls.append(args) or "bracket")
+    assert member.bounds == "bracket" and member.bounds == "bracket" and len(calls) == 1
+    assert calls[0][1] == member.nullity == 4 and member.rank == 2
+
+
 def test_theorem1_constant_y_all_zero():
     d = dist.validate_and_normalize(np.array([[0.4], [0.6]]))
     b = mm.analyze(d).bounds
