@@ -19,7 +19,6 @@ from .codec import (
     build_two_part,
     decode,
     encode,
-    encode_pair,
 )
 from .dist import (
     JointDistribution,
@@ -85,7 +84,6 @@ __all__ = [
     "build_two_part",
     "build_direct_pad",
     "encode",
-    "encode_pair",
     "decode",
     "audit",
     "BoundsReport",

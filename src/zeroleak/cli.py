@@ -15,13 +15,22 @@ Commands (selected with --cmd):
 
 Input files are plain text: either a `joint:` section with |X| rows of |Y|
 entries, or a `p_x_given_y:` kernel section plus a `p_y:` vector. Entries
-are decimals or exact fractions like 3/16. `#` starts a comment.
+are decimals or exact fractions like 3/16, each read as
+`float(Fraction(entry))`. `#` starts a comment. A section is converted when
+it closes: if every line is plain ASCII decimals, one numpy conversion reads
+the whole section, and it stands unless it holds a non-finite value or a
+signed zero, where `float` and `Fraction` part. Otherwise the section is
+read entry by entry, and the first bad entry raises ParseError with its
+line and column.
+
+Reports print each vector, and each row of a matrix, with one `%` format.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import re
 import sys
@@ -45,13 +54,24 @@ from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
 CODE_FORMAT = "zeroleak-code-v1"
+# The largest key size and fixed-field width a code document may give;
+# `audit` raises ParseError past them. The audit enumerates up to key_size
+# events per (x, y, u) triple, and holds field values in int64 (`codec`
+# caps the width it reads at 62 bits). A code that `code` builds has |X| or
+# |Y| keys and a field of ceil(log2) of that.
+MAX_KEY_SIZE = 1 << 20
+MAX_FIELD_BITS = 62
 
 
 # ---------------------------------------------------------------------------
 # input parsing
 
 
-_DECIMAL = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_DECIMAL = re.compile(_NUMBER, re.ASCII)
+# a line of plain decimals between ASCII whitespace, which str.split cuts
+# into exactly those decimals
+_DECIMAL_LINE = re.compile(rf"{_NUMBER}(?:\s+{_NUMBER})*", re.ASCII)
 
 
 def _parse_token(tok: str, line_no: int, col: int) -> float:
@@ -71,59 +91,85 @@ def _parse_token(tok: str, line_no: int, col: int) -> float:
         raise ParseError(f"cannot parse {tok!r} as a number or fraction", line_no, col) from None
 
 
+def _section_values(lines: list[tuple[int, str]]) -> tuple[np.ndarray, list[int]]:
+    """A section's entries in reading order, and how many each line holds.
+
+    When every line is plain decimals, one numpy conversion (which is
+    ``float``) reads the whole section. It stands unless a value is
+    non-finite or -0.0, the only values at which ``float`` and ``Fraction``
+    part (see ``_parse_token``). Any miss reads the section token by token
+    with ``_parse_token``, which raises at the first bad token in reading
+    order."""
+    rows = [line.split() for _, line in lines]
+    counts = [len(row) for row in rows]
+    if all(_DECIMAL_LINE.fullmatch(line) for _, line in lines):
+        values = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
+        if np.isfinite(values).all() and not np.signbit(values[values == 0.0]).any():
+            return values, counts
+    return np.array(
+        [
+            _parse_token(tok, line_no, col)
+            for (line_no, _), row in zip(lines, rows)
+            for col, tok in enumerate(row, start=1)
+        ],
+        dtype=float,
+    ), counts
+
+
+def _matrix(section: str, row_name: str, values: np.ndarray, counts: list[int]) -> np.ndarray:
+    """A section's entries as a matrix with one row per line; ParseError
+    when it has no rows or they differ in length."""
+    if not counts:
+        raise ParseError(f"{section}: section has no rows")
+    width = counts[0]
+    for i, n in enumerate(counts):
+        if n != width:
+            raise ParseError(f"{row_name} row {i} has {n} entries, expected {width}")
+    return values.reshape(len(counts), width)
+
+
 def parse_distribution_text(text: str) -> JointDistribution:
-    """Parse the named-section distribution format; see the module docstring."""
-    sections: dict[str, list[list[float]]] = {}
+    """Parse the named-section distribution format; see the module docstring.
+
+    A section's value lines are collected and converted together when it
+    closes, before the next header is checked, so errors come in reading
+    order."""
+    sections: dict[str, tuple[np.ndarray, list[int]]] = {}
     current: str | None = None
+    pending: list[tuple[int, str]] = []  # (line number, values) of the open section
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ":" in line:
+            if current is not None:
+                sections[current] = _section_values(pending)
             name, _, rest = line.partition(":")
             name = name.strip().lower()
             if name not in ("joint", "p_x_given_y", "p_y"):
                 raise ParseError(f"unknown section {name!r}", line_no)
             if name in sections:
                 raise ParseError(f"duplicate section {name!r}", line_no)
-            sections[name] = []
-            current = name
+            current, pending = name, []
             line = rest.strip()
             if not line:
                 continue
         if current is None:
             raise ParseError("values before any section header", line_no)
-        row = []
-        col = 1
-        for tok in line.split():
-            row.append(_parse_token(tok, line_no, col))
-            col += 1
-        sections[current].append(row)
+        pending.append((line_no, line))
+    if current is not None:
+        sections[current] = _section_values(pending)
 
     if "joint" in sections:
         if "p_x_given_y" in sections or "p_y" in sections:
             raise ParseError("give either joint: or the kernel/marginal pair, not both")
-        rows = sections["joint"]
-        if not rows:
-            raise ParseError("joint: section has no rows")
-        width = len(rows[0])
-        for i, r in enumerate(rows):
-            if len(r) != width:
-                raise ParseError(f"joint row {i} has {len(r)} entries, expected {width}")
-        return dist.validate_and_normalize(np.array(rows))
+        return dist.validate_and_normalize(_matrix("joint", "joint", *sections["joint"]))
     if "p_x_given_y" in sections and "p_y" in sections:
-        kern = sections["p_x_given_y"]
-        if not kern:
-            raise ParseError("p_x_given_y: section has no rows")
-        width = len(kern[0])
-        for i, r in enumerate(kern):
-            if len(r) != width:
-                raise ParseError(f"kernel row {i} has {len(r)} entries, expected {width}")
-        pv = sections["p_y"]
-        flat = [v for row in pv for v in row]
-        if len(flat) != width:
-            raise ParseError(f"p_y has {len(flat)} entries, kernel has {width} columns")
-        return dist.from_conditional(np.array(kern), np.array(flat))
+        kern = _matrix("p_x_given_y", "kernel", *sections["p_x_given_y"])
+        p_y, _ = sections["p_y"]
+        if p_y.size != kern.shape[1]:
+            raise ParseError(f"p_y has {p_y.size} entries, kernel has {kern.shape[1]} columns")
+        return dist.from_conditional(kern, p_y)
     raise ParseError("need a joint: section or both p_x_given_y: and p_y:")
 
 
@@ -136,16 +182,26 @@ def parse_distribution(path: str) -> JointDistribution:
 # rendering helpers
 
 
+# each format's float in printf form: "%.17g" % v is format(v, ".17g"), and
+# both print nan, inf and -inf
+_SPEC = {True: "%.17g", False: "%.6g"}
+
+
 def _f(v: float, structured: bool) -> str:
-    if v != v:
-        return "nan"
-    if v == float("inf"):
-        return "inf"
-    return f"{v:.17g}" if structured else f"{v:.6g}"
+    return _SPEC[structured] % v
 
 
 def _vec(v, structured: bool) -> str:
-    return " ".join(_f(float(x), structured) for x in v)
+    """``_f`` of each entry of ``v``, space separated, in one format op."""
+    vals = np.asarray(v, dtype=float).tolist()
+    return " ".join([_SPEC[structured]] * len(vals)) % tuple(vals)
+
+
+def _rows(key: str, m, structured: bool) -> list[str]:
+    """The lines ``key.i = <_vec of row i of m>``, one format op per row."""
+    m = np.asarray(m, dtype=float)
+    line = f"{key}.%d = " + " ".join([_SPEC[structured]] * m.shape[1])
+    return [line % (i, *row) for i, row in enumerate(m.tolist())]
 
 
 class Lines:
@@ -219,11 +275,9 @@ def render_mechanism(a: Analysis, lines: Lines) -> None:
     lines.header("mechanism")
     lines.kv("u_size", m.u_size)
     lines.kv("p_u", _vec(m.p_u, lines.structured))
-    for u in range(m.u_size):
-        lines.kv(f"p_y_given_u.{u}", _vec(m.p_y_given_u.k[:, u], lines.structured))
+    lines.out += _rows("p_y_given_u", m.p_y_given_u.k.T, lines.structured)
     if m.decode is not None:
-        for (x, u), y in sorted(m.decode.items()):
-            lines.kv(f"decode.{x}.{u}", y)
+        lines.out += [f"decode.{x}.{u} = {y}" for (x, u), y in sorted(m.decode.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +291,7 @@ def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str
     lines.kv("seed", seed)
     lines.kv("x_size", d.x_size)
     lines.kv("y_size", d.y_size)
-    for x in range(d.x_size):
-        lines.kv(f"joint.{x}", _vec(d.p[x], True))
+    lines.out += _rows("joint", d.p, True)
     codes = codec.build_codes(a)
     schemes = [code.scheme for code in codes]
     lines.kv("schemes", " ".join(schemes))
@@ -250,12 +303,9 @@ def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str
             lines.kv("two-part.x_field_bits", code.field_bits)
             lines.kv("two-part.u_size", m.u_size)
             lines.kv("two-part.p_u", _vec(m.p_u, True))
-            for u in range(m.u_size):
-                lines.kv(f"two-part.p_y_given_u.{u}", _vec(m.p_y_given_u.k[:, u], True))
-            for u, word in sorted(code.u_code.codewords.items()):
-                lines.kv(f"two-part.codeword.{u}", word)
-            for (x, u), y in sorted(m.decode.items()):
-                lines.kv(f"two-part.decode.{x}.{u}", y)
+            lines.out += _rows("two-part.p_y_given_u", m.p_y_given_u.k.T, True)
+            lines.out += [f"two-part.codeword.{u} = {w}" for u, w in sorted(code.u_code.codewords.items())]
+            lines.out += [f"two-part.decode.{x}.{u} = {y}" for (x, u), y in sorted(m.decode.items())]
         else:
             lines.kv("direct-pad.key_size", code.key_size)
             lines.kv("direct-pad.field_bits", code.field_bits)
@@ -304,8 +354,10 @@ def parse_code_document(text: str) -> dict[str, str]:
     return doc
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split()]
+def _floats(text: str) -> np.ndarray:
+    """The whitespace-separated entries of ``text``, each read by ``float``
+    (numpy's conversion of a string is ``float``'s)."""
+    return np.array(text.split(), dtype=float)
 
 
 def _doc_field(doc: dict[str, str], key: str, parse):
@@ -320,7 +372,7 @@ def _doc_field(doc: dict[str, str], key: str, parse):
 
 def _doc_vector(doc: dict[str, str], key: str, size: int) -> np.ndarray:
     """The float vector at ``key``; ParseError unless it has ``size`` entries."""
-    v = np.array(_doc_field(doc, key, _floats))
+    v = _doc_field(doc, key, _floats)
     if v.size != size:
         raise ParseError(f"{key} has {v.size} entries, expected {size}")
     return v
@@ -328,11 +380,16 @@ def _doc_vector(doc: dict[str, str], key: str, size: int) -> np.ndarray:
 
 def _doc_key_and_field(doc: dict[str, str], scheme: str, field_key: str, alphabet: int):
     """``(key_size, field_bits)`` of one scheme; ParseError unless the key
-    size is at least 1 and the field holds ceil(log2 ``alphabet``) bits."""
+    size is 1 to MAX_KEY_SIZE and the field holds ceil(log2 ``alphabet``)
+    to MAX_FIELD_BITS bits."""
     key_size = _doc_field(doc, f"{scheme}.key_size", int)
     field_bits = _doc_field(doc, f"{scheme}.{field_key}", int)
     if key_size < 1 or field_bits < codec.ceil_log2(alphabet):
         raise ParseError(f"{scheme}.key_size = {key_size} or {field_key} = {field_bits} too small")
+    if key_size > MAX_KEY_SIZE:
+        raise ParseError(f"{scheme}.key_size = {key_size} exceeds the limit of {MAX_KEY_SIZE} keys")
+    if field_bits > MAX_FIELD_BITS:
+        raise ParseError(f"{scheme}.{field_key} = {field_bits} exceeds the limit of {MAX_FIELD_BITS} bits")
     return key_size, field_bits
 
 

@@ -211,16 +211,6 @@ def encode(code: PrivateCode, y: int, w: int, rng: np.random.Generator) -> str:
     return message_bits(code, x, u, y, w)
 
 
-def encode_pair(code: PrivateCode, x: int, y: int, w: int, rng: np.random.Generator) -> str:
-    """Two-part encoding when the encoder observes (x, y) jointly."""
-    if code.scheme != TWO_PART:
-        raise WrongRegime("encode_pair only applies to the two-part scheme")
-    _check_key(code, w)
-    assert code.p_u_given_y is not None
-    u = _sample(rng, code.p_u_given_y[:, y])
-    return message_bits(code, x, u, y, w)
-
-
 def _check_key(code: PrivateCode, w: int) -> None:
     if not 0 <= w < code.key_size:
         raise ValueError(f"key w = {w} outside 0..{code.key_size - 1}")

@@ -10,9 +10,12 @@ The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, the whole-joint g0 LP that is the oracle
 for the factored ``mechanism.solve_g0``, the per-symbol entropy profile of
 a mechanism, the loop audit that is the oracle for ``codec.audit``, the
-sorting group numbering that is the oracle for its grouping, and the
+sorting group numbering that is the oracle for its grouping, the
 one-row-at-a-time entropy and decode-table loops that are the oracles for
-the batched forms in ``dist`` and ``mechanism``.
+the batched forms in ``dist`` and ``mechanism``, the token-at-a-time
+distribution parser that is the oracle for the section-at-a-time
+``cli.parse_distribution_text``, and the two-part encoder for a sender who
+sees (x, y).
 """
 
 import struct
@@ -21,9 +24,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import settings
 
-from zeroleak import codec, dist, mechanism
+from zeroleak import cli, codec, dist, mechanism
 from zeroleak.dist import JointDistribution, Kernel
-from zeroleak.errors import EmptySupport, InternalError, NotDecodable
+from zeroleak.errors import EmptySupport, InternalError, NotDecodable, ParseError, WrongRegime
 from zeroleak.linalg import LinearProgram, solve_lp
 from zeroleak.mechanism import (
     TAU_ENT,
@@ -243,3 +246,70 @@ def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     if h_y_given_xu > TAU_ENT:
         raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")
     return replace(mech, decode=table)
+
+
+def loop_parse_distribution_text(text: str) -> JointDistribution:
+    """``cli.parse_distribution_text`` one token at a time: each token read
+    by ``cli._parse_token`` as its line is reached."""
+    sections: dict[str, list[list[float]]] = {}
+    current: str | None = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" in line:
+            name, _, rest = line.partition(":")
+            name = name.strip().lower()
+            if name not in ("joint", "p_x_given_y", "p_y"):
+                raise ParseError(f"unknown section {name!r}", line_no)
+            if name in sections:
+                raise ParseError(f"duplicate section {name!r}", line_no)
+            sections[name] = []
+            current = name
+            line = rest.strip()
+            if not line:
+                continue
+        if current is None:
+            raise ParseError("values before any section header", line_no)
+        row = []
+        col = 1
+        for tok in line.split():
+            row.append(cli._parse_token(tok, line_no, col))
+            col += 1
+        sections[current].append(row)
+
+    if "joint" in sections:
+        if "p_x_given_y" in sections or "p_y" in sections:
+            raise ParseError("give either joint: or the kernel/marginal pair, not both")
+        rows = sections["joint"]
+        if not rows:
+            raise ParseError("joint: section has no rows")
+        width = len(rows[0])
+        for i, r in enumerate(rows):
+            if len(r) != width:
+                raise ParseError(f"joint row {i} has {len(r)} entries, expected {width}")
+        return dist.validate_and_normalize(np.array(rows))
+    if "p_x_given_y" in sections and "p_y" in sections:
+        kern = sections["p_x_given_y"]
+        if not kern:
+            raise ParseError("p_x_given_y: section has no rows")
+        width = len(kern[0])
+        for i, r in enumerate(kern):
+            if len(r) != width:
+                raise ParseError(f"kernel row {i} has {len(r)} entries, expected {width}")
+        pv = sections["p_y"]
+        flat = [v for row in pv for v in row]
+        if len(flat) != width:
+            raise ParseError(f"p_y has {len(flat)} entries, kernel has {width} columns")
+        return dist.from_conditional(np.array(kern), np.array(flat))
+    raise ParseError("need a joint: section or both p_x_given_y: and p_y:")
+
+
+def encode_pair(code: codec.PrivateCode, x: int, y: int, w: int, rng: np.random.Generator) -> str:
+    """Two-part encoding when the encoder observes (x, y) jointly."""
+    if code.scheme != codec.TWO_PART:
+        raise WrongRegime("encode_pair only applies to the two-part scheme")
+    codec._check_key(code, w)
+    assert code.p_u_given_y is not None
+    u = codec._sample(rng, code.p_u_given_y[:, y])
+    return codec.message_bits(code, x, u, y, w)

@@ -1,15 +1,17 @@
 """File parsing, commands, determinism, exit codes, audit round trips."""
 
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bits
+from conftest import bits, loop_parse_distribution_text
 
 from zeroleak import cli, dist, families
 from zeroleak import mechanism as mm
@@ -124,6 +126,101 @@ def test_parse_token_equals_fraction_path_on_random_decimals():
             assert _token_outcome(lambda s: cli._parse_token(s, 1, 1), t) == want, t
 
 
+SPECIAL_TOKENS = ["-0", "+0", "-0.0e3", "-1e-400", "1e-400", "1e400", "-1e400", "5e-324"]
+BAD_TOKENS = ["oops", "1/0", "0x10", "1_0", "nan", "inf", "\u0663", "1e", "--1", ".", "1/2/3", "e5"]
+fraction_tokens = st.builds(
+    "{}/{}".format, st.integers(-(10**20), 10**20), st.integers(1, 10**6)
+)
+
+
+@st.composite
+def distribution_documents(draw):
+    """Whole input documents: sections in a valid layout or any order of
+    known, unknown and repeated headers; values inline after a header or on
+    their own lines, now and then ragged; comments and blank lines; tokens
+    that are plain decimals, fractions or the values where float and
+    Fraction part, and in half the documents also unreadable tokens and
+    values before any header."""
+    clean = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+
+    def token():
+        kind = draw(st.integers(0, 8 if clean else 9))
+        if kind < 6:
+            return draw(decimal_tokens.filter(cli._DECIMAL.fullmatch))
+        if kind < 8:
+            return draw(fraction_tokens)
+        if kind < 9:
+            return draw(st.sampled_from(SPECIAL_TOKENS))
+        return draw(st.one_of(st.sampled_from(BAD_TOKENS), st.text("0123456789.eE+-/_x", min_size=1, max_size=6)))
+
+    def values():
+        count = width if draw(st.integers(0, 9)) else draw(st.integers(1, 5))
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        return sep.join(token() for _ in range(count))
+
+    layout = draw(
+        st.one_of(
+            st.sampled_from([["joint"], ["p_x_given_y", "p_y"], ["p_y", "p_x_given_y"]]),
+            st.lists(st.sampled_from(["joint", "p_x_given_y", "p_y", " P_Y ", "matrix"]), min_size=1, max_size=3),
+        )
+    )
+    lines = [] if clean or draw(st.integers(0, 4)) else [values()]
+    for name in layout:
+        inline = name.strip().lower() == "p_y" or draw(st.integers(0, 4)) == 0
+        lines.append(f"{name}: {values()}" if inline else f"{name}:")
+        for _ in range(0 if name.strip().lower() == "p_y" else draw(st.integers(1, 4))):
+            line = values()
+            if draw(st.integers(0, 4)) == 0:
+                line += " # a comment: 1/0"
+            lines.append(line)
+            if draw(st.integers(0, 5)) == 0:
+                lines.append(draw(st.sampled_from(["", "   ", "# only a comment"])))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    """The parsed arrays' shapes and bytes, before validation, or the
+    ParseError's text."""
+    with (
+        patch.object(dist, "validate_and_normalize", lambda raw: (raw,)),
+        patch.object(dist, "from_conditional", lambda kern, p_y: (kern, p_y)),
+    ):
+        try:
+            arrays = parse(text)
+        except ParseError as exc:
+            return str(exc)
+    return [(a.dtype.str, a.shape, bits(a)) for a in arrays]
+
+
+@given(distribution_documents())
+@example("joint:\n0.5 oops\nmatrix:\n1\n")
+@example("joint:\n0.5 1/0\njoint:\n1\n")
+@example("p_x_given_y:\n1 0\n0 1\np_y: 1/2 -0\n")
+@example("joint:\n-0 1\n-1e-400 1\n")
+@example("joint:\n5e-324 1e400\n")
+@example("joint:\n0.5 0.25\n0.25\n")
+@example("joint:\n0.5\t\u00a00.5\n")
+@example("0.5\njoint: 1\n")
+def test_section_parser_matches_token_oracle(text):
+    # the section-at-a-time parser reads the same doubles as the
+    # token-at-a-time one, or raises the same ParseError at the same place
+    want = _parse_outcome(loop_parse_distribution_text, text)
+    assert _parse_outcome(cli.parse_distribution_text, text) == want
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12))
+@example([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310])
+def test_vec_and_rows_match_format_oracle(values):
+    # one % format op per value, vector or row prints what format prints
+    for structured, spec in ((True, ".17g"), (False, ".6g")):
+        assert [cli._f(v, structured) for v in values] == [format(v, spec) for v in values]
+        want = " ".join(format(v, spec) for v in values)
+        assert cli._vec(np.array(values), structured) == want
+        rows = cli._rows("key", np.array([values, values[::-1]]).reshape(2, len(values)), structured)
+        assert rows == [f"key.0 = {want}", "key.1 = " + " ".join(format(v, spec) for v in values[::-1])]
+
+
 def test_parse_unknown_section():
     with pytest.raises(ParseError):
         cli.parse_distribution_text("matrix:\n0.5 0.5\n")
@@ -232,6 +329,9 @@ def _edited_example1_doc(example1_file, tmp_path, key, value):
         ("joint.1", "0 0 0 0 0 0", "all-zero row"),
         ("schemes", None, "schemes"),
         ("schemes", "", "schemes"),
+        ("two-part.key_size", str(10**30), "two-part.key_size"),
+        ("two-part.x_field_bits", str(10**30), "two-part.x_field_bits"),
+        ("two-part.key_size", str(2**50), "two-part.key_size"),
     ],
     ids=[
         "missing",
@@ -248,6 +348,9 @@ def _edited_example1_doc(example1_file, tmp_path, key, value):
         "zero-joint-row",
         "schemes-missing",
         "schemes-empty",
+        "key-size-past-int64",
+        "field-bits-past-int64",
+        "key-size-2-to-50",
     ],
 )
 def test_audit_malformed_document_is_parse_error(

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import loop_audit, random_small_y_pair, unique_first_seen, unpadded_reference_leakage
+from conftest import (
+    encode_pair,
+    loop_audit,
+    random_small_y_pair,
+    unique_first_seen,
+    unpadded_reference_leakage,
+)
 
 from zeroleak import codec, dist, families, mechanism as mm
 from zeroleak.errors import EmptySupport, IncompleteMechanism, MalformedBits, WrongRegime
@@ -107,7 +113,7 @@ def test_two_part_requires_decode_table():
 def test_two_part_pad_arithmetic():
     d, mech, code = example1_code()
     rng = np.random.default_rng(0)
-    bits = codec.encode_pair(code, 0, 0, 1, rng)
+    bits = encode_pair(code, 0, 0, 1, rng)
     assert bits[0] == "1"  # (x=0 + w=1) mod 2
 
 
@@ -347,7 +353,7 @@ def test_encode_pair_rejected_for_direct_pad():
     d = uniform_pair(3, 3)
     code = codec.build_direct_pad(d)
     with pytest.raises(WrongRegime):
-        codec.encode_pair(code, 0, 0, 0, np.random.default_rng(0))
+        encode_pair(code, 0, 0, 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
