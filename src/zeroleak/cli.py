@@ -17,11 +17,11 @@ Input files are plain text: either a `joint:` section with |X| rows of |Y|
 entries, or a `p_x_given_y:` kernel section plus a `p_y:` vector. Entries
 are decimals or exact fractions like 3/16, each read as
 `float(Fraction(entry))`. `#` starts a comment. A section is converted when
-it closes: if every line is plain ASCII decimals, one numpy conversion reads
-the whole section, and it stands unless it holds a non-finite value or a
-signed zero, where `float` and `Fraction` part. Otherwise the section is
-read entry by entry, and the first bad entry raises ParseError with its
-line and column.
+it closes: if every line is plain ASCII decimals with no minus sign, one
+numpy conversion reads the whole section, and it stands unless it holds an
+infinite value: `float` and `Fraction` part only there and at -0. Otherwise
+the section is read entry by entry, and the first bad entry raises
+ParseError with its line and column.
 
 Reports print each vector, and each row of a matrix, with one `%` format.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import math
 import re
 import sys
 from dataclasses import replace
@@ -54,37 +53,29 @@ from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
 CODE_FORMAT = "zeroleak-code-v1"
-# The largest key size and fixed-field width a code document may give;
-# `audit` raises ParseError past them. The audit enumerates up to key_size
-# events per (x, y, u) triple, and holds field values in int64 (`codec`
-# caps the width it reads at 62 bits). A code that `code` builds has |X| or
-# |Y| keys and a field of ceil(log2) of that.
-MAX_KEY_SIZE = 1 << 20
-MAX_FIELD_BITS = 62
+# The most (x, y, u, w) events (`codec.event_count`: key_size per
+# positive-mass triple) a code document may ask `audit` to account for; past
+# it, and past a field of `codec.MAX_FIELD_BITS`, `audit` raises ParseError.
+# At the limit an audit peaked at 0.13 GB resident on the folded path that
+# every code `code` builds takes, and at 0.36 GB on the event-by-event path
+# of a key size that is no multiple of the pad modulus. A code that `code`
+# builds has |X| or |Y| keys, so a 128 x 128 joint of positive entries with
+# one U symbol per y fits.
+MAX_AUDIT_EVENTS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
 # input parsing
 
 
-_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
-_DECIMAL = re.compile(_NUMBER, re.ASCII)
-# a line of plain decimals between ASCII whitespace, which str.split cuts
-# into exactly those decimals
+# a decimal with no minus sign, and a line of them between ASCII whitespace,
+# which str.split cuts into exactly those decimals
+_NUMBER = r"\+?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 _DECIMAL_LINE = re.compile(rf"{_NUMBER}(?:\s+{_NUMBER})*", re.ASCII)
 
 
 def _parse_token(tok: str, line_no: int, col: int) -> float:
-    """``float(Fraction(tok))``, bit for bit; ParseError where that raises."""
-    if _DECIMAL.fullmatch(tok):
-        # float rounds a plain decimal to the same double as Fraction. They
-        # part only at zero and past the largest double: Fraction turns an
-        # exact -0 into 0.0 (hence the + 0.0) but keeps the sign of a value
-        # that underflows, and raises where float gives inf; those two cases
-        # go the Fraction way
-        v = float(tok)
-        if math.isfinite(v) and (v or not tok.strip("+-.0")):
-            return v + 0.0
+    """``float(Fraction(tok))``; ParseError where that raises."""
     try:
         return float(Fraction(tok))
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -95,16 +86,20 @@ def _section_values(lines: list[tuple[int, str]]) -> tuple[np.ndarray, list[int]
     """A section's entries in reading order, and how many each line holds.
 
     When every line is plain decimals, one numpy conversion (which is
-    ``float``) reads the whole section. It stands unless a value is
-    non-finite or -0.0, the only values at which ``float`` and ``Fraction``
-    part (see ``_parse_token``). Any miss reads the section token by token
-    with ``_parse_token``, which raises at the first bad token in reading
-    order."""
+    ``float``) reads the whole section. ``float`` rounds a plain decimal to
+    the same double as ``Fraction``; they part only at an exact zero with a
+    minus sign, which ``Fraction`` reads as 0.0 and ``float`` as -0.0, and
+    past the largest double, where ``Fraction`` raises and ``float`` gives
+    inf.
+    So a section with a minus sign (in valid input only a zero carries one)
+    is not converted, and a conversion stands unless a value is infinite.
+    Any miss reads the section token by token with ``_parse_token``, which
+    raises at the first bad token in reading order."""
     rows = [line.split() for _, line in lines]
     counts = [len(row) for row in rows]
     if all(_DECIMAL_LINE.fullmatch(line) for _, line in lines):
         values = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
-        if np.isfinite(values).all() and not np.signbit(values[values == 0.0]).any():
+        if np.isfinite(values).all():
             return values, counts
     return np.array(
         [
@@ -380,16 +375,14 @@ def _doc_vector(doc: dict[str, str], key: str, size: int) -> np.ndarray:
 
 def _doc_key_and_field(doc: dict[str, str], scheme: str, field_key: str, alphabet: int):
     """``(key_size, field_bits)`` of one scheme; ParseError unless the key
-    size is 1 to MAX_KEY_SIZE and the field holds ceil(log2 ``alphabet``)
-    to MAX_FIELD_BITS bits."""
+    size is at least 1 and the field holds ceil(log2 ``alphabet``) to
+    ``codec.MAX_FIELD_BITS`` bits."""
     key_size = _doc_field(doc, f"{scheme}.key_size", int)
     field_bits = _doc_field(doc, f"{scheme}.{field_key}", int)
     if key_size < 1 or field_bits < codec.ceil_log2(alphabet):
         raise ParseError(f"{scheme}.key_size = {key_size} or {field_key} = {field_bits} too small")
-    if key_size > MAX_KEY_SIZE:
-        raise ParseError(f"{scheme}.key_size = {key_size} exceeds the limit of {MAX_KEY_SIZE} keys")
-    if field_bits > MAX_FIELD_BITS:
-        raise ParseError(f"{scheme}.{field_key} = {field_bits} exceeds the limit of {MAX_FIELD_BITS} bits")
+    if field_bits > codec.MAX_FIELD_BITS:
+        raise ParseError(f"{scheme}.{field_key} = {field_bits} exceeds the limit of {codec.MAX_FIELD_BITS} bits")
     return key_size, field_bits
 
 
@@ -473,6 +466,12 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
                     violations.append("two-part: codewords are not prefix-free")
                     break
             hu = dist.entropy(p_u)
+        events = codec.event_count(code, d)
+        if events > MAX_AUDIT_EVENTS:
+            raise ParseError(
+                f"{scheme}.key_size = {code.key_size} asks the audit for {events} events,"
+                f" past the limit of {MAX_AUDIT_EVENTS}"
+            )
         try:
             audit = codec.audit(code, d)
         except MalformedBits as exc:

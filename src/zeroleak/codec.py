@@ -41,6 +41,9 @@ from .mechanism import Analysis, Mechanism, conditional_u_given_y
 
 TWO_PART = "two-part"
 DIRECT_PAD = "direct-pad"
+# the widest fixed field the audit reads: it holds padded values and their
+# bounds (1 << width) in int64; a wider field reads as this wide
+MAX_FIELD_BITS = 62
 
 
 def ceil_log2(n: int) -> int:
@@ -257,17 +260,28 @@ def _folds(code: PrivateCode) -> bool:
     pad_modulus times, and decoding does not depend on the key."""
     n, width = code.pad_modulus, code.field_bits
     whole_cycles = code.key_size > 0 and code.key_size % n == 0
-    return whole_cycles and (n == 1 or (width > 0 and n <= 1 << min(width, 62)))
+    return whole_cycles and (n == 1 or (width > 0 and n <= 1 << min(width, MAX_FIELD_BITS)))
+
+
+def _u_given_y(code: PrivateCode, d: JointDistribution) -> np.ndarray:
+    """P(U | Y) as [u][y]; direct-pad has the one symbol u = 0."""
+    return np.ones((1, d.y_size)) if code.scheme == DIRECT_PAD else code.p_u_given_y
+
+
+def event_count(code: PrivateCode, d: JointDistribution) -> int:
+    """The number of (x, y, u, w) events ``audit`` accounts for: key_size
+    per positive-mass (x, y, u) triple. Its time and memory grow with it."""
+    triples = (~(d.p <= 0.0)).sum(axis=0) @ (~(_u_given_y(code, d) <= 0.0)).sum(axis=0)
+    return code.key_size * int(triples)
 
 
 def _events(code: PrivateCode, d: JointDistribution, keys: int):
     """Arrays x, y, u, w, mass over the positive-mass events with w < ``keys``,
     in (x, y, u, w) order."""
     m = code.key_size
-    # direct-pad has the one symbol u = 0, and p * 1.0 / m is exactly p / m
-    q = np.ones((1, d.y_size)) if code.scheme == DIRECT_PAD else code.p_u_given_y
+    q = _u_given_y(code, d)
     x, y, u = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None]).T
-    mass = d.p[x, y] * q[u, y] / m
+    mass = d.p[x, y] * q[u, y] / m  # direct-pad's p * 1.0 / m is exactly p / m
     if keys > 1:  # each (x, y, u) once per w
         x, y, u, mass = (a.repeat(keys) for a in (x, y, u, mass))
     return x, y, u, np.arange(x.size) % keys, mass
@@ -318,7 +332,7 @@ def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
     (u_hat = 0 for direct-pad), its length in bits and the y decode reads
     off it. Raises decode's MalformedBits for the first event that does not
     decode."""
-    n, width = code.pad_modulus, min(code.field_bits, 62)
+    n, width = code.pad_modulus, min(code.field_bits, MAX_FIELD_BITS)
     padded = (y if code.scheme == DIRECT_PAD else x) + w
     padded %= n
     # to_bits cannot render a value too wide for a nonempty field; an empty

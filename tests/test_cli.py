@@ -72,6 +72,12 @@ def test_parse_bad_token_reports_position():
     assert "line 2" in str(err.value)
 
 
+def _one_token_section(tok):
+    """The value of a section whose one line is ``tok``."""
+    (value,), _ = cli._section_values([(1, tok)])
+    return value
+
+
 def _token_outcome(parse, tok):
     """The parsed value's bytes, or that it raised."""
     try:
@@ -106,10 +112,10 @@ decimal_tokens = st.builds(
 @example("5.")
 @example("\u0663")  # an Arabic-Indic digit 3
 def test_parse_token_equals_fraction_path(tok):
-    # the plain-decimal fast path gives float(Fraction(tok)) bit for bit,
-    # and raises where it raises
+    # a one-token section, which numpy converts when tok is a plain decimal,
+    # reads float(Fraction(tok)) bit for bit, and raises where it raises
     want = _token_outcome(lambda t: float(Fraction(t)), tok)
-    assert _token_outcome(lambda t: cli._parse_token(t, 1, 1), tok) == want
+    assert _token_outcome(_one_token_section, tok) == want
 
 
 def test_parse_token_equals_fraction_path_on_random_decimals():
@@ -123,9 +129,10 @@ def test_parse_token_equals_fraction_path_on_random_decimals():
             tok += f"e{int(rng.integers(-345, 330))}"
         for t in (tok, repr(float(rng.random()) * 10.0 ** int(rng.integers(-320, 300)))):
             want = _token_outcome(lambda s: float(Fraction(s)), t)
-            assert _token_outcome(lambda s: cli._parse_token(s, 1, 1), t) == want, t
+            assert _token_outcome(_one_token_section, t) == want, t
 
 
+DECIMAL = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
 SPECIAL_TOKENS = ["-0", "+0", "-0.0e3", "-1e-400", "1e-400", "1e400", "-1e400", "5e-324"]
 BAD_TOKENS = ["oops", "1/0", "0x10", "1_0", "nan", "inf", "\u0663", "1e", "--1", ".", "1/2/3", "e5"]
 fraction_tokens = st.builds(
@@ -147,7 +154,7 @@ def distribution_documents(draw):
     def token():
         kind = draw(st.integers(0, 8 if clean else 9))
         if kind < 6:
-            return draw(decimal_tokens.filter(cli._DECIMAL.fullmatch))
+            return draw(decimal_tokens.filter(DECIMAL.fullmatch))
         if kind < 8:
             return draw(fraction_tokens)
         if kind < 9:
@@ -300,10 +307,10 @@ def test_audit_detects_tampered_decode_table(example1_file, tmp_path):
     assert "violation" in audit_out
 
 
-def _edited_example1_doc(example1_file, tmp_path, key, value):
-    """Example 1's code document with ``key`` set to ``value``: appended when
-    absent, dropped when ``value`` is None."""
-    _, out = run_cli(["--cmd", "code", "--input", example1_file, "--format", "structured"])
+def _edited_code_doc(input_file, tmp_path, key, value):
+    """The code document of ``input_file`` with ``key`` set to ``value``:
+    appended when absent, dropped when ``value`` is None."""
+    _, out = run_cli(["--cmd", "code", "--input", input_file, "--format", "structured"])
     lines = [line for line in out.splitlines() if line.partition(" = ")[0] != key]
     if value is not None:
         lines.append(f"{key} = {value}")
@@ -332,6 +339,7 @@ def _edited_example1_doc(example1_file, tmp_path, key, value):
         ("two-part.key_size", str(10**30), "two-part.key_size"),
         ("two-part.x_field_bits", str(10**30), "two-part.x_field_bits"),
         ("two-part.key_size", str(2**50), "two-part.key_size"),
+        ("two-part.key_size", str(cli.MAX_AUDIT_EVENTS - 1), "two-part.key_size"),
     ],
     ids=[
         "missing",
@@ -351,15 +359,33 @@ def _edited_example1_doc(example1_file, tmp_path, key, value):
         "key-size-past-int64",
         "field-bits-past-int64",
         "key-size-2-to-50",
+        "key-size-past-event-limit",
     ],
 )
 def test_audit_malformed_document_is_parse_error(
     example1_file, tmp_path, capsys, key, value, named
 ):
-    doc = _edited_example1_doc(example1_file, tmp_path, key, value)
+    doc = _edited_code_doc(example1_file, tmp_path, key, value)
     status, _ = run_cli(["--cmd", "audit", "--input", doc])
     assert status == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["two-part.key_size", "direct-pad.key_size"])
+def test_audit_key_size_past_the_event_limit_is_parse_error(tmp_path, capsys, key):
+    # a 16 x 16 joint with every entry positive has at least 256 (x, y, u)
+    # triples, so this key size, far below the number of keys an int64
+    # holds, asks the audit for more than MAX_AUDIT_EVENTS events
+    rng = np.random.default_rng(7)
+    joint = np.outer(rng.dirichlet(np.ones(16)), rng.dirichlet(np.ones(16)))
+    src = tmp_path / "independent.txt"
+    src.write_text("joint:\n" + "".join(" ".join(map(repr, row)) + "\n" for row in joint.tolist()))
+    # at its own 16 keys the document audits
+    assert run_cli(["--cmd", "audit", "--input", _edited_code_doc(str(src), tmp_path, key, "16")])[0] == 0
+    doc = _edited_code_doc(str(src), tmp_path, key, str(cli.MAX_AUDIT_EVENTS // 256 + 1))
+    status, _ = run_cli(["--cmd", "audit", "--input", doc])
+    assert status == 2
+    assert f"{key} = {cli.MAX_AUDIT_EVENTS // 256 + 1}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -373,7 +399,7 @@ def test_audit_malformed_document_is_parse_error(
     ids=["non-binary-codeword", "empty-codeword", "not-prefix-free", "decode-entry-missing"],
 )
 def test_audit_undecodable_code_is_named_violation(example1_file, tmp_path, key, value):
-    doc = _edited_example1_doc(example1_file, tmp_path, key, value)
+    doc = _edited_code_doc(example1_file, tmp_path, key, value)
     status, out = run_cli(["--cmd", "audit", "--input", doc])
     assert status == 1
     assert "violation = two-part: a message does not decode" in out
