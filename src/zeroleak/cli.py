@@ -199,6 +199,12 @@ def _rows(key: str, m, structured: bool) -> list[str]:
     return [line % (i, *row) for i, row in enumerate(m.tolist())]
 
 
+def _decode_lines(key: str, table: np.ndarray) -> list[str]:
+    """The lines ``key.x.u = y``, one per entry y >= 0 of a decode table, in (x, u) order."""
+    xs, us = np.nonzero(table >= 0)
+    return [f"{key}.{x}.{u} = {y}" for x, u, y in zip(xs.tolist(), us.tolist(), table[xs, us].tolist())]
+
+
 class Lines:
     def __init__(self, structured: bool):
         self.structured = structured
@@ -272,7 +278,7 @@ def render_mechanism(a: Analysis, lines: Lines) -> None:
     lines.kv("p_u", _vec(m.p_u, lines.structured))
     lines.out += _rows("p_y_given_u", m.p_y_given_u.k.T, lines.structured)
     if m.decode is not None:
-        lines.out += [f"decode.{x}.{u} = {y}" for (x, u), y in sorted(m.decode.items())]
+        lines.out += _decode_lines("decode", m.decode)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +306,7 @@ def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str
             lines.kv("two-part.p_u", _vec(m.p_u, True))
             lines.out += _rows("two-part.p_y_given_u", m.p_y_given_u.k.T, True)
             lines.out += [f"two-part.codeword.{u} = {w}" for u, w in sorted(code.u_code.codewords.items())]
-            lines.out += [f"two-part.decode.{x}.{u} = {y}" for (x, u), y in sorted(m.decode.items())]
+            lines.out += _decode_lines("two-part.decode", m.decode)
         else:
             lines.kv("direct-pad.key_size", code.key_size)
             lines.kv("direct-pad.field_bits", code.field_bits)
@@ -420,12 +426,18 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             cols = np.array(
                 [_doc_vector(doc, f"two-part.p_y_given_u.{u}", y_size) for u in range(u_size)]
             ).T
-            decode_tbl, words = {}, {}
+            # a y outside 0..|Y|-1 is stored as |Y|, which no event decodes
+            # to; a key outside the table is flagged and never stored
+            table, stray, words = np.full((x_size, u_size), -1), False, {}
             for key, value in doc.items():
                 try:
                     if key.startswith("two-part.decode."):
                         _, _, x, u = key.split(".")
-                        decode_tbl[(int(x), int(u))] = int(value)
+                        x, u, y = int(x), int(u), int(value)
+                        if 0 <= x < x_size and 0 <= u < u_size:
+                            table[x, u] = y if 0 <= y < y_size else y_size
+                        else:
+                            stray = True
                     elif key.startswith("two-part.codeword."):
                         _, _, u = key.split(".")
                         words[int(u)] = value
@@ -434,16 +446,12 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             if sorted(words) != list(range(u_size)):
                 raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
             key_size, field_bits = _doc_key_and_field(doc, scheme, "x_field_bits", x_size)
-            mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=decode_tbl)
-            prefix = codec.PrefixCode(
-                codewords=words,
-                expected_length=float(sum(p_u[u] * len(w) for u, w in words.items())),
-            )
+            mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=table)
             code = replace(
                 codec.build_two_part(d, mech),
                 key_size=key_size,
                 field_bits=field_bits,
-                u_code=prefix,
+                u_code=codec.PrefixCode(words),
             )
             # zero-leakage and decodability are re-derived, not trusted
             resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())
@@ -453,12 +461,12 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             if mix > 1e-7:
                 violations.append(f"two-part: mixture does not reproduce P_Y ({mix:.3g})")
             try:
-                rebuilt = mech_mod.build_decode_table(d, replace(mech, decode=None))
-                if rebuilt.decode != decode_tbl:
+                rebuilt = mech_mod.build_decode_table(d, mech)
+                if stray or not np.array_equal(rebuilt.decode, table):
                     violations.append("two-part: serialized decode table mismatch")
             except NotDecodable as exc:
                 violations.append(f"two-part: not decodable ({exc})")
-            if prefix.kraft_sum() > 1.0 + 1e-12:
+            if code.u_code.kraft_sum() > 1.0 + 1e-12:
                 violations.append("two-part: Kraft inequality violated")
             sorted_words = sorted(words.values())
             for i in range(len(sorted_words) - 1):
@@ -593,6 +601,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.error("--n must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     try:
         status, text = run(args)
     except (InputError, OSError, UnicodeDecodeError) as exc:

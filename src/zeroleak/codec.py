@@ -4,7 +4,8 @@ Two schemes:
 
 * two-part: the private symbol is one-time-padded into a fixed-width field,
   followed by a prefix-free codeword for the zero-leakage disclosure U; the
-  receiver strips the pad, recovers X, and looks Y up from (X, U).
+  receiver strips the pad, recovers X, and reads Y off the (X, U) array
+  ``Mechanism.decode``.
 * direct-pad: when |Y| <= |X|, pad Y itself and send it in a fixed
   ceil(log2 |Y|)-bit field.
 
@@ -66,7 +67,6 @@ class PrefixCode:
     """A prefix-free binary code over symbols 0..n-1."""
 
     codewords: dict[int, str]
-    expected_length: float
 
     @cached_property
     def by_word(self) -> dict[str, int]:
@@ -98,7 +98,7 @@ def build_huffman(p) -> PrefixCode:
     if n < 1:
         raise ValueError("empty distribution")
     if n == 1:
-        return PrefixCode(codewords={0: "0"}, expected_length=1.0)
+        return PrefixCode(codewords={0: "0"})
     # heap entries: (probability, tie rank, node id); leaves rank by symbol.
     heap = [(float(probs[i]), i, i) for i in range(n)]
     heapq.heapify(heap)
@@ -122,8 +122,7 @@ def build_huffman(p) -> PrefixCode:
         assign(hi, prefix + "1")
 
     assign(root, "")
-    expected = float(sum(probs[s] * len(c) for s, c in codewords.items()))
-    return PrefixCode(codewords=codewords, expected_length=expected)
+    return PrefixCode(codewords=codewords)
 
 
 @dataclass(frozen=True)
@@ -237,9 +236,9 @@ def decode(code: PrivateCode, bits: str, w: int) -> int:
     x = (padded - w) % code.pad_modulus
     assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
     u = code.u_code.parse(bits[field:])
-    if (x, u) not in code.mech.decode:
+    if not 0 <= u < code.mech.u_size or code.mech.decode[x, u] < 0:
         raise MalformedBits(f"pair (x={x}, u={u}) has no decodable y")
-    return code.mech.decode[(x, u)]
+    return int(code.mech.decode[x, u])
 
 
 @dataclass(frozen=True)
@@ -327,7 +326,7 @@ def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
     return u_hat if 0 <= u_hat < u_size else -1
 
 
-def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
+def _messages(code: PrivateCode, x, y, u, w):
     """Each event's message as the int u_hat * pad_modulus + padded field
     (u_hat = 0 for direct-pad), its length in bits and the y decode reads
     off it. Raises decode's MalformedBits for the first event that does not
@@ -351,20 +350,14 @@ def _messages(code: PrivateCode, d: JointDistribution, x, y, u, w):
         u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
         msg = u_hat * n
         msg += padded
-        # decode's y: -2 if absent, -1 if not in 0..|Y|-1; the last column,
-        # which u_hat = -1 reads, stays -2. The dict's ints may be of any
-        # size, and converting it to arrays costs as much per entry as this
-        # loop, which fills a list and converts that once.
-        cols, y_size = u_size + 1, d.y_size
-        flat = [-2] * (n * cols)
-        for (x_key, u_key), y_val in code.mech.decode.items():
-            if 0 <= x_key < n and 0 <= u_key < u_size:
-                flat[x_key * cols + u_key] = y_val if 0 <= y_val < y_size else -1
-        table = np.array(flat, dtype=np.min_scalar_type(-y_size)).reshape(n, cols)
+        # decode's y, -1 where it raises: the decode table and one more
+        # column of -1, which u_hat = -1 reads
+        table = np.full((n, u_size + 1), -1, dtype=code.mech.decode.dtype)
+        table[:, :-1] = code.mech.decode
         padded -= w
         padded %= n
         y_hat = table[padded, u_hat]
-        bad |= y_hat == -2
+        bad |= y_hat < 0
     if bad.any():
         ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
         decode(code, message_bits(code, *ev), ev[3])
@@ -395,7 +388,7 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     m = code.key_size
     keys, fields = (1, code.pad_modulus) if _folds(code) else (m, 1)
     x, y, u, w, mass = _events(code, d, keys)
-    msg, length, y_hat = _messages(code, d, x, y, u, w)
+    msg, length, y_hat = _messages(code, x, y, u, w)
     if not (mass > 0.0).any():
         raise EmptySupport("no (x, y, u, w) event has positive mass")
     each = m // keys  # events per enumerated one: the keys it stands for

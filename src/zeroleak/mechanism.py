@@ -42,14 +42,14 @@ TAU_DET = 1e-9  # a P(X|Y) column within this of a point mass counts as one
 class Mechanism:
     """A zero-leakage disclosure variable U.
 
-    ``p_y_given_u`` holds one polytope point per column; ``decode`` maps each
-    positive-mass (x, u) pair to the unique y it implies (filled by
-    build_decode_table, None until then).
+    ``p_y_given_u`` holds one polytope point per column; ``decode`` is the
+    (|X|, |U|) int array of the unique y each positive-mass (x, u) pair
+    implies, or -1 for none (filled by build_decode_table, None until then).
     """
 
     p_u: np.ndarray
     p_y_given_u: Kernel
-    decode: dict[tuple[int, int], int] | None = None
+    decode: np.ndarray | None = None
 
     @property
     def u_size(self) -> int:
@@ -295,12 +295,11 @@ def conditional_u_given_y(d: JointDistribution, mech: Mechanism) -> np.ndarray:
 
 
 def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
-    """Fill decode(x, u) with the unique y compatible with both.
+    """Fill decode[x, u] with the unique y compatible with both, or -1.
 
     Verifies H(Y | X, U) <= 1e-7 bits on the exact joint. Raises
     NotDecodable for the first (x, u) pair, in (x, u) order, that leaves
     two candidate y symbols (possible when the membership equality fails).
-    The table is filled in (x, u) order.
     """
     joint = mechanism_joint(d, mech)
     live = joint > 1e-12  # [x][y][u]
@@ -310,13 +309,10 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
         x, u = ambiguous[0].tolist()
         ys = np.nonzero(live[x, :, u])[0].tolist()
         raise NotDecodable(f"pair (x={x}, u={u}) is consistent with y in {ys}")
-    xs, us = np.nonzero(n_live)
-    ys = live.argmax(axis=1)[xs, us]
-    table = dict(zip(zip(xs.tolist(), us.tolist()), ys.tolist()))
     h_y_given_xu = _entropy_y_given_xu(joint)
     if h_y_given_xu > TAU_ENT:
         raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")
-    return replace(mech, decode=table)
+    return replace(mech, decode=np.where(n_live > 0, live.argmax(axis=1), -1))
 
 
 def _entropy_y_given_xu(joint: np.ndarray) -> float:

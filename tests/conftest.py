@@ -4,7 +4,8 @@ Property tests run under a derandomized hypothesis profile: every run draws
 the same examples, no example database is kept, and the example count is
 bounded so the suite stays fast. The ``ci`` profile is the same with ten
 times the examples; ``--hypothesis-profile=ci`` selects it, as CI does for
-the oracle properties (``-k oracle``).
+the oracle properties and the mutated code document property
+(``-k "oracle or mutated_code_document"``).
 
 The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, the whole-joint g0 LP that is the oracle
@@ -230,7 +231,7 @@ def loop_entropy_y_given_xu(joint: np.ndarray) -> float:
 def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     """``mechanism.build_decode_table`` one (x, u) pair at a time."""
     joint = mechanism_joint(d, mech)
-    table: dict[tuple[int, int], int] = {}
+    table = np.full((d.x_size, mech.u_size), -1)
     for x in range(d.x_size):
         for u in range(mech.u_size):
             mass = joint[x, :, u]
@@ -241,7 +242,7 @@ def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
                 raise NotDecodable(
                     f"pair (x={x}, u={u}) is consistent with y in {ys.tolist()}"
                 )
-            table[(x, u)] = int(ys[0])
+            table[x, u] = ys[0]
     h_y_given_xu = loop_entropy_y_given_xu(joint)
     if h_y_given_xu > TAU_ENT:
         raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")

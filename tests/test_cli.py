@@ -486,6 +486,132 @@ def _golden_doc_with(name, key, value):
     )
 
 
+def _audit_text(tmp_path, text):
+    path = tmp_path / "edited.txt"
+    path.write_text(text)
+    return run_cli(["--cmd", "audit", "--input", str(path)])
+
+
+def _example1_doc_with_decode_line(line):
+    """The Example 1 golden code document with ``line`` inserted before its
+    first decode entry."""
+    text = (GOLDEN / "example1.code.txt").read_text(encoding="utf-8")
+    return text.replace("two-part.decode.0.0 =", f"{line}\ntwo-part.decode.0.0 =", 1)
+
+
+def _violations(out):
+    """The invariant each violation line names: its text up to any `` = ``."""
+    return [line.split(" = ")[1] for line in out.splitlines() if line.startswith("violation = ")]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        (
+            _golden_doc_with("example1", "two-part.decode.0.0", str(2**64)),
+            ["two-part: serialized decode table mismatch", "two-part: lossless_prob"],
+        ),
+        (
+            _example1_doc_with_decode_line(f"two-part.decode.{-(2**64)}.0 = 0"),
+            ["two-part: serialized decode table mismatch"],
+        ),
+    ],
+    ids=["value-beyond-64-bits", "key-beyond-64-bits"],
+)
+def test_audit_decode_entry_beyond_64_bits(tmp_path, text, named):
+    # a document may hold integers of any size: a y outside 0..|Y|-1 decodes
+    # to no event's y, and a key outside the (x, u) table is flagged, never stored
+    status, out = _audit_text(tmp_path, text)
+    assert status == 1
+    assert _violations(out) == named
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "two-part.decode.-1.0 = 0",
+        "two-part.decode.2.0 = 0",
+        "two-part.decode.0.4 = 1",
+        "two-part.decode.0.-1 = 1",
+        f"two-part.decode.{2**64}.{2**64} = 5",
+    ],
+    ids=["x-negative", "x-past-table", "u-past-table", "u-negative", "beyond-64-bits"],
+)
+def test_audit_stray_decode_key_before_valid_entries_moves_no_figure(tmp_path, line):
+    # the stray key is flagged, and every decode entry after it is still read
+    _, clean = _audit_text(tmp_path, (GOLDEN / "example1.code.txt").read_text(encoding="utf-8"))
+    status, out = _audit_text(tmp_path, _example1_doc_with_decode_line(line))
+    assert status == 1
+    assert _violations(out) == ["two-part: serialized decode table mismatch"]
+
+    def figures(text):
+        return [row for row in text.splitlines() if ".audit." in row and ".audit.ok" not in row]
+
+    assert figures(out) == figures(clean) and len(figures(clean)) == 5
+
+
+GOLDEN_CODE_DOCS = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.glob("*.code.txt"))]
+HOSTILE_TOKENS = ["abc", "", "1e400", "nan", "-0", str(2**64), "-1", "0x1", "3/4", "1_0"]
+# keys indexed by a symbol, each with the entry that sizes its alphabet
+INDEXED_KEYS = [
+    ("joint.{}", "x_size"),
+    ("two-part.p_y_given_u.{}", "two-part.u_size"),
+    ("two-part.codeword.{}", "two-part.u_size"),
+    ("two-part.decode.{}.0", "x_size"),
+    ("two-part.decode.0.{}", "two-part.u_size"),
+]
+
+
+@st.composite
+def mutated_code_documents(draw):
+    """A golden code document after one to four edits, each one of: drop a
+    key, set a value to a hostile token, insert a key with an out-of-range or
+    negative index at a random position, or duplicate a line."""
+    lines = draw(st.sampled_from(GOLDEN_CODE_DOCS)).splitlines()
+    sizes = dict(line.split(" = ", 1) for line in lines)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "hostile", "insert", "duplicate"]))
+        if edit == "drop":
+            del lines[at]
+        elif edit == "hostile":
+            lines[at] = lines[at].partition(" = ")[0] + " = " + draw(st.sampled_from(HOSTILE_TOKENS))
+        elif edit == "insert":
+            key, size_key = draw(st.sampled_from(INDEXED_KEYS))
+            size = int(sizes.get(size_key, 1))
+            index = draw(st.integers(-(2**70), -1) | st.integers(size, size + 2) | st.integers(size, 2**70))
+            value = draw(st.sampled_from(["0", "1", "0 0 0", *HOSTILE_TOKENS]))
+            lines.insert(draw(st.integers(0, len(lines))), f"{key.format(index)} = {value}")
+        else:
+            lines.insert(at, lines[at])
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def mutated_doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "doc.txt"
+
+
+@given(mutated_code_documents())
+def test_mutated_code_document_ends_in_a_verdict(mutated_doc_path, text):
+    # exit 0, exit 1 naming a violation, or exit 2 with one error line; an
+    # uncaught exception, or a warning (an error under the test settings),
+    # fails the test
+    import io
+    from contextlib import redirect_stderr
+
+    mutated_doc_path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status, out = run_cli(["--cmd", "audit", "--input", str(mutated_doc_path)])
+    if status == 1:
+        assert _violations(out)
+    elif status == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert status == 0
+
+
 def test_lossless_prob_prints_all_digits_in_both_formats(tmp_path):
     # a wrong decode entry fails 1/48 of the mass; .6g would print 0.979167,
     # and a failure a hair below 1 would print as 1
@@ -614,6 +740,22 @@ def test_sweep_deterministic_given_seed():
     _, a = run_cli(["--cmd", "sweep", "--n", "4", "--family", "det-f", "--seed", "3"])
     _, b = run_cli(["--cmd", "sweep", "--n", "4", "--family", "det-f", "--seed", "3"])
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--cmd", "sweep", "--n", "4", "--seed", "-1"],
+        ["--cmd", "code", "--input", str(EXAMPLE1_PATH), "--seed", "-5"],
+    ],
+    ids=["sweep", "code"],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    # numpy's generator takes no negative seed; every command rejects one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
