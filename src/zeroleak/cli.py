@@ -24,6 +24,13 @@ the section is read entry by entry, and the first bad entry raises
 ParseError with its line and column.
 
 Reports print each vector, and each row of a matrix, with one `%` format.
+
+A code document (`code --format structured`, format `zeroleak-code-v2`) is
+flat `key = value` lines, each key given once. Matrices are rows `key.i`:
+the joint, two-part's P(Y|U=u) and its decode table, `two-part.decode.x`
+holding the y of each (x, u), -1 where the pair has no mass. `audit` reads
+each block of rows with one numpy conversion, and any miss reads it row by
+row, which names the first missing, short or malformed row.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .errors import (
 from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
-CODE_FORMAT = "zeroleak-code-v1"
+CODE_FORMAT = "zeroleak-code-v2"
 # The most (x, y, u, w) events (`codec.event_count`: key_size per
 # positive-mass triple) a code document may ask `audit` to account for; past
 # it, and past a field of `codec.MAX_FIELD_BITS`, `audit` raises ParseError.
@@ -200,9 +207,10 @@ def _rows(key: str, m, structured: bool) -> list[str]:
 
 
 def _decode_lines(key: str, table: np.ndarray) -> list[str]:
-    """The lines ``key.x.u = y``, one per entry y >= 0 of a decode table, in (x, u) order."""
-    xs, us = np.nonzero(table >= 0)
-    return [f"{key}.{x}.{u} = {y}" for x, u, y in zip(xs.tolist(), us.tolist(), table[xs, us].tolist())]
+    """The lines ``key.x = y_0 ... y_{|U|-1}``, row x of a decode table with
+    -1 where (x, u) has no y, one format op per row."""
+    line = f"{key}.%d = " + " ".join(["%d"] * table.shape[1])
+    return [line % (x, *row) for x, row in enumerate(table.tolist())]
 
 
 class Lines:
@@ -349,16 +357,28 @@ def parse_code_document(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ParseError("expected `key = value`", line_no)
         key, _, value = line.partition("=")
-        doc[key.strip()] = value.strip()
+        key = key.strip()
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}", line_no)
+        doc[key] = value.strip()
     if doc.get("format") != CODE_FORMAT:
         raise ParseError(f"missing or unknown format marker (want {CODE_FORMAT})")
     return doc
 
 
-def _floats(text: str) -> np.ndarray:
-    """The whitespace-separated entries of ``text``, each read by ``float``
-    (numpy's conversion of a string is ``float``'s)."""
-    return np.array(text.split(), dtype=float)
+def _floats(tokens: list[str]) -> np.ndarray:
+    """Each token read by ``float`` (numpy's conversion of a string is ``float``'s)."""
+    return np.array(tokens, dtype=float)
+
+
+def _ints(tokens: list[str]) -> np.ndarray:
+    """Each token read by ``int`` (numpy's conversion of a string is
+    ``int``'s) into int64; an integer past int64 reads as -2, which is no
+    decode table's entry either."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -(1 << 63) <= v < 1 << 63 else -2 for v in map(int, tokens)], dtype=np.int64)
 
 
 def _doc_field(doc: dict[str, str], key: str, parse):
@@ -371,12 +391,34 @@ def _doc_field(doc: dict[str, str], key: str, parse):
         raise ParseError(f"cannot parse {key} = {doc[key]!r}") from None
 
 
-def _doc_vector(doc: dict[str, str], key: str, size: int) -> np.ndarray:
-    """The float vector at ``key``; ParseError unless it has ``size`` entries."""
-    v = _doc_field(doc, key, _floats)
+def _doc_vector(doc: dict[str, str], key: str, size: int, convert=_floats) -> np.ndarray:
+    """``convert`` of the entries at ``key``; ParseError unless it has ``size`` entries."""
+    v = _doc_field(doc, key, lambda text: convert(text.split()))
     if v.size != size:
         raise ParseError(f"{key} has {v.size} entries, expected {size}")
     return v
+
+
+def _doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=_floats) -> np.ndarray:
+    """The rows ``key.0`` .. ``key.{n-1}`` of ``width`` entries each, as one
+    (n, width) array from one ``convert`` of the whole block.
+
+    Rows are gathered up to the first missing one, so a hostile ``n`` builds
+    nothing larger than the document. Any miss reads the block row by row
+    with ``_doc_vector``, which raises ParseError at the first missing, short
+    or malformed row (and, for n = 0, gives the empty vector)."""
+    rows = []
+    for i in range(n):
+        row = doc.get(f"{key}.{i}")
+        if row is None:
+            break
+        rows.append(row.split())
+    if 0 < len(rows) == n and all(len(row) == width for row in rows):
+        try:
+            return convert(list(itertools.chain.from_iterable(rows))).reshape(n, width)
+        except ValueError:
+            pass
+    return np.array([_doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
 
 
 def _doc_key_and_field(doc: dict[str, str], scheme: str, field_key: str, alphabet: int):
@@ -396,7 +438,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     """Reconstruct each serialized scheme and re-verify every invariant."""
     x_size = _doc_field(doc, "x_size", int)
     y_size = _doc_field(doc, "y_size", int)
-    joint = np.array([_doc_vector(doc, f"joint.{x}", y_size) for x in range(x_size)])
+    joint = _doc_block(doc, "joint", x_size, y_size)
     d = dist.validate_and_normalize(joint)
     if d.p.shape != joint.shape:
         raise ParseError("joint block has an all-zero row or column")
@@ -423,35 +465,21 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
                 raise NegativeMass(f"two-part.p_u entry {p_u[p_u < 0.0][0]} is negative")
             if not (p_u > 0.0).any():
                 raise ParseError("two-part.p_u has no positive mass")
-            cols = np.array(
-                [_doc_vector(doc, f"two-part.p_y_given_u.{u}", y_size) for u in range(u_size)]
-            ).T
-            # a y outside 0..|Y|-1 is stored as |Y|, which no event decodes
-            # to; a key outside the table is flagged and never stored
-            table, stray, words = np.full((x_size, u_size), -1), False, {}
-            for key, value in doc.items():
-                try:
-                    if key.startswith("two-part.decode."):
-                        _, _, x, u = key.split(".")
-                        x, u, y = int(x), int(u), int(value)
-                        if 0 <= x < x_size and 0 <= u < u_size:
-                            table[x, u] = y if 0 <= y < y_size else y_size
-                        else:
-                            stray = True
-                    elif key.startswith("two-part.codeword."):
-                        _, _, u = key.split(".")
-                        words[int(u)] = value
-                except ValueError:
-                    raise ParseError(f"cannot parse {key} = {value!r}") from None
-            if sorted(words) != list(range(u_size)):
+            cols = _doc_block(doc, "two-part.p_y_given_u", u_size, y_size).T
+            # a y outside -1..|Y|-1 is stored as |Y|, which no event decodes
+            # to; a decode key other than the x_size rows is flagged
+            table = _doc_block(doc, "two-part.decode", x_size, u_size, _ints)
+            table[(table < -1) | (table >= y_size)] = y_size
+            stray = sum(key.startswith("two-part.decode.") for key in doc) != x_size
+            words = {u: doc.get(f"two-part.codeword.{u}") for u in range(u_size)}
+            if None in words.values() or sum(key.startswith("two-part.codeword.") for key in doc) != u_size:
                 raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
             key_size, field_bits = _doc_key_and_field(doc, scheme, "x_field_bits", x_size)
             mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=table)
             code = replace(
-                codec.build_two_part(d, mech),
+                codec.build_two_part(d, mech, codec.PrefixCode(words)),
                 key_size=key_size,
                 field_bits=field_bits,
-                u_code=codec.PrefixCode(words),
             )
             # zero-leakage and decodability are re-derived, not trusted
             resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())

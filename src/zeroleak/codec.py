@@ -145,8 +145,9 @@ class PrivateCode:
     p_x_given_y: np.ndarray | None = None  # [x][y]
 
 
-def build_two_part(d: JointDistribution, mech: Mechanism) -> PrivateCode:
-    """Pad X, Huffman-code U; requires a complete decode table on the mechanism."""
+def build_two_part(d: JointDistribution, mech: Mechanism, u_code: PrefixCode) -> PrivateCode:
+    """Pad X, prefix-code U with ``u_code``; requires a complete decode table
+    on the mechanism."""
     if mech.decode is None:
         raise IncompleteMechanism("mechanism has no decode table; fill it first")
     return PrivateCode(
@@ -155,7 +156,7 @@ def build_two_part(d: JointDistribution, mech: Mechanism) -> PrivateCode:
         pad_modulus=d.x_size,
         y_size=d.y_size,
         field_bits=ceil_log2(d.x_size),
-        u_code=build_huffman(mech.p_u),
+        u_code=u_code,
         mech=mech,
         p_u_given_y=conditional_u_given_y(d, mech),
         p_x_given_y=dist.kernel_x_given_y(d).k,
@@ -180,7 +181,7 @@ def build_codes(a: Analysis) -> list[PrivateCode]:
     mechanism is a decodable member, then direct-pad when |Y| <= |X|."""
     codes = []
     if a.member and a.mech_decodable:
-        codes.append(build_two_part(a.d, a.mech))
+        codes.append(build_two_part(a.d, a.mech, build_huffman(a.mech.p_u)))
     if a.d.y_size <= a.d.x_size:
         codes.append(build_direct_pad(a.d))
     return codes

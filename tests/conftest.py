@@ -5,7 +5,8 @@ the same examples, no example database is kept, and the example count is
 bounded so the suite stays fast. The ``ci`` profile is the same with ten
 times the examples; ``--hypothesis-profile=ci`` selects it, as CI does for
 the oracle properties and the mutated code document property
-(``-k "oracle or mutated_code_document"``).
+(``-k "oracle or mutated_code_document"``); every property whose name
+holds ``oracle``, such as ``test_doc_block_reader_oracle``, runs there.
 
 The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, the whole-joint g0 LP that is the oracle
@@ -15,8 +16,9 @@ sorting group numbering that is the oracle for its grouping, the
 one-row-at-a-time entropy and decode-table loops that are the oracles for
 the batched forms in ``dist`` and ``mechanism``, the token-at-a-time
 distribution parser that is the oracle for the section-at-a-time
-``cli.parse_distribution_text``, and the two-part encoder for a sender who
-sees (x, y).
+``cli.parse_distribution_text``, the row-at-a-time code document reader
+that is the oracle for the block-at-a-time ``cli._doc_block``, and the
+two-part encoder for a sender who sees (x, y).
 """
 
 import struct
@@ -304,6 +306,12 @@ def loop_parse_distribution_text(text: str) -> JointDistribution:
             raise ParseError(f"p_y has {len(flat)} entries, kernel has {width} columns")
         return dist.from_conditional(np.array(kern), np.array(flat))
     raise ParseError("need a joint: section or both p_x_given_y: and p_y:")
+
+
+def loop_doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=cli._floats) -> np.ndarray:
+    """``cli._doc_block`` one row at a time: each row read by
+    ``cli._doc_vector`` in turn."""
+    return np.array([cli._doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
 
 
 def encode_pair(code: codec.PrivateCode, x: int, y: int, w: int, rng: np.random.Generator) -> str:

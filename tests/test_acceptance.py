@@ -54,7 +54,7 @@ def member_codes():
         for d in ds:
             _, mech = mm.solve_g0(d)
             mech = mm.build_decode_table(d, mech)
-            code = codec.build_two_part(d, mech)
+            code = codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
             rows.append((d, mech, code, codec.audit(code, d)))
         _cache["codes"] = rows
     return _cache["codes"]

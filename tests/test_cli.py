@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import bits, loop_parse_distribution_text
+from conftest import bits, loop_doc_block, loop_parse_distribution_text
 
 from zeroleak import cli, dist, families
 from zeroleak import mechanism as mm
@@ -280,7 +280,7 @@ def test_mechanism_command(example1_file):
     status, out = run_cli(["--cmd", "mechanism", "--input", example1_file])
     assert status == 0
     assert "p_u = " in out
-    assert "decode.0.0 = " in out
+    assert "decode.0 = 2 1 1 0" in out
 
 
 def test_code_then_audit_roundtrip(example1_file, tmp_path):
@@ -297,8 +297,8 @@ def test_audit_detects_tampered_decode_table(example1_file, tmp_path):
     _, out = run_cli(["--cmd", "code", "--input", example1_file, "--format", "structured"])
     lines = out.splitlines()
     for i, line in enumerate(lines):
-        if line.startswith("two-part.decode.0.0 ="):
-            lines[i] = "two-part.decode.0.0 = 4"
+        if line.startswith("two-part.decode.0 ="):
+            lines[i] = "two-part.decode.0 = 4 1 1 0"
             break
     doc = tmp_path / "tampered.txt"
     doc.write_text("\n".join(lines) + "\n")
@@ -309,9 +309,11 @@ def test_audit_detects_tampered_decode_table(example1_file, tmp_path):
 
 def _edited_code_doc(input_file, tmp_path, key, value):
     """The code document of ``input_file`` with ``key`` set to ``value``:
-    appended when absent, dropped when ``value`` is None."""
+    appended when absent, dropped when ``value`` is None. A ``(dropped,
+    key)`` pair writes the value under ``key`` in place of ``dropped``."""
     _, out = run_cli(["--cmd", "code", "--input", input_file, "--format", "structured"])
-    lines = [line for line in out.splitlines() if line.partition(" = ")[0] != key]
+    dropped, key = key if isinstance(key, tuple) else (key, key)
+    lines = [line for line in out.splitlines() if line.partition(" = ")[0] not in (dropped, key)]
     if value is not None:
         lines.append(f"{key} = {value}")
     doc = tmp_path / "edited.txt"
@@ -326,8 +328,8 @@ def _edited_code_doc(input_file, tmp_path, key, value):
         ("two-part.u_size", "two", "two-part.u_size"),
         ("joint.0", "0.125 0.25 0.375 0 0", "joint.0"),
         ("two-part.p_y_given_u.0", "0 0 0.75 0.25 0", "two-part.p_y_given_u.0"),
-        ("two-part.decode.0.0", "abc", "two-part.decode.0.0"),
-        ("two-part.decode.0.0.1", "2", "two-part.decode.0.0.1"),
+        ("two-part.decode.0", "abc 1 1 0", "two-part.decode.0"),
+        (("two-part.decode.1", "two-part.decode.1.0"), "3 5 4 5", "two-part.decode.1"),
         ("two-part.codeword.9", "0101", "two-part.codeword"),
         ("two-part.codeword.1", None, "two-part.codeword"),
         ("two-part.p_u", "0.5 0.5", "two-part.p_u"),
@@ -394,7 +396,7 @@ def test_audit_key_size_past_the_event_limit_is_parse_error(tmp_path, capsys, ke
         ("two-part.codeword.1", "0x1"),
         ("two-part.codeword.0", ""),
         ("two-part.codeword.2", "10"),
-        ("two-part.decode.0.0", None),
+        ("two-part.decode.0", "-1 1 1 0"),
     ],
     ids=["non-binary-codeword", "empty-codeword", "not-prefix-free", "decode-entry-missing"],
 )
@@ -494,9 +496,9 @@ def _audit_text(tmp_path, text):
 
 def _example1_doc_with_decode_line(line):
     """The Example 1 golden code document with ``line`` inserted before its
-    first decode entry."""
+    first decode row."""
     text = (GOLDEN / "example1.code.txt").read_text(encoding="utf-8")
-    return text.replace("two-part.decode.0.0 =", f"{line}\ntwo-part.decode.0.0 =", 1)
+    return text.replace("two-part.decode.0 =", f"{line}\ntwo-part.decode.0 =", 1)
 
 
 def _violations(out):
@@ -508,19 +510,23 @@ def _violations(out):
     "text, named",
     [
         (
-            _golden_doc_with("example1", "two-part.decode.0.0", str(2**64)),
+            _golden_doc_with("example1", "two-part.decode.0", f"{2**64} 1 1 0"),
             ["two-part: serialized decode table mismatch", "two-part: lossless_prob"],
         ),
         (
-            _example1_doc_with_decode_line(f"two-part.decode.{-(2**64)}.0 = 0"),
+            _golden_doc_with("example1", "two-part.decode.0", f"{-(2**64)} 1 1 0"),
+            ["two-part: serialized decode table mismatch", "two-part: lossless_prob"],
+        ),
+        (
+            _example1_doc_with_decode_line(f"two-part.decode.{-(2**64)} = 0 0 0 0"),
             ["two-part: serialized decode table mismatch"],
         ),
     ],
-    ids=["value-beyond-64-bits", "key-beyond-64-bits"],
+    ids=["value-beyond-64-bits", "negative-value-beyond-64-bits", "key-beyond-64-bits"],
 )
 def test_audit_decode_entry_beyond_64_bits(tmp_path, text, named):
-    # a document may hold integers of any size: a y outside 0..|Y|-1 decodes
-    # to no event's y, and a key outside the (x, u) table is flagged, never stored
+    # a document may hold integers of any size: a y outside -1..|Y|-1 decodes
+    # to no event's y, and a decode key other than the |X| rows is flagged
     status, out = _audit_text(tmp_path, text)
     assert status == 1
     assert _violations(out) == named
@@ -529,16 +535,17 @@ def test_audit_decode_entry_beyond_64_bits(tmp_path, text, named):
 @pytest.mark.parametrize(
     "line",
     [
-        "two-part.decode.-1.0 = 0",
-        "two-part.decode.2.0 = 0",
+        "two-part.decode.-1 = 0 0 0 0",
+        "two-part.decode.2 = 0 0 0 0",
         "two-part.decode.0.4 = 1",
         "two-part.decode.0.-1 = 1",
-        f"two-part.decode.{2**64}.{2**64} = 5",
+        f"two-part.decode.{2**64} = 5 5 5 5",
     ],
     ids=["x-negative", "x-past-table", "u-past-table", "u-negative", "beyond-64-bits"],
 )
 def test_audit_stray_decode_key_before_valid_entries_moves_no_figure(tmp_path, line):
-    # the stray key is flagged, and every decode entry after it is still read
+    # the stray key (a row past the table, or an entry key in the old one-entry
+    # spelling) is flagged, and every decode row after it is still read
     _, clean = _audit_text(tmp_path, (GOLDEN / "example1.code.txt").read_text(encoding="utf-8"))
     status, out = _audit_text(tmp_path, _example1_doc_with_decode_line(line))
     assert status == 1
@@ -550,6 +557,117 @@ def test_audit_stray_decode_key_before_valid_entries_moves_no_figure(tmp_path, l
     assert figures(out) == figures(clean) and len(figures(clean)) == 5
 
 
+def _audit_error(tmp_path, capsys, text):
+    """The exit status and standard error of ``audit`` on ``text``."""
+    status, _ = _audit_text(tmp_path, text)
+    return status, capsys.readouterr().err
+
+
+def test_audit_of_a_v1_document_is_parse_error(tmp_path, capsys):
+    text = (GOLDEN / "example1.code.txt").read_text(encoding="utf-8")
+    status, err = _audit_error(tmp_path, capsys, text.replace("zeroleak-code-v2", "zeroleak-code-v1"))
+    assert status == 2
+    assert err == "error: missing or unknown format marker (want zeroleak-code-v2)\n"
+
+
+def test_audit_dropped_decode_row_is_parse_error(tmp_path, capsys):
+    text = (GOLDEN / "ci2x2x3.code.txt").read_text(encoding="utf-8")
+    dropped = "".join(line + "\n" for line in text.splitlines() if not line.startswith("two-part.decode.2 ="))
+    status, err = _audit_error(tmp_path, capsys, dropped)
+    assert status == 2
+    assert err == "error: code document has no 'two-part.decode.2' entry\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["two-part.decode.0 = 5 1 1 0", "x_size = 2"],
+    ids=["decode-row", "x-size"],
+)
+def test_audit_repeated_key_is_parse_error(tmp_path, capsys, line):
+    # read last-wins, a wrong row before the right one would go unseen
+    key = line.partition(" = ")[0]
+    text = (GOLDEN / "example1.code.txt").read_text(encoding="utf-8")
+    status, err = _audit_error(tmp_path, capsys, text.replace(f"{key} =", f"{line}\n{key} =", 1))
+    assert status == 2
+    assert f"duplicate key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        (GOLDEN / "example1.code.txt").read_text(encoding="utf-8").replace("codeword.0 =", "codeword.00 ="),
+        (GOLDEN / "example1.code.txt").read_text(encoding="utf-8") + "two-part.codeword.00 = 0\n",
+    ],
+    ids=["renamed", "added"],
+)
+def test_audit_codeword_read_only_at_its_canonical_key(tmp_path, capsys, text):
+    status, err = _audit_error(tmp_path, capsys, text)
+    assert status == 2
+    assert "two-part.codeword.* must be numbered 0..3" in err
+
+
+def test_audit_aliased_decode_row_is_a_mismatch(tmp_path):
+    # `two-part.decode.00` is not row 0 under another spelling but a stray
+    # key, so the right row there no longer hides a wrong row 0
+    text = _golden_doc_with("example1", "two-part.decode.0", "5 1 1 0")
+    text = text.replace("two-part.decode.1 =", "two-part.decode.00 = 2 1 1 0\ntwo-part.decode.1 =", 1)
+    status, out = _audit_text(tmp_path, text)
+    assert status == 1
+    assert _violations(out) == ["two-part: serialized decode table mismatch", "two-part: lossless_prob"]
+
+
+def _block_outcome(read, doc, key, n, width, convert):
+    """The block's dtype, shape and bytes, or the ParseError's text."""
+    try:
+        a = read(doc, key, n, width, convert)
+    except ParseError as exc:
+        return str(exc)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+BLOCK_TOKENS = ["abc", "", "1e400", "nan", "-0", "0x1", "3/4", "1_0", "1.5", str(2**64), str(-(2**64)), str(2**63)]
+
+
+@st.composite
+def mutated_blocks(draw):
+    """A block of rows ``b.0`` .. ``b.{n-1}`` of ints or decimals, after one
+    to three edits, each one of: drop a row, drop a token from a row, add a
+    token to a row, set a token to a hostile one, or ask for rows past those
+    present."""
+    convert = draw(st.sampled_from([cli._floats, cli._ints]))
+    n, width = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    token = st.integers(-3, 40).map(str) if convert is cli._ints else st.floats(0, 1).map(repr)
+    rows = {i: [draw(token) for _ in range(width)] for i in range(n)}
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "short", "extra", "hostile", "past"]))
+        if edit == "past":
+            n += draw(st.integers(1, 3) | st.just(10**30))
+        elif rows:
+            row = rows[at := draw(st.sampled_from(sorted(rows)))]
+            if edit == "drop":
+                del rows[at]
+            elif edit == "short" and row:
+                del row[draw(st.integers(0, len(row) - 1))]
+            elif edit == "extra":
+                row.insert(draw(st.integers(0, len(row))), draw(token))
+            elif edit == "hostile" and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BLOCK_TOKENS))
+    return {f"b.{i}": " ".join(row) for i, row in rows.items()}, n, width, convert
+
+
+@given(mutated_blocks())
+@example(({"b.0": "1 2 3", "b.1": "4"}, 2, 2, cli._ints))  # ragged rows whose total is n * width
+@example(({"b.0": f"{2**64} 1", "b.1": "abc 1"}, 2, 2, cli._ints))
+@example(({"b.0": "0.5 1e400"}, 10**30, 2, cli._floats))
+@example(({}, 0, 3, cli._floats))
+def test_doc_block_reader_oracle(block):
+    # one conversion per block reads the same array as one per row, or raises
+    # the same ParseError
+    doc, n, width, convert = block
+    want = _block_outcome(loop_doc_block, doc, "b", n, width, convert)
+    assert _block_outcome(cli._doc_block, doc, "b", n, width, convert) == want
+
+
 GOLDEN_CODE_DOCS = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.glob("*.code.txt"))]
 HOSTILE_TOKENS = ["abc", "", "1e400", "nan", "-0", str(2**64), "-1", "0x1", "3/4", "1_0"]
 # keys indexed by a symbol, each with the entry that sizes its alphabet
@@ -557,8 +675,7 @@ INDEXED_KEYS = [
     ("joint.{}", "x_size"),
     ("two-part.p_y_given_u.{}", "two-part.u_size"),
     ("two-part.codeword.{}", "two-part.u_size"),
-    ("two-part.decode.{}.0", "x_size"),
-    ("two-part.decode.0.{}", "two-part.u_size"),
+    ("two-part.decode.{}", "x_size"),
 ]
 
 
@@ -616,7 +733,7 @@ def test_lossless_prob_prints_all_digits_in_both_formats(tmp_path):
     # a wrong decode entry fails 1/48 of the mass; .6g would print 0.979167,
     # and a failure a hair below 1 would print as 1
     path = tmp_path / "tampered.txt"
-    path.write_text(_golden_doc_with("example1", "two-part.decode.1.1", "3"))
+    path.write_text(_golden_doc_with("example1", "two-part.decode.1", "3 3 4 5"))
     printed = []
     for fmt in ("text", "structured"):
         status, out = run_cli(["--cmd", "audit", "--input", str(path), "--format", fmt])

@@ -33,7 +33,7 @@ def example1_code():
     d = example1()
     _, mech = mm.solve_g0(d)
     mech = mm.build_decode_table(d, mech)
-    return d, mech, codec.build_two_part(d, mech)
+    return d, mech, codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
 
 
 def uniform_pair(x_size, y_size):
@@ -112,7 +112,7 @@ def test_two_part_requires_decode_table():
     d = example1()
     _, mech = mm.solve_g0(d)
     with pytest.raises(IncompleteMechanism):
-        codec.build_two_part(d, mech)
+        codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
 
 
 def test_two_part_pad_arithmetic():
@@ -168,7 +168,7 @@ def test_single_private_symbol_empty_pad_field():
     d = uniform_pair(1, 4)
     _, mech = mm.solve_g0(d)
     mech = mm.build_decode_table(d, mech)
-    code = codec.build_two_part(d, mech)
+    code = codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
     assert code.field_bits == 0
     assert code.key_size == 1
     a = codec.audit(code, d)
@@ -181,7 +181,7 @@ def test_identity_joint_all_weight_on_pad():
     _, mech = mm.solve_g0(d)
     assert mech.u_size == 1
     mech = mm.build_decode_table(d, mech)
-    code = codec.build_two_part(d, mech)
+    code = codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
     a = codec.audit(code, d)
     # 2 pad bits plus the 1-bit single-symbol codeword, every message
     assert np.allclose(a.per_key_expected_length, 3.0, atol=1e-12)
@@ -234,7 +234,7 @@ def test_two_part_properties_random_members():
         d = families.random_deterministic_pair(rng)
         _, mech = mm.solve_g0(d)
         mech = mm.build_decode_table(d, mech)
-        code = codec.build_two_part(d, mech)
+        code = codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
         a = codec.audit(code, d)
         hu = dist.entropy(mech.p_u)
         cap = hu + 1.0 + codec.ceil_log2(d.x_size) + 1e-9
@@ -251,7 +251,7 @@ def test_achieved_length_above_converse():
         d = families.random_deterministic_pair(rng)
         _, mech = mm.solve_g0(d)
         mech = mm.build_decode_table(d, mech)
-        a = codec.audit(codec.build_two_part(d, mech), d)
+        a = codec.audit(codec.build_two_part(d, mech, codec.build_huffman(mech.p_u)), d)
         conv = dist.conditional_entropies(d).max()
         assert a.per_key_expected_length.max() >= conv - 1e-9
 

@@ -109,7 +109,7 @@ def test_achieved_lengths_inside_bracket():
     for _ in range(15):
         d = families.random_deterministic_pair(rng)
         a = mm.analyze(d)
-        audit = codec.audit(codec.build_two_part(d, a.mech), d)
+        audit = codec.audit(codec.build_two_part(d, a.mech, codec.build_huffman(a.mech.p_u)), d)
         achieved = float(audit.per_key_expected_length.max())
         rep = report.build_report(a)
         key = d.x_size
