@@ -25,12 +25,16 @@ ParseError with its line and column.
 
 Reports print each vector, and each row of a matrix, with one `%` format.
 
-A code document (`code --format structured`, format `zeroleak-code-v2`) is
-flat `key = value` lines, each key given once. Matrices are rows `key.i`:
-the joint, two-part's P(Y|U=u) and its decode table, `two-part.decode.x`
+A code document (`code --format structured`, format `zeroleak-code-v3`) is
+flat `key = value` lines, each key given once. Each scheme named in
+`schemes` (once) opens with the same header, `<scheme>.key_size` and
+`<scheme>.field_bits`, before its own keys. Matrices are rows `key.i`: the
+joint, two-part's P(Y|U=u) and its decode table, `two-part.decode.x`
 holding the y of each (x, u), -1 where the pair has no mass. `audit` reads
 each block of rows with one numpy conversion, and any miss reads it row by
 row, which names the first missing, short or malformed row.
+
+`--seed` seeds `sweep`; no other command draws a random number.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .errors import (
 from .mechanism import Analysis, Mechanism
 
 DEFAULT_SEED = 12345
-CODE_FORMAT = "zeroleak-code-v2"
+CODE_FORMAT = "zeroleak-code-v3"
 # The most (x, y, u, w) events (`codec.event_count`: key_size per
 # positive-mass triple) a code document may ask `audit` to account for; past
 # it, and past a field of `codec.MAX_FIELD_BITS`, `audit` raises ParseError.
@@ -293,11 +297,10 @@ def render_mechanism(a: Analysis, lines: Lines) -> None:
 # code serialization and audit
 
 
-def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str], list[str]]:
+def render_code_document(a: Analysis, lines: Lines) -> tuple[list[str], list[str]]:
     """Emit schemes + audits; returns (schemes, violated invariants)."""
     d = a.d
     lines.kv("format", CODE_FORMAT)
-    lines.kv("seed", seed)
     lines.kv("x_size", d.x_size)
     lines.kv("y_size", d.y_size)
     lines.out += _rows("joint", d.p, True)
@@ -306,18 +309,15 @@ def render_code_document(a: Analysis, seed: int, lines: Lines) -> tuple[list[str
     lines.kv("schemes", " ".join(schemes))
     violations: list[str] = []
     for code in codes:
+        lines.kv(f"{code.scheme}.key_size", code.key_size)
+        lines.kv(f"{code.scheme}.field_bits", code.field_bits)
         if code.scheme == codec.TWO_PART:
             m = code.mech
-            lines.kv("two-part.key_size", code.key_size)
-            lines.kv("two-part.x_field_bits", code.field_bits)
             lines.kv("two-part.u_size", m.u_size)
             lines.kv("two-part.p_u", _vec(m.p_u, True))
             lines.out += _rows("two-part.p_y_given_u", m.p_y_given_u.k.T, True)
             lines.out += [f"two-part.codeword.{u} = {w}" for u, w in sorted(code.u_code.codewords.items())]
             lines.out += _decode_lines("two-part.decode", m.decode)
-        else:
-            lines.kv("direct-pad.key_size", code.key_size)
-            lines.kv("direct-pad.field_bits", code.field_bits)
         audit = codec.audit(code, d)
         violations += render_audit_result(code, audit, a.achieved_hu, d, a.h_given_x.max(), lines)
     return schemes, violations
@@ -421,17 +421,18 @@ def _doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=_float
     return np.array([_doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
 
 
-def _doc_key_and_field(doc: dict[str, str], scheme: str, field_key: str, alphabet: int):
-    """``(key_size, field_bits)`` of one scheme; ParseError unless the key
-    size is at least 1 and the field holds ceil(log2 ``alphabet``) to
-    ``codec.MAX_FIELD_BITS`` bits."""
+def _doc_key_and_field(doc: dict[str, str], code: codec.PrivateCode) -> codec.PrivateCode:
+    """``code`` with the key size and field width of its scheme's header;
+    ParseError unless the key size is at least 1 and the field holds
+    ceil(log2 pad_modulus) to ``codec.MAX_FIELD_BITS`` bits."""
+    scheme = code.scheme
     key_size = _doc_field(doc, f"{scheme}.key_size", int)
-    field_bits = _doc_field(doc, f"{scheme}.{field_key}", int)
-    if key_size < 1 or field_bits < codec.ceil_log2(alphabet):
-        raise ParseError(f"{scheme}.key_size = {key_size} or {field_key} = {field_bits} too small")
+    field_bits = _doc_field(doc, f"{scheme}.field_bits", int)
+    if key_size < 1 or field_bits < codec.ceil_log2(code.pad_modulus):
+        raise ParseError(f"{scheme}.key_size = {key_size} or field_bits = {field_bits} too small")
     if field_bits > codec.MAX_FIELD_BITS:
-        raise ParseError(f"{scheme}.{field_key} = {field_bits} exceeds the limit of {codec.MAX_FIELD_BITS} bits")
-    return key_size, field_bits
+        raise ParseError(f"{scheme}.field_bits = {field_bits} exceeds the limit of {codec.MAX_FIELD_BITS} bits")
+    return replace(code, key_size=key_size, field_bits=field_bits)
 
 
 def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
@@ -445,14 +446,15 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     schemes = _doc_field(doc, "schemes", str.split)
     if not schemes:
         raise ParseError("code document's schemes entry is empty")
+    if len(set(schemes)) != len(schemes):
+        raise ParseError(f"code document's schemes entry names a scheme twice: {' '.join(schemes)}")
     converse = dist.conditional_entropies(d).max()
     violations: list[str] = []
     for scheme in schemes:
         if scheme == codec.DIRECT_PAD:
             if y_size > x_size:
                 raise ParseError(f"direct-pad entry for a joint with |Y| = {y_size} > |X| = {x_size}")
-            key_size, field_bits = _doc_key_and_field(doc, scheme, "field_bits", y_size)
-            code = replace(codec.build_direct_pad(d), key_size=key_size, field_bits=field_bits)
+            code = _doc_key_and_field(doc, codec.build_direct_pad(d))
             hu = None
         elif scheme != codec.TWO_PART:
             raise ParseError(f"unknown scheme {scheme!r} in code document")
@@ -474,13 +476,8 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             words = {u: doc.get(f"two-part.codeword.{u}") for u in range(u_size)}
             if None in words.values() or sum(key.startswith("two-part.codeword.") for key in doc) != u_size:
                 raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
-            key_size, field_bits = _doc_key_and_field(doc, scheme, "x_field_bits", x_size)
             mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=table)
-            code = replace(
-                codec.build_two_part(d, mech, codec.PrefixCode(words)),
-                key_size=key_size,
-                field_bits=field_bits,
-            )
+            code = _doc_key_and_field(doc, codec.build_two_part(d, mech, codec.PrefixCode(words)))
             # zero-leakage and decodability are re-derived, not trusted
             resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())
             if resid > 1e-7:
@@ -494,8 +491,8 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
                     violations.append("two-part: serialized decode table mismatch")
             except NotDecodable as exc:
                 violations.append(f"two-part: not decodable ({exc})")
-            if code.u_code.kraft_sum() > 1.0 + 1e-12:
-                violations.append("two-part: Kraft inequality violated")
+            # sorted, a word that prefixes any other prefixes the next one;
+            # a prefix-free set satisfies Kraft, so no Kraft check is made
             sorted_words = sorted(words.values())
             for i in range(len(sorted_words) - 1):
                 if sorted_words[i + 1].startswith(sorted_words[i]):
@@ -590,7 +587,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         render_mechanism(a, lines)
         return 0, lines.text()
     if args.cmd == "code":
-        schemes, violations = render_code_document(a, args.seed, lines)
+        schemes, violations = render_code_document(a, lines)
         if not schemes:
             lines.kv("error", "no applicable scheme (not a decodable member and |Y| > |X|)")
             return 2, lines.text()
@@ -612,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["analyze", "mechanism", "code", "audit", "sweep"],
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sweep seed")
     p.add_argument("--format", choices=["text", "structured"], default="text")
     p.add_argument("--n", type=int, default=100, help="sweep instance count")
     p.add_argument(

@@ -73,9 +73,6 @@ class PrefixCode:
         """{codeword: symbol}, built once; a repeated codeword maps to its last symbol."""
         return {c: s for s, c in self.codewords.items()}
 
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -len(c) for c in self.codewords.values())
-
     def parse(self, bits: str) -> int:
         """The symbol whose codeword is the whole of ``bits``. Raises MalformedBits."""
         for end in range(1, len(bits) + 1):

@@ -334,12 +334,13 @@ def _edited_code_doc(input_file, tmp_path, key, value):
         ("two-part.codeword.1", None, "two-part.codeword"),
         ("two-part.p_u", "0.5 0.5", "two-part.p_u"),
         ("two-part.key_size", "0", "two-part.key_size"),
-        ("two-part.x_field_bits", "-1", "x_field_bits"),
+        ("two-part.field_bits", "-1", "field_bits = -1"),
         ("joint.1", "0 0 0 0 0 0", "all-zero row"),
         ("schemes", None, "schemes"),
         ("schemes", "", "schemes"),
+        ("schemes", "two-part two-part", "schemes"),
         ("two-part.key_size", str(10**30), "two-part.key_size"),
-        ("two-part.x_field_bits", str(10**30), "two-part.x_field_bits"),
+        ("two-part.field_bits", str(10**30), "two-part.field_bits"),
         ("two-part.key_size", str(2**50), "two-part.key_size"),
         ("two-part.key_size", str(cli.MAX_AUDIT_EVENTS - 1), "two-part.key_size"),
     ],
@@ -358,6 +359,7 @@ def _edited_code_doc(input_file, tmp_path, key, value):
         "zero-joint-row",
         "schemes-missing",
         "schemes-empty",
+        "schemes-repeated",
         "key-size-past-int64",
         "field-bits-past-int64",
         "key-size-2-to-50",
@@ -563,11 +565,13 @@ def _audit_error(tmp_path, capsys, text):
     return status, capsys.readouterr().err
 
 
-def test_audit_of_a_v1_document_is_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("marker", ["zeroleak-code-v1", "zeroleak-code-v2"], ids=["v1", "v2"])
+def test_audit_of_a_v1_document_is_parse_error(tmp_path, capsys, marker):
+    # no reader is kept for an earlier format
     text = (GOLDEN / "example1.code.txt").read_text(encoding="utf-8")
-    status, err = _audit_error(tmp_path, capsys, text.replace("zeroleak-code-v2", "zeroleak-code-v1"))
+    status, err = _audit_error(tmp_path, capsys, text.replace(cli.CODE_FORMAT, marker))
     assert status == 2
-    assert err == "error: missing or unknown format marker (want zeroleak-code-v2)\n"
+    assert err == "error: missing or unknown format marker (want zeroleak-code-v3)\n"
 
 
 def test_audit_dropped_decode_row_is_parse_error(tmp_path, capsys):
@@ -859,13 +863,26 @@ def test_sweep_deterministic_given_seed():
     assert a == b
 
 
+def test_code_document_does_not_depend_on_seed():
+    # --seed seeds sweep only; the code document carries no seed
+    outs = [
+        run_cli(["--cmd", "code", "--input", str(EXAMPLE1_PATH), "--format", "structured", *seed])
+        for seed in ([], ["--seed", "1"], ["--seed", "2"])
+    ]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+    assert "seed" not in outs[0][1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["--cmd", "sweep", "--n", "4", "--seed", "-1"],
         ["--cmd", "code", "--input", str(EXAMPLE1_PATH), "--seed", "-5"],
+        ["--cmd", "analyze", "--input", str(EXAMPLE1_PATH), "--seed", "-1"],
+        ["--cmd", "mechanism", "--input", str(EXAMPLE1_PATH), "--seed", "-1"],
+        ["--cmd", "audit", "--input", str(GOLDEN / "example1.code.txt"), "--seed", "-1"],
     ],
-    ids=["sweep", "code"],
+    ids=["sweep", "code", "analyze", "mechanism", "audit"],
 )
 def test_negative_seed_is_usage_error(capsys, argv):
     # numpy's generator takes no negative seed; every command rejects one
