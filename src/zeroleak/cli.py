@@ -319,14 +319,13 @@ def render_code_document(a: Analysis, lines: Lines) -> tuple[list[str], list[str
             lines.out += [f"two-part.codeword.{u} = {w}" for u, w in sorted(code.u_code.codewords.items())]
             lines.out += _decode_lines("two-part.decode", m.decode)
         audit = codec.audit(code, d)
-        violations += render_audit_result(code, audit, a.achieved_hu, d, a.h_given_x.max(), lines)
+        violations += render_audit_result(code, audit, d, a.h_given_x.max(), lines)
     return schemes, violations
 
 
 def render_audit_result(
     code: codec.PrivateCode,
     audit: codec.LeakageAudit,
-    achieved_hu: float | None,
     d: JointDistribution,
     converse: float,
     lines: Lines,
@@ -343,7 +342,7 @@ def render_audit_result(
     )
     lines.kv(f"{scheme}.audit.mi_c_x_given_y", audit.mi_c_x_given_y)
     lines.kv(f"{scheme}.audit.h_y_given_x_c", audit.h_y_given_x_c)
-    violations = codec.check_audit(code, audit, d, achieved_hu, converse)
+    violations = codec.check_audit(code, audit, d, converse)
     lines.kv(f"{scheme}.audit.ok", not violations)
     return violations
 
@@ -455,7 +454,6 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             if y_size > x_size:
                 raise ParseError(f"direct-pad entry for a joint with |Y| = {y_size} > |X| = {x_size}")
             code = _doc_key_and_field(doc, codec.build_direct_pad(d))
-            hu = None
         elif scheme != codec.TWO_PART:
             raise ParseError(f"unknown scheme {scheme!r} in code document")
         else:
@@ -498,7 +496,6 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
                 if sorted_words[i + 1].startswith(sorted_words[i]):
                     violations.append("two-part: codewords are not prefix-free")
                     break
-            hu = dist.entropy(p_u)
         events = codec.event_count(code, d)
         if events > MAX_AUDIT_EVENTS:
             raise ParseError(
@@ -510,7 +507,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
         except MalformedBits as exc:
             violations.append(f"{scheme}: a message does not decode ({exc})")
             continue
-        violations += render_audit_result(code, audit, hu, d, converse, lines)
+        violations += render_audit_result(code, audit, d, converse, lines)
     return violations
 
 
@@ -538,7 +535,7 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     if mech_mod.information_identity_residual(d, a.mech) > 1e-9:
         problems.append("information identity residual above 1e-9")
     for code in codec.build_codes(a):
-        problems += codec.check_audit(code, codec.audit(code, d), d, hu, a.h_given_x.max())
+        problems += codec.check_audit(code, codec.audit(code, d), d, a.h_given_x.max())
     return problems
 
 

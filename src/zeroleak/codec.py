@@ -1,13 +1,13 @@
 """Executable private compression with a shared uniform key.
 
-Two schemes:
+Every message is a one-time-padded fixed-width field followed by a
+prefix-free codeword for a zero-leakage disclosure U. The receiver strips
+the pad from the field and reads Y off ``Mechanism.decode`` at the padded
+symbol and U. Two schemes:
 
-* two-part: the private symbol is one-time-padded into a fixed-width field,
-  followed by a prefix-free codeword for the zero-leakage disclosure U; the
-  receiver strips the pad, recovers X, and reads Y off the (X, U) array
-  ``Mechanism.decode``.
-* direct-pad: when |Y| <= |X|, pad Y itself and send it in a fixed
-  ceil(log2 |Y|)-bit field.
+* two-part: the field pads X, and U is the g0 mechanism's disclosure.
+* direct-pad: when |Y| <= |X|, the field pads Y itself in ceil(log2 |Y|)
+  bits; U has one symbol, its codeword is empty and decode[y, 0] = y.
 
 Audits never sample: they account exactly for every (x, y, u, w) event,
 every message bit and every unit of probability mass, in one vectorised
@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dist
-from .dist import JointDistribution
+from .dist import JointDistribution, Kernel
 from .errors import (
     EmptySupport,
     IncompleteMechanism,
@@ -74,8 +74,9 @@ class PrefixCode:
         return {c: s for s, c in self.codewords.items()}
 
     def parse(self, bits: str) -> int:
-        """The symbol whose codeword is the whole of ``bits``. Raises MalformedBits."""
-        for end in range(1, len(bits) + 1):
+        """The symbol whose codeword is the whole of ``bits``, trying the
+        empty prefix first. Raises MalformedBits."""
+        for end in range(len(bits) + 1):
             if bits[:end] in self.by_word:
                 if end != len(bits):
                     raise MalformedBits("trailing bits after the prefix codeword")
@@ -126,9 +127,10 @@ def build_huffman(p) -> PrefixCode:
 class PrivateCode:
     """An executable keyed code for one joint distribution.
 
-    two-part: key_size = |X|, message = pad field + prefix codeword of U.
-    direct-pad: key_size = |Y|, message = fixed ceil(log2 |Y|)-bit padded Y.
-    ``field_bits`` is the width of the padded fixed field in either scheme.
+    message = ``field_bits``-bit padded symbol + ``u_code`` codeword of U,
+    and y = ``mech.decode[symbol, u]``. The padded symbol is X for
+    two-part (key_size = |X|) and Y for direct-pad (key_size = |Y|, one U
+    symbol with the empty codeword).
     """
 
     scheme: str
@@ -136,10 +138,10 @@ class PrivateCode:
     pad_modulus: int
     y_size: int
     field_bits: int
-    u_code: PrefixCode | None = None
-    mech: Mechanism | None = None
-    p_u_given_y: np.ndarray | None = None  # [u][y]
-    p_x_given_y: np.ndarray | None = None  # [x][y]
+    u_code: PrefixCode
+    mech: Mechanism
+    p_u_given_y: np.ndarray  # [u][y]
+    p_x_given_y: np.ndarray | None = None  # [x][y]; two-part only
 
 
 def build_two_part(d: JointDistribution, mech: Mechanism, u_code: PrefixCode) -> PrivateCode:
@@ -161,15 +163,21 @@ def build_two_part(d: JointDistribution, mech: Mechanism, u_code: PrefixCode) ->
 
 
 def build_direct_pad(d: JointDistribution) -> PrivateCode:
-    """Pad Y itself; only presented as a scheme in the |Y| <= |X| regime."""
-    if d.y_size > d.x_size:
-        raise WrongRegime(f"|Y| = {d.y_size} exceeds |X| = {d.x_size}")
+    """Pad Y itself, with a constant U whose codeword is empty; only
+    presented as a scheme in the |Y| <= |X| regime."""
+    n = d.y_size
+    if n > d.x_size:
+        raise WrongRegime(f"|Y| = {n} exceeds |X| = {d.x_size}")
+    mech = Mechanism(np.ones(1), Kernel(dist.marginal_y(d)[:, None]), decode=np.arange(n)[:, None])
     return PrivateCode(
         scheme=DIRECT_PAD,
-        key_size=d.y_size,
-        pad_modulus=d.y_size,
-        y_size=d.y_size,
-        field_bits=ceil_log2(d.y_size),
+        key_size=n,
+        pad_modulus=n,
+        y_size=n,
+        field_bits=ceil_log2(n),
+        u_code=PrefixCode({0: ""}),
+        mech=mech,
+        p_u_given_y=np.ones((1, n)),
     )
 
 
@@ -190,12 +198,8 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
 
 def message_bits(code: PrivateCode, x: int, u: int, y: int, w: int) -> str:
     """The deterministic bitstring for fully specified realizations."""
-    if code.scheme == TWO_PART:
-        padded = (x + w) % code.pad_modulus
-        assert code.u_code is not None
-        return to_bits(padded, code.field_bits) + code.u_code.codewords[u]
-    padded = (y + w) % code.pad_modulus
-    return to_bits(padded, code.field_bits)
+    padded = ((x if code.scheme == TWO_PART else y) + w) % code.pad_modulus
+    return to_bits(padded, code.field_bits) + code.u_code.codewords[u]
 
 
 def encode(code: PrivateCode, y: int, w: int, rng: np.random.Generator) -> str:
@@ -205,7 +209,7 @@ def encode(code: PrivateCode, y: int, w: int, rng: np.random.Generator) -> str:
         raise ValueError(f"y = {y} outside alphabet of size {code.y_size}")
     if code.scheme == DIRECT_PAD:
         return message_bits(code, 0, 0, y, w)
-    assert code.p_x_given_y is not None and code.p_u_given_y is not None
+    assert code.p_x_given_y is not None
     x = _sample(rng, code.p_x_given_y[:, y])
     u = _sample(rng, code.p_u_given_y[:, y])
     return message_bits(code, x, u, y, w)
@@ -227,12 +231,7 @@ def decode(code: PrivateCode, bits: str, w: int) -> int:
     padded = int(bits[:field], 2) if field else 0
     if padded >= code.pad_modulus:
         raise MalformedBits(f"fixed field value {padded} out of range")
-    if code.scheme == DIRECT_PAD:
-        if len(bits) != field:
-            raise MalformedBits("trailing bits after the fixed field")
-        return (padded - w) % code.pad_modulus
-    x = (padded - w) % code.pad_modulus
-    assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
+    x = (padded - w) % code.pad_modulus  # the padded symbol: y for direct-pad
     u = code.u_code.parse(bits[field:])
     if not 0 <= u < code.mech.u_size or code.mech.decode[x, u] < 0:
         raise MalformedBits(f"pair (x={x}, u={u}) has no decodable y")
@@ -260,15 +259,10 @@ def _folds(code: PrivateCode) -> bool:
     return whole_cycles and (n == 1 or (width > 0 and n <= 1 << min(width, MAX_FIELD_BITS)))
 
 
-def _u_given_y(code: PrivateCode, d: JointDistribution) -> np.ndarray:
-    """P(U | Y) as [u][y]; direct-pad has the one symbol u = 0."""
-    return np.ones((1, d.y_size)) if code.scheme == DIRECT_PAD else code.p_u_given_y
-
-
 def event_count(code: PrivateCode, d: JointDistribution) -> int:
     """The number of (x, y, u, w) events ``audit`` accounts for: key_size
     per positive-mass (x, y, u) triple. Its time and memory grow with it."""
-    triples = (~(d.p <= 0.0)).sum(axis=0) @ (~(_u_given_y(code, d) <= 0.0)).sum(axis=0)
+    triples = (~(d.p <= 0.0)).sum(axis=0) @ (~(code.p_u_given_y <= 0.0)).sum(axis=0)
     return code.key_size * int(triples)
 
 
@@ -276,7 +270,7 @@ def _events(code: PrivateCode, d: JointDistribution, keys: int):
     """Arrays x, y, u, w, mass over the positive-mass events with w < ``keys``,
     in (x, y, u, w) order."""
     m = code.key_size
-    q = _u_given_y(code, d)
+    q = code.p_u_given_y
     x, y, u = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None]).T
     mass = d.p[x, y] * q[u, y] / m  # direct-pad's p * 1.0 / m is exactly p / m
     if keys > 1:  # each (x, y, u) once per w
@@ -325,37 +319,32 @@ def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
 
 
 def _messages(code: PrivateCode, x, y, u, w):
-    """Each event's message as the int u_hat * pad_modulus + padded field
-    (u_hat = 0 for direct-pad), its length in bits and the y decode reads
-    off it. Raises decode's MalformedBits for the first event that does not
-    decode."""
+    """Each event's message as the int u_hat * pad_modulus + padded field,
+    its length in bits and the y decode reads off it. Raises decode's
+    MalformedBits for the first event that does not decode."""
     n, width = code.pad_modulus, min(code.field_bits, MAX_FIELD_BITS)
-    padded = (y if code.scheme == DIRECT_PAD else x) + w
+    padded = (x if code.scheme == TWO_PART else y) + w
     padded %= n
     # to_bits cannot render a value too wide for a nonempty field; an empty
     # field holds any value and reads back as 0
     bad = (padded >> width != 0) & (width > 0)
     padded %= 1 << width
-    if code.scheme == DIRECT_PAD:
-        msg, length, y_hat = padded, code.field_bits, (padded - w) % n
-    else:
-        assert code.u_code is not None and code.mech is not None and code.mech.decode is not None
-        u_size = code.p_u_given_y.shape[0]
-        words = [code.u_code.codewords[s] for s in range(u_size)]
-        length = (code.field_bits + np.array([len(c) for c in words]))[u]
-        # symbols that share a codeword decode to the same one, so once every
-        # event decodes, the message C is the pair (u_hat, padded field)
-        u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
-        msg = u_hat * n
-        msg += padded
-        # decode's y, -1 where it raises: the decode table and one more
-        # column of -1, which u_hat = -1 reads
-        table = np.full((n, u_size + 1), -1, dtype=code.mech.decode.dtype)
-        table[:, :-1] = code.mech.decode
-        padded -= w
-        padded %= n
-        y_hat = table[padded, u_hat]
-        bad |= y_hat < 0
+    u_size = code.p_u_given_y.shape[0]
+    words = [code.u_code.codewords[s] for s in range(u_size)]
+    length = (code.field_bits + np.array([len(c) for c in words]))[u]
+    # symbols that share a codeword decode to the same one, so once every
+    # event decodes, the message C is the pair (u_hat, padded field)
+    u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
+    msg = u_hat * n
+    msg += padded
+    # decode's y, -1 where it raises: the decode table and one more column
+    # of -1, which u_hat = -1 reads
+    table = np.full((n, u_size + 1), -1, dtype=code.mech.decode.dtype)
+    table[:, :-1] = code.mech.decode
+    padded -= w
+    padded %= n
+    y_hat = table[padded, u_hat]
+    bad |= y_hat < 0
     if bad.any():
         ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
         decode(code, message_bits(code, *ev), ev[3])
@@ -374,9 +363,9 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
 
     When the key folds (``_folds``; every code ``build_codes`` makes), the
     (x, y, u) triples at w = 0 stand for all their events: a (c, x) or
-    (x, y, c) group is a class of triples, (x, u_hat) and (x, u_hat, y) for
-    two-part, (x) and (x, y) for direct-pad, at one field, with the same
-    mass at every field. Masses are expanded only inside the ordered sums:
+    (x, y, c) group is a class of triples, (x, u_hat) or (x, u_hat, y), at
+    one field, with the same mass at every field (direct-pad's u_hat is
+    always 0). Masses are expanded only inside the ordered sums:
     key_size times for the total and the failed mass, key_size //
     pad_modulus times in each group's sum, and pad_modulus times, class
     first, for each group term. Other codes are enumerated event by event.
@@ -428,17 +417,11 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     )
 
 
-def check_audit(
-    code: PrivateCode,
-    audit: LeakageAudit,
-    d: JointDistribution,
-    achieved_hu: float | None,
-    converse: float,
-) -> list[str]:
+def check_audit(code: PrivateCode, audit: LeakageAudit, d: JointDistribution, converse: float) -> list[str]:
     """Name every invariant the audit shows broken: zero leakage, lossless,
     one length for every key, at least the ``converse`` max_x H(Y|X=x), and
-    at most H(U) + 1 + ceil(log2 |X|) bits (two-part, when ``achieved_hu`` is
-    given) or exactly ceil(log2 |Y|) bits, within 1e-12 (direct-pad)."""
+    at most H(U) + 1 + ceil(log2 |X|) bits, with H(U) from ``code.mech.p_u``
+    (two-part), or exactly ceil(log2 |Y|) bits, within 1e-12 (direct-pad)."""
     scheme = code.scheme
     lengths = audit.per_key_expected_length
     violations = []
@@ -452,8 +435,8 @@ def check_audit(
         violations.append(f"{scheme}: per-key length varies by {spread:.3g}")
     if lengths.max() < converse - 1e-9:
         violations.append(f"{scheme}: per-key length below the converse max_x H(Y|X=x)")
-    if scheme == TWO_PART and achieved_hu is not None:
-        cap = achieved_hu + 1.0 + ceil_log2(d.x_size) + 1e-9
+    if scheme == TWO_PART:
+        cap = dist.entropy(code.mech.p_u) + 1.0 + ceil_log2(d.x_size) + 1e-9
         if lengths.max() > cap:
             violations.append(f"{scheme}: per-key length exceeds H(U)+1+ceil(log|X|)")
     if scheme == DIRECT_PAD:

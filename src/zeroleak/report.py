@@ -13,7 +13,6 @@ import numpy as np
 
 from . import dist
 from .codec import ceil_log2
-from .dist import JointDistribution
 from .mechanism import Analysis
 
 ALWAYS = "always"
@@ -97,19 +96,14 @@ def lower_bounds(a: Analysis, key_size: int) -> tuple[list[BoundEntry], bool]:
     return out, nonexistence
 
 
-def improvement_flags(
-    d: JointDistribution, uppers: list[BoundEntry]
-) -> dict[str, bool]:
+def improvement_flags(uppers: list[BoundEntry]) -> dict[str, bool]:
     """The two comparison claims: padding Y beats the closed-form bound when
     |Y| <= |X|, and the achieved two-part bound beats the deterministic
     prior when X = f(Y)."""
     by_name = {e.name: e.bits for e in uppers}
     flags = {"small_y_improves": False, "member_improves": False}
     if "pad_y_direct" in by_name:
-        flags["small_y_improves"] = bool(
-            ceil_log2(d.y_size) <= ceil_log2(d.x_size)
-            and by_name["pad_y_direct"] <= by_name["sum_conditional_entropy"] + 1e-9
-        )
+        flags["small_y_improves"] = bool(by_name["pad_y_direct"] <= by_name["sum_conditional_entropy"] + 1e-9)
     if "two_part_achieved_surrogate" in by_name and "deterministic_prior" in by_name:
         flags["member_improves"] = bool(
             by_name["two_part_achieved_surrogate"] < by_name["deterministic_prior"]
@@ -125,7 +119,7 @@ def build_report(a: Analysis) -> BoundsReport:
     return BoundsReport(
         upper=uppers,
         lower=lowers,
-        improvement_flags=improvement_flags(a.d, uppers),
+        improvement_flags=improvement_flags(uppers),
         nonexistence=nonexistence,
         notes=notes,
     )

@@ -115,7 +115,6 @@ def loop_events(code: codec.PrivateCode, d: JointDistribution):
                 for w in range(m):
                     yield x, y, 0, w, d.p[x, y] / m
         return
-    assert code.p_u_given_y is not None
     for x in range(d.x_size):
         for y in range(d.y_size):
             if d.p[x, y] <= 0.0:
@@ -319,6 +318,5 @@ def encode_pair(code: codec.PrivateCode, x: int, y: int, w: int, rng: np.random.
     if code.scheme != codec.TWO_PART:
         raise WrongRegime("encode_pair only applies to the two-part scheme")
     codec._check_key(code, w)
-    assert code.p_u_given_y is not None
     u = codec._sample(rng, code.p_u_given_y[:, y])
     return codec.message_bits(code, x, u, y, w)

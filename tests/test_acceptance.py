@@ -193,7 +193,7 @@ def test_criterion_6_direct_pad_regime():
             uppers = {e.name: e.bits for e in ups}
             if uppers["pad_y_direct"] > uppers["sum_conditional_entropy"] + 1e-9:
                 problems.append(f"#{i} pad bound above closed-form bound")
-            if not report.improvement_flags(d, ups)["small_y_improves"]:
+            if not report.improvement_flags(ups)["small_y_improves"]:
                 problems.append(f"#{i} improvement flag not set")
     _verdict(
         "6 (direct-pad: exact widths, zero leakage, improvement flag)",

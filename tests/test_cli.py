@@ -409,6 +409,29 @@ def test_audit_undecodable_code_is_named_violation(example1_file, tmp_path, key,
     assert "violation = two-part: a message does not decode" in out
 
 
+def test_audit_empty_codeword_of_a_one_symbol_u_passes(tmp_path):
+    # a diagonal joint's U has one symbol; an empty codeword for it is a
+    # prefix code, and the empty message tail parses to it
+    src = tmp_path / "diagonal.txt"
+    src.write_text("joint:\n0.25 0\n0 0.75\n")
+    doc = _edited_code_doc(str(src), tmp_path, "two-part.codeword.0", "")
+    status, out = run_cli(["--cmd", "audit", "--input", doc])
+    assert status == 0
+    assert "two-part.audit.ok = true" in out
+    assert "two-part.audit.per_key_expected_length = 1 1" in out
+
+
+def test_audit_empty_codeword_beside_others_is_named_twice(tmp_path):
+    # the empty word prefixes every other, and parses first, so each
+    # message of another U symbol has trailing bits
+    status, out = _audit_text(tmp_path, _golden_doc_with("example1", "two-part.codeword.0", ""))
+    assert status == 1
+    assert _violations(out) == [
+        "two-part: codewords are not prefix-free",
+        "two-part: a message does not decode (trailing bits after the prefix codeword)",
+    ]
+
+
 @pytest.mark.parametrize(
     "name, command",
     [

@@ -305,13 +305,12 @@ def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, lengths=(2.75, 2.75)):
 )
 def test_check_audit_names_each_invariant(scheme, fields, named):
     if scheme == codec.TWO_PART:
-        d, mech, code = example1_code()  # H(U) = 1.7296, converse 1.5, cap 3.7296
-        hu = dist.entropy(mech.p_u)
+        d, _, code = example1_code()  # H(U) = 1.7296, converse 1.5, cap 3.7296
     else:
         d = uniform_pair(4, 3)
-        code, hu = codec.build_direct_pad(d), None
+        code = codec.build_direct_pad(d)
     converse = dist.conditional_entropies(d).max()
-    violations = codec.check_audit(code, _leakage_audit(**fields), d, hu, converse)
+    violations = codec.check_audit(code, _leakage_audit(**fields), d, converse)
     if named is None:
         assert violations == []
     else:
@@ -345,6 +344,31 @@ def test_prefix_code_reverse_map_built_once():
         code.parse("01")
 
 
+def test_prefix_code_empty_codeword_matches_first():
+    # direct-pad's one-symbol U: the empty prefix is tried before any other
+    code = codec.PrefixCode({0: ""})
+    assert code.parse("") == 0
+    with pytest.raises(MalformedBits, match="trailing bits"):
+        code.parse("0")
+
+
+@pytest.mark.parametrize("y_size", [1, 3, 4])
+def test_direct_pad_messages_on_the_shared_path(y_size):
+    # message_bits and decode take the two-part steps (field, codeword of U,
+    # decode table) with U = 0, its empty codeword and decode[y, 0] = y
+    code = codec.build_direct_pad(uniform_pair(4, y_size))
+    width = codec.ceil_log2(y_size)
+    for y in range(y_size):
+        for w in range(y_size):
+            bits = codec.message_bits(code, 0, 0, y, w)
+            assert bits == codec.to_bits((y + w) % y_size, width)
+            assert codec.decode(code, bits, w) == y
+            with pytest.raises(MalformedBits):
+                codec.decode(code, bits + "0", w)
+    if y_size == 1:
+        assert codec.message_bits(code, 0, 0, 0, 0) == ""
+
+
 def test_direct_pad_malformed_field():
     d = uniform_pair(3, 3)
     code = codec.build_direct_pad(d)
@@ -367,7 +391,7 @@ def test_encode_pair_rejected_for_direct_pad():
 
 def _mutations(code, rng):
     """The code itself, then hostile edits of it: key sizes, field widths,
-    codewords and decode entries."""
+    codewords and decode entries, for direct-pad's one-symbol U too."""
     yield "as built", code
     yield "key_size = 1", replace(code, key_size=1)
     yield "key_size + 2", replace(code, key_size=code.key_size + 2)
@@ -376,8 +400,6 @@ def _mutations(code, rng):
     yield "field_bits = 0", replace(code, field_bits=0)
     if code.field_bits > 1:
         yield "field_bits - 1", replace(code, field_bits=code.field_bits - 1)
-    if code.scheme != codec.TWO_PART:
-        return
     words = code.u_code.codewords
     u = int(rng.integers(len(words)))
 
