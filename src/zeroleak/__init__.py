@@ -22,14 +22,12 @@ from .codec import (
 )
 from .dist import (
     JointDistribution,
-    Kernel,
     conditional_entropies,
     conditional_entropy_y_given_x,
     entropy,
     entropy_rows,
     from_conditional,
     kernel_x_given_y,
-    kernel_y_given_x,
     marginal_x,
     marginal_y,
     mutual_information,
@@ -54,13 +52,11 @@ from .report import BoundsReport, build_report, lower_bounds, upper_bounds
 
 __all__ = [
     "JointDistribution",
-    "Kernel",
     "validate_and_normalize",
     "from_conditional",
     "marginal_x",
     "marginal_y",
     "kernel_x_given_y",
-    "kernel_y_given_x",
     "entropy",
     "entropy_rows",
     "conditional_entropy_y_given_x",

@@ -50,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import codec, dist, families, mechanism as mech_mod, report as report_mod
-from .dist import JointDistribution, Kernel
+from .dist import JointDistribution
 from .errors import (
     InputError,
     MalformedBits,
@@ -203,18 +203,11 @@ def _vec(v, structured: bool) -> str:
     return " ".join([_SPEC[structured]] * len(vals)) % tuple(vals)
 
 
-def _rows(key: str, m, structured: bool) -> list[str]:
-    """The lines ``key.i = <_vec of row i of m>``, one format op per row."""
-    m = np.asarray(m, dtype=float)
-    line = f"{key}.%d = " + " ".join([_SPEC[structured]] * m.shape[1])
+def _rows(key: str, m: np.ndarray, spec: str) -> list[str]:
+    """The lines ``key.i = <row i of m>``, every entry in the ``%`` format
+    ``spec`` (``"%d"`` for a decode table), one format op per row."""
+    line = f"{key}.%d = " + " ".join([spec] * m.shape[1])
     return [line % (i, *row) for i, row in enumerate(m.tolist())]
-
-
-def _decode_lines(key: str, table: np.ndarray) -> list[str]:
-    """The lines ``key.x = y_0 ... y_{|U|-1}``, row x of a decode table with
-    -1 where (x, u) has no y, one format op per row."""
-    line = f"{key}.%d = " + " ".join(["%d"] * table.shape[1])
-    return [line % (x, *row) for x, row in enumerate(table.tolist())]
 
 
 class Lines:
@@ -288,9 +281,9 @@ def render_mechanism(a: Analysis, lines: Lines) -> None:
     lines.header("mechanism")
     lines.kv("u_size", m.u_size)
     lines.kv("p_u", _vec(m.p_u, lines.structured))
-    lines.out += _rows("p_y_given_u", m.p_y_given_u.k.T, lines.structured)
+    lines.out += _rows("p_y_given_u", m.p_y_given_u.T, _SPEC[lines.structured])
     if m.decode is not None:
-        lines.out += _decode_lines("decode", m.decode)
+        lines.out += _rows("decode", m.decode, "%d")
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +296,7 @@ def render_code_document(a: Analysis, lines: Lines) -> tuple[list[str], list[str
     lines.kv("format", CODE_FORMAT)
     lines.kv("x_size", d.x_size)
     lines.kv("y_size", d.y_size)
-    lines.out += _rows("joint", d.p, True)
+    lines.out += _rows("joint", d.p, _SPEC[True])
     codes = codec.build_codes(a)
     schemes = [code.scheme for code in codes]
     lines.kv("schemes", " ".join(schemes))
@@ -315,9 +308,9 @@ def render_code_document(a: Analysis, lines: Lines) -> tuple[list[str], list[str
             m = code.mech
             lines.kv("two-part.u_size", m.u_size)
             lines.kv("two-part.p_u", _vec(m.p_u, True))
-            lines.out += _rows("two-part.p_y_given_u", m.p_y_given_u.k.T, True)
+            lines.out += _rows("two-part.p_y_given_u", m.p_y_given_u.T, _SPEC[True])
             lines.out += [f"two-part.codeword.{u} = {w}" for u, w in sorted(code.u_code.codewords.items())]
-            lines.out += _decode_lines("two-part.decode", m.decode)
+            lines.out += _rows("two-part.decode", m.decode, "%d")
         audit = codec.audit(code, d)
         violations += render_audit_result(code, audit, d, a.h_given_x.max(), lines)
     return schemes, violations
@@ -474,7 +467,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             words = {u: doc.get(f"two-part.codeword.{u}") for u in range(u_size)}
             if None in words.values() or sum(key.startswith("two-part.codeword.") for key in doc) != u_size:
                 raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
-            mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols), decode=table)
+            mech = Mechanism(p_u=p_u, p_y_given_u=dist.stochastic_columns(cols), decode=table)
             code = _doc_key_and_field(doc, codec.build_two_part(d, mech, codec.PrefixCode(words)))
             # zero-leakage and decodability are re-derived, not trusted
             resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())

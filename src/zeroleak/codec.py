@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dist
-from .dist import JointDistribution, Kernel
+from .dist import JointDistribution
 from .errors import (
     EmptySupport,
     IncompleteMechanism,
@@ -158,7 +158,7 @@ def build_two_part(d: JointDistribution, mech: Mechanism, u_code: PrefixCode) ->
         u_code=u_code,
         mech=mech,
         p_u_given_y=conditional_u_given_y(d, mech),
-        p_x_given_y=dist.kernel_x_given_y(d).k,
+        p_x_given_y=dist.kernel_x_given_y(d),
     )
 
 
@@ -168,7 +168,7 @@ def build_direct_pad(d: JointDistribution) -> PrivateCode:
     n = d.y_size
     if n > d.x_size:
         raise WrongRegime(f"|Y| = {n} exceeds |X| = {d.x_size}")
-    mech = Mechanism(np.ones(1), Kernel(dist.marginal_y(d)[:, None]), decode=np.arange(n)[:, None])
+    mech = Mechanism(np.ones(1), dist.marginal_y(d)[:, None], decode=np.arange(n)[:, None])
     return PrivateCode(
         scheme=DIRECT_PAD,
         key_size=n,
@@ -419,9 +419,11 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
 
 def check_audit(code: PrivateCode, audit: LeakageAudit, d: JointDistribution, converse: float) -> list[str]:
     """Name every invariant the audit shows broken: zero leakage, lossless,
-    one length for every key, at least the ``converse`` max_x H(Y|X=x), and
-    at most H(U) + 1 + ceil(log2 |X|) bits, with H(U) from ``code.mech.p_u``
-    (two-part), or exactly ceil(log2 |Y|) bits, within 1e-12 (direct-pad)."""
+    every y reached by some U symbol (the audit has no event of a y with
+    none, and encode no u to draw for it), one length for every key, at
+    least the ``converse`` max_x H(Y|X=x), and at most H(U) + 1 +
+    ceil(log2 |X|) bits, with H(U) from ``code.mech.p_u`` (two-part), or
+    exactly ceil(log2 |Y|) bits, within 1e-12 (direct-pad)."""
     scheme = code.scheme
     lengths = audit.per_key_expected_length
     violations = []
@@ -430,6 +432,9 @@ def check_audit(code: PrivateCode, audit: LeakageAudit, d: JointDistribution, co
         violations.append(f"{scheme}: leakage mi_c_x = {audit.mi_c_x:.3g}")
     if audit.lossless_prob != 1.0:
         violations.append(f"{scheme}: lossless_prob = {float(audit.lossless_prob)}")
+    uncovered = np.flatnonzero(~(code.p_u_given_y > 0.0).any(axis=0))
+    if uncovered.size:
+        violations.append(f"{scheme}: no U symbol covers y = {uncovered[0]}")
     spread = float(np.ptp(lengths))
     if spread > 1e-12:
         violations.append(f"{scheme}: per-key length varies by {spread:.3g}")

@@ -5,7 +5,8 @@ Zero rows/columns are stripped at construction so every marginal has full
 support; the original indices are kept in ``x_map`` / ``y_map``. Entropies
 of many rows are taken in one batch (``entropy_rows``) that equals the
 one-row ``entropy`` of each row bit for bit, and weighted sums of them add
-left to right (``sum_in_order``), as a Python loop would.
+left to right (``sum_in_order``), as a Python loop would. Conditionals
+are plain arrays; ``stochastic_columns`` checks one read from outside.
 """
 
 from __future__ import annotations
@@ -47,31 +48,6 @@ class JointDistribution:
     @property
     def y_size(self) -> int:
         return self.p.shape[1]
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """A column-stochastic conditional distribution, indexed [out][cond]."""
-
-    k: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _readonly(self.k))
-        if self.k.ndim != 2 or self.k.size == 0:
-            raise BadShape("kernel must be a nonempty 2-d matrix")
-        sums = self.k.sum(axis=0)
-        # a NaN or infinite entry leaves its column sum NaN or infinite, so
-        # only a column that fails this test needs its entries checked
-        bad = np.nonzero(~(np.abs(sums - 1.0) <= TAU_PROB))[0]
-        if bad.size:
-            nonfinite = self.k[~np.isfinite(self.k)]
-            if nonfinite.size:
-                raise NonFiniteMass(f"kernel entry {nonfinite[0]} is not finite")
-            raise StochasticityError(
-                f"kernel column {bad[0]} sums to {sums[bad[0]]:.12g}, expected 1"
-            )
-        if self.k.min() < -TAU_PROB:
-            raise NegativeMass(f"kernel has negative entry {self.k.min():.3g}")
 
 
 def validate_and_normalize(raw) -> JointDistribution:
@@ -134,12 +110,30 @@ def marginal_y(d: JointDistribution) -> np.ndarray:
     return d.p.sum(axis=0)
 
 
-def kernel_x_given_y(d: JointDistribution) -> Kernel:
-    return Kernel(d.p / marginal_y(d)[None, :])
+def kernel_x_given_y(d: JointDistribution) -> np.ndarray:
+    """P(x | y) as an [x][y] array; column-stochastic by construction."""
+    return d.p / marginal_y(d)[None, :]
 
 
-def kernel_y_given_x(d: JointDistribution) -> Kernel:
-    return Kernel(d.p.T / marginal_x(d)[None, :])
+def stochastic_columns(k) -> np.ndarray:
+    """``k`` as a read-only C-contiguous array, checked to be a nonempty 2-d
+    matrix whose columns each sum to 1 within TAU_PROB, with every entry
+    finite and none below -TAU_PROB."""
+    k = _readonly(k)
+    if k.ndim != 2 or k.size == 0:
+        raise BadShape("kernel must be a nonempty 2-d matrix")
+    sums = k.sum(axis=0)
+    # a NaN or infinite entry leaves its column sum NaN or infinite, so
+    # only a column that fails this test needs its entries checked
+    bad = np.nonzero(~(np.abs(sums - 1.0) <= TAU_PROB))[0]
+    if bad.size:
+        nonfinite = k[~np.isfinite(k)]
+        if nonfinite.size:
+            raise NonFiniteMass(f"kernel entry {nonfinite[0]} is not finite")
+        raise StochasticityError(f"kernel column {bad[0]} sums to {sums[bad[0]]:.12g}, expected 1")
+    if k.min() < -TAU_PROB:
+        raise NegativeMass(f"kernel has negative entry {k.min():.3g}")
+    return k
 
 
 def support_components(d: JointDistribution) -> tuple[int, np.ndarray, np.ndarray]:

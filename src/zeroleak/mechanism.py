@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import dist
-from .dist import JointDistribution, Kernel
+from .dist import JointDistribution
 from .errors import InfeasibleBoundLP, InternalError, NotDecodable
 from .linalg import RANK_TOL, LinearProgram, enumerate_vertices, rank_and_nullity, solve_lp
 
@@ -48,7 +48,7 @@ class Mechanism:
     """
 
     p_u: np.ndarray
-    p_y_given_u: Kernel
+    p_y_given_u: np.ndarray  # [y][u]
     decode: np.ndarray | None = None
 
     @property
@@ -92,7 +92,7 @@ class Analysis:
     @cached_property
     def rank(self) -> int:
         """Rank of P_{X|Y}, taken on first read."""
-        return rank_and_nullity(dist.kernel_x_given_y(self.d).k)[0]
+        return rank_and_nullity(dist.kernel_x_given_y(self.d))[0]
 
     @property
     def nullity(self) -> int:
@@ -109,7 +109,7 @@ class Analysis:
 
 def x_is_function_of_y(d: JointDistribution) -> bool:
     """True when every column of P(X|Y) is a point mass (within TAU_DET)."""
-    k = dist.kernel_x_given_y(d).k
+    k = dist.kernel_x_given_y(d)
     return bool((k.max(axis=0) >= 1.0 - TAU_DET).all())
 
 
@@ -121,8 +121,7 @@ def build_bound_matrices(
     a[i][j] = P(y_j) - P(y_j | x_i),  b[i] = H(Y|X=x_i) - H(Y|X), where
     ``h_given_x`` holds H(Y|X=x) for every x and ``h_cond`` is H(Y|X)."""
     py = dist.marginal_y(d)
-    pyx = dist.kernel_y_given_x(d).k  # [y][x]
-    return py[None, :] - pyx.T, h_given_x - h_cond
+    return py[None, :] - d.p / dist.marginal_x(d)[:, None], h_given_x - h_cond
 
 
 def feasible_columns(d: JointDistribution) -> np.ndarray:
@@ -131,7 +130,7 @@ def feasible_columns(d: JointDistribution) -> np.ndarray:
     The normalization row is implied because the kernel columns each sum
     to 1, so any solution automatically has total mass 1.
     """
-    k = dist.kernel_x_given_y(d).k
+    k = dist.kernel_x_given_y(d)
     return enumerate_vertices(k, dist.marginal_x(d))
 
 
@@ -235,7 +234,7 @@ def solve_g0(d: JointDistribution) -> tuple[float, Mechanism]:
         masses = np.array([mass for mass, *_ in parts])
         values = np.array([value for *_, value in parts])
         cost = dist.entropy(masses) + dist.sum_in_order(masses * values)
-    mech = Mechanism(p_u=p_u, p_y_given_u=Kernel(cols))
+    mech = Mechanism(p_u=p_u, p_y_given_u=cols)
     value = dist.entropy(py) - cost
     if -1e-12 < value < 0.0:
         value = 0.0
@@ -290,7 +289,7 @@ def mechanism_joint(d: JointDistribution, mech: Mechanism) -> np.ndarray:
 def conditional_u_given_y(d: JointDistribution, mech: Mechanism) -> np.ndarray:
     """P(u | y) as a [u][y] array, from Bayes on the mechanism columns."""
     py = dist.marginal_y(d)
-    joint_uy = mech.p_u[:, None] * mech.p_y_given_u.k.T  # [u][y]
+    joint_uy = mech.p_u[:, None] * mech.p_y_given_u.T  # [u][y]
     return joint_uy / py[None, :]
 
 
@@ -302,7 +301,7 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     two candidate y symbols (possible when the membership equality fails).
     """
     joint = mechanism_joint(d, mech)
-    live = joint > 1e-12  # [x][y][u]
+    live = joint > 0.0  # [x][y][u], as the audit counts a triple
     n_live = live.sum(axis=1)
     ambiguous = np.argwhere(n_live > 1)
     if len(ambiguous):

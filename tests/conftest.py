@@ -28,7 +28,7 @@ import numpy as np
 from hypothesis import settings
 
 from zeroleak import cli, codec, dist, mechanism
-from zeroleak.dist import JointDistribution, Kernel
+from zeroleak.dist import JointDistribution
 from zeroleak.errors import EmptySupport, InternalError, NotDecodable, ParseError, WrongRegime
 from zeroleak.linalg import LinearProgram, solve_lp
 from zeroleak.mechanism import (
@@ -94,7 +94,7 @@ def whole_joint_g0(d: JointDistribution) -> tuple[float, Mechanism]:
     support = np.nonzero(out.point > 1e-12)[0]
     p_u = out.point[support]
     cols = verts[support].T
-    mech = Mechanism(p_u=p_u / p_u.sum(), p_y_given_u=Kernel(cols / cols.sum(axis=0)[None, :]))
+    mech = Mechanism(p_u=p_u / p_u.sum(), p_y_given_u=cols / cols.sum(axis=0)[None, :])
     return dist.entropy(py) - float(out.value), mech
 
 
@@ -236,7 +236,7 @@ def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     for x in range(d.x_size):
         for u in range(mech.u_size):
             mass = joint[x, :, u]
-            ys = np.nonzero(mass > 1e-12)[0]
+            ys = np.nonzero(mass > 0.0)[0]
             if ys.size == 0:
                 continue
             if ys.size > 1:

@@ -224,7 +224,7 @@ def test_vec_and_rows_match_format_oracle(values):
         assert [cli._f(v, structured) for v in values] == [format(v, spec) for v in values]
         want = " ".join(format(v, spec) for v in values)
         assert cli._vec(np.array(values), structured) == want
-        rows = cli._rows("key", np.array([values, values[::-1]]).reshape(2, len(values)), structured)
+        rows = cli._rows("key", np.array([values, values[::-1]]).reshape(2, len(values)), cli._SPEC[structured])
         assert rows == [f"key.0 = {want}", "key.1 = " + " ".join(format(v, spec) for v in values[::-1])]
 
 
@@ -788,6 +788,36 @@ def test_code_of_a_vertex_with_round_off_passes_its_audit(tmp_path):
     assert "two-part.audit.ok = true" in out
 
 
+def _code_then_audit(tmp_path, joint):
+    """(status, output) of ``code --format structured`` on ``joint``, then of
+    ``audit`` on the document it wrote."""
+    path = tmp_path / "joint.txt"
+    path.write_text(joint)
+    coded = run_cli(["--cmd", "code", "--input", str(path), "--format", "structured"])
+    doc = tmp_path / "doc.txt"
+    doc.write_text(coded[1])
+    return coded, run_cli(["--cmd", "audit", "--input", str(doc), "--format", "structured"])
+
+
+def test_decode_table_counts_every_triple_of_positive_mass(tmp_path):
+    # the (x=0, y=0, u=1) triple has mass 1e-24; the audit counts it, and
+    # a decode table that dropped every triple at or below 1e-12 made code
+    # fail with "pair (x=0, u=1) has no decodable y"
+    (status, out), audited = _code_then_audit(tmp_path, "joint:\n1e-12 1e-12 0\n0 0 1\n")
+    assert status == 0 and "two-part.decode.0 = 1 0" in out and "two-part.audit.ok = true" in out
+    assert audited[0] == 0 and "two-part.audit.ok = true" in audited[1]
+
+
+def test_y_that_no_u_symbol_covers_is_a_violation(tmp_path):
+    # the coupling spends y0's weight of 2e-13, so P(u | y0) = 0 for every
+    # u: encode has no u to draw for y0, and the audit has no event of it
+    (status, out), audited = _code_then_audit(tmp_path, "joint:\n1e-13 0.5 0\n0 0 0.5\n")
+    for status, out in ((status, out), audited):
+        assert status == 1 and "two-part.audit.lossless_prob = 1\n" in out
+        assert _violations(out) == ["two-part: no U symbol covers y"]
+        assert "violation = two-part: no U symbol covers y = 0\n" in out
+
+
 @pytest.mark.parametrize(
     "key, value", [("direct-pad.key_size", "0"), ("direct-pad.field_bits", "1")]
 )
@@ -936,6 +966,16 @@ def test_negative_seed_is_usage_error(capsys, argv):
         ),
         (
             "audit",
+            _golden_doc_with("example1", "two-part.p_y_given_u.0", "0.5 0 0 0 0 0"),
+            "kernel column 0 sums to 0.5, expected 1",
+        ),
+        (
+            "audit",
+            _golden_doc_with("example1", "two-part.p_y_given_u.0", "0 0 1.25 -0.25 0 0"),
+            "kernel has negative entry -0.25",
+        ),
+        (
+            "audit",
             _golden_doc_with("example1", "two-part.p_u", "nan 0.5 0.25 0.25"),
             "two-part.p_u entry nan is not finite",
         ),
@@ -968,6 +1008,8 @@ def test_negative_seed_is_usage_error(capsys, argv):
         "doc-joint-nan",
         "doc-p-u-zero",
         "doc-kernel-nan",
+        "doc-kernel-column-sum",
+        "doc-kernel-negative",
         "doc-p-u-nan",
         "doc-p-u-inf",
         "doc-p-u-negative",

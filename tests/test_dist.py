@@ -1,6 +1,7 @@
 """Distribution construction, marginals, kernels, and information measures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,26 +100,48 @@ def test_kernel_rejects_non_finite_entries(bad):
     k = EX1_KERNEL.copy()
     k[0, 0] = bad
     with pytest.raises(NonFiniteMass, match="not finite"):
-        dist.Kernel(k)
+        dist.stochastic_columns(k)
+
+
+@pytest.mark.parametrize(
+    "k, error, message",
+    [
+        ([[0.5, 1.0], [0.4, 0.0]], StochasticityError, "kernel column 0 sums to 0.9, expected 1"),
+        ([[1.5, 1.0], [-0.5, 0.0]], NegativeMass, "kernel has negative entry -0.5"),
+        ([1.0, 0.0], BadShape, "nonempty 2-d"),
+        (np.zeros((2, 0)), BadShape, "nonempty 2-d"),
+    ],
+    ids=["column-sum", "negative", "1-d", "empty"],
+)
+def test_stochastic_columns_names_the_first_broken_check(k, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        dist.stochastic_columns(k)
+
+
+def test_stochastic_columns_returns_a_read_only_c_contiguous_copy():
+    k = EX1_KERNEL.T.copy().T  # Fortran order
+    out = dist.stochastic_columns(k)
+    assert np.array_equal(out, EX1_KERNEL) and out.flags.c_contiguous and not out.flags.writeable
+    assert not np.shares_memory(out, k)
 
 
 def test_kernel_example1():
     d = example1()
-    assert np.allclose(dist.kernel_x_given_y(d).k, EX1_KERNEL, atol=1e-12)
+    assert np.allclose(dist.kernel_x_given_y(d), EX1_KERNEL, atol=1e-12)
 
 
 def test_kernel_independent_pair():
     px = np.array([0.3, 0.7])
     py = np.array([0.2, 0.5, 0.3])
     d = dist.validate_and_normalize(np.outer(px, py))
-    k = dist.kernel_x_given_y(d).k
+    k = dist.kernel_x_given_y(d)
     for j in range(3):
         assert np.allclose(k[:, j], px, atol=1e-12)
 
 
 def test_kernel_identity_joint():
     d = dist.validate_and_normalize(np.eye(3) / 3)
-    assert np.allclose(dist.kernel_x_given_y(d).k, np.eye(3), atol=1e-12)
+    assert np.allclose(dist.kernel_x_given_y(d), np.eye(3), atol=1e-12)
 
 
 def test_entropy_basics():
@@ -173,7 +196,7 @@ def test_kernel_recomposition_reproduces_joint():
         d = dist.validate_and_normalize(
             rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape) + 1e-4
         )
-        k = dist.kernel_x_given_y(d).k
+        k = dist.kernel_x_given_y(d)
         recomposed = k * dist.marginal_y(d)[None, :]
         assert np.abs(recomposed - d.p).max() <= 1e-12
 

@@ -292,7 +292,7 @@ def test_vertices_match_scan_on_degenerate_rational_polytopes(seed, n, cuts):
 @given(seeds, st.sampled_from(list(families.FAMILIES.values())))
 def test_vertices_match_scan_on_families(seed, family):
     d = family(np.random.default_rng(seed))
-    assert_matches_scan(dist.kernel_x_given_y(d).k, dist.marginal_x(d))
+    assert_matches_scan(dist.kernel_x_given_y(d), dist.marginal_x(d))
 
 
 def test_vertices_match_scan_example1():
@@ -311,7 +311,7 @@ def test_vertices_have_exact_zeros_off_their_support():
     # leaves 1.05e-16 where a vertex is 0; that entry used to reach P(u|y)
     # and fail the exact audit (see test_cli)
     d = dist.validate_and_normalize(ROUND_OFF_JOINT)
-    v = assert_matches_scan(dist.kernel_x_given_y(d).k, dist.marginal_x(d))
+    v = assert_matches_scan(dist.kernel_x_given_y(d), dist.marginal_x(d))
     assert ((v == 0.0) | (v > TAU_LP)).all()
 
 
@@ -401,7 +401,7 @@ def _full_rank_input(kind, seed):
         return np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.0]]), np.array([1.0, 1.0, 2.0])
     else:
         return np.eye(3), np.array([0.5, -0.25, 0.75])
-    return dist.kernel_x_given_y(d).k, dist.marginal_x(d)
+    return dist.kernel_x_given_y(d), dist.marginal_x(d)
 
 
 @given(st.sampled_from(["invertible", "small-y", "degenerate", "infeasible"]), seeds)

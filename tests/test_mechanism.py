@@ -19,7 +19,6 @@ from conftest import (
 )
 
 from zeroleak import cli, codec, dist, families, mechanism as mm, report
-from zeroleak.dist import Kernel
 from zeroleak.errors import NotDecodable
 from zeroleak.linalg import rank_and_nullity
 
@@ -127,11 +126,11 @@ def test_solve_g0_example1():
     assert mech.u_size <= nullity + 1
     assert mech.p_u.sum() == pytest.approx(1.0, abs=1e-12)
     # every column is leakage-free: P_{X|Y} col = P_X
-    kern = dist.kernel_x_given_y(d).k
+    kern = dist.kernel_x_given_y(d)
     px = dist.marginal_x(d)
-    assert np.abs(kern @ mech.p_y_given_u.k - px[:, None]).max() <= 1e-9
+    assert np.abs(kern @ mech.p_y_given_u - px[:, None]).max() <= 1e-9
     # mixture reproduces P_Y
-    assert np.abs(mech.p_y_given_u.k @ mech.p_u - EX1_PY).max() <= 1e-9
+    assert np.abs(mech.p_y_given_u @ mech.p_u - EX1_PY).max() <= 1e-9
 
 
 def test_solve_g0_example1_couples_its_two_rows():
@@ -141,7 +140,7 @@ def test_solve_g0_example1_couples_its_two_rows():
     _, mech = mm.solve_g0(example1())
     assert np.abs(mech.p_u - [1 / 2, 1 / 12, 1 / 4, 1 / 6]).max() <= 1e-15
     cols = [[0, 0, 3, 1, 0, 0], [0, 3, 0, 0, 0, 1], [0, 3, 0, 0, 1, 0], [3, 0, 0, 0, 0, 1]]
-    assert np.array_equal(mech.p_y_given_u.k.T, np.array(cols) / 4)
+    assert np.array_equal(mech.p_y_given_u.T, np.array(cols) / 4)
 
 
 def test_coupling_counts_weight_at_or_below_the_floor_as_spent():
@@ -168,7 +167,7 @@ def test_solve_g0_independent_pair_discloses_y():
     value, mech = mm.solve_g0(d)
     assert value == pytest.approx(dist.entropy(dist.marginal_y(d)), abs=1e-9)
     assert mech.u_size == 3
-    assert np.allclose(np.sort(mech.p_y_given_u.k, axis=0)[-1], 1.0, atol=1e-12)
+    assert np.allclose(np.sort(mech.p_y_given_u, axis=0)[-1], 1.0, atol=1e-12)
 
 
 def test_solve_g0_invertible_kernel_discloses_nothing():
@@ -176,7 +175,7 @@ def test_solve_g0_invertible_kernel_discloses_nothing():
     value, mech = mm.solve_g0(d)
     assert value == pytest.approx(0.0, abs=1e-9)
     assert mech.u_size == 1
-    assert np.abs(mech.p_y_given_u.k[:, 0] - dist.marginal_y(d)).max() <= 1e-9
+    assert np.abs(mech.p_y_given_u[:, 0] - dist.marginal_y(d)).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def test_decode_table_paper_vertex_split():
         [0, 0, 0.75, 0, 0.25, 0],
         [0, 0, 0.75, 0, 0, 0.25],
     ]).T
-    mech = mm.Mechanism(p_u=np.array([1 / 6, 1 / 3, 1 / 4, 1 / 4]), p_y_given_u=Kernel(cols))
+    mech = mm.Mechanism(p_u=np.array([1 / 6, 1 / 3, 1 / 4, 1 / 4]), p_y_given_u=cols)
     assert dist.entropy(mech.p_u) == pytest.approx(1.9591, abs=1e-4)
     filled = mm.build_decode_table(d, mech)
     assert filled.decode.tolist() == [[0, 1, 2, 2], [3, 3, 4, 5]]
@@ -297,7 +296,7 @@ def test_decode_table_u_equals_y():
     filled = mm.build_decode_table(d, mech)
     assert (filled.decode >= 0).all()
     for (_, u), y in np.ndenumerate(filled.decode):
-        assert mech.p_y_given_u.k[y, u] > 0.99
+        assert mech.p_y_given_u[y, u] > 0.99
 
 
 def test_decode_table_ambiguous_raises():
@@ -353,7 +352,7 @@ def test_sandwich_on_random_members():
         mech, hu, b = a.mech, a.achieved_hu, a.bounds
         assert b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6
         assert b.k_upper_strengthened <= b.log_nullity_bound + 1e-6
-        _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
+        _, nullity = rank_and_nullity(dist.kernel_x_given_y(d))
         assert mech.u_size <= nullity + 1
 
 
@@ -411,13 +410,13 @@ def _hostile_mechanisms(mech):
     p_u = mech.p_u.copy()
     p_u[0] = np.nan
     yield "nan-p-u", replace(mech, p_u=p_u)
-    cols = mech.p_y_given_u.k.copy()
+    cols = mech.p_y_given_u.copy()
     cols[:, 0] = 1.0 / cols.shape[0]
-    yield "two-live-y", replace(mech, p_y_given_u=Kernel(cols))
+    yield "two-live-y", replace(mech, p_y_given_u=cols)
     p_u = mech.p_u.copy()
     p_u[-1] = 0.0
     yield "zero-mass-u", replace(mech, p_u=p_u)
-    yield "all-spread", replace(mech, p_y_given_u=Kernel(np.full_like(cols, 1.0 / cols.shape[0])))
+    yield "all-spread", replace(mech, p_y_given_u=np.full_like(cols, 1.0 / cols.shape[0]))
 
 
 def _decode_outcome(build, d, mech):
@@ -466,8 +465,8 @@ def assert_factored_g0_matches_whole_joint(d):
     assert abs(value - want) <= 1e-9
     if dist.support_components(d)[0] == 1:
         assert bits(mech.p_u) == bits(whole.p_u)
-        assert bits(mech.p_y_given_u.k) == bits(whole.p_y_given_u.k)
-    _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
+        assert bits(mech.p_y_given_u) == bits(whole.p_y_given_u)
+    _, nullity = rank_and_nullity(dist.kernel_x_given_y(d))
     assert mech.u_size <= nullity + 1
     assert mech.p_u.min() > 1e-12
     a = mm.analyze(d)

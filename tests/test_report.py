@@ -81,7 +81,7 @@ def test_case2_nullity_identity():
     rng = np.random.default_rng(79)
     for _ in range(50):
         d = families.random_deterministic_pair(rng)
-        _, nullity = rank_and_nullity(dist.kernel_x_given_y(d).k)
+        _, nullity = rank_and_nullity(dist.kernel_x_given_y(d))
         assert nullity == d.y_size - d.x_size
 
 
