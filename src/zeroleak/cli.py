@@ -510,9 +510,18 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
 
 def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
     """Property suite for one instance of ``args.family``; returns the
-    violated invariants."""
-    family = args.family
+    violated invariants. An error raised by the analysis or the codes is
+    one of them: none may escape."""
+    try:
+        return _instance_problems(d, args.family)
+    except ZeroLeakError as exc:
+        return [f"raised {type(exc).__name__}: {exc}"]
+
+
+def _instance_problems(d: JointDistribution, family: str) -> list[str]:
     a = mech_mod.analyze(d)
+    if a.two_part_excluded and a.mech_decodable:
+        return ["two-part ruled out by the full-support test, yet the g0 mechanism decodes"]
     if family in ("det-f", "common-info", "rect") and not a.member:
         return [f"expected membership, got g0 = {a.g0:.6g}"]
     if family == "invertible" and a.member and not a.boundary:
@@ -523,7 +532,8 @@ def check_instance(d: JointDistribution, args: argparse.Namespace) -> list[str]:
         return []
     problems = []
     b, hu = a.bounds, a.achieved_hu
-    if not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
+    # a member whose bound LPs failed has no sandwich; ``boundary`` says so
+    if b is not None and not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
         problems.append(f"sandwich failed: {b.k_lower} <= {hu} <= {b.k_upper_strengthened}")
     if mech_mod.information_identity_residual(d, a.mech) > 1e-9:
         problems.append("information identity residual above 1e-9")

@@ -183,9 +183,11 @@ def build_direct_pad(d: JointDistribution) -> PrivateCode:
 
 def build_codes(a: Analysis) -> list[PrivateCode]:
     """The applicable schemes in document order: two-part when the g0
-    mechanism is a decodable member, then direct-pad when |Y| <= |X|."""
+    mechanism is a decodable member, then direct-pad when |Y| <= |X|. The
+    exact test ``a.two_part_excluded`` is read first, so a joint it rules
+    out never starts the g0 synthesis."""
     codes = []
-    if a.member and a.mech_decodable:
+    if not a.two_part_excluded and a.member and a.mech_decodable:
         codes.append(build_two_part(a.d, a.mech, build_huffman(a.mech.p_u)))
     if a.d.y_size <= a.d.x_size:
         codes.append(build_direct_pad(a.d))

@@ -6,6 +6,9 @@ Three families cover the three membership branches: deterministic X = f(Y)
 (the disclosure polytope collapses to a point, so nothing can be revealed).
 A fourth, rectangle partitions, builds members from a hidden decodable U;
 its vertices differ in entropy, so the g0 LP has a live objective there.
+A fifth draws full-support joints, which no two-part code serves unless X
+and Y are independent: dependent ones, and near-independent products on
+which the membership tolerances decide.
 """
 
 from __future__ import annotations
@@ -107,9 +110,24 @@ def random_rectangle_member(rng: np.random.Generator, max_x: int = 4, max_u: int
     return dist.validate_and_normalize(np.array(cols).T)
 
 
+def random_full_support_pair(rng: np.random.Generator, max_x: int = 4, max_y: int = 6) -> JointDistribution:
+    """A joint with no zero entry, |X| in 2..max_x and |Y| in 2..max_y: with
+    probability 1/2 a ``_random_simplex`` over all |X||Y| cells, else a
+    near-independent product P_X(x) P_Y(y) (1 + eps N(x, y)) of two
+    ``_random_simplex`` marginals, N standard normal and eps log-uniform
+    in [1e-12, 1e-2]."""
+    nx, ny = int(rng.integers(2, max_x + 1)), int(rng.integers(2, max_y + 1))
+    if rng.random() < 0.5:
+        return dist.validate_and_normalize(_random_simplex(rng, nx * ny).reshape(nx, ny))
+    eps = 10.0 ** rng.uniform(-12.0, -2.0)
+    joint = np.outer(_random_simplex(rng, nx), _random_simplex(rng, ny))
+    return dist.validate_and_normalize(joint * (1.0 + eps * rng.standard_normal((nx, ny))))
+
+
 FAMILIES = {
     "det-f": random_deterministic_pair,
     "common-info": random_common_info_pair,
     "invertible": random_invertible_pair,
     "rect": random_rectangle_member,
+    "full-support": random_full_support_pair,
 }

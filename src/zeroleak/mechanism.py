@@ -11,11 +11,14 @@ all where X and Y are independent on it, and joins the components' optima
 by a greedy minimum-entropy coupling, which keeps the optimum and shortens
 the code. This module synthesizes that optimizer, tests whether the
 synthesis is information-lossless (the funnel value equals H(Y|X)), and
-computes LP sandwich bounds on the minimum achievable H(U). ``analyze``
-runs the synthesis and the membership test once for a joint, and every
-command starts there; the kernel's rank and nullity and the H(U) bounds,
-which ``code`` never prints, are computed on their first read from the
-``Analysis`` and kept there.
+computes LP sandwich bounds on the minimum achievable H(U). Every
+command starts from ``analyze``, which takes only H(Y|X=x), H(Y|X),
+whether X = f(Y) and the exact test ``excludes_two_part``; the synthesis,
+the membership verdict, the kernel's rank and nullity and the H(U) bounds
+are computed on their first read from the ``Analysis`` and kept there.
+``analyze`` and ``mechanism`` print them all; ``code`` reads the test
+first, so on a full-support joint that no two-part code can serve it
+walks no vertex and solves no LP.
 The vertex entropies, the decode table and H(Y|X,U) are taken as array
 operations over all vertices or (x, u) pairs at once; each figure equals
 that of a loop over them with the one-row ``dist.entropy``, bit for bit.
@@ -30,12 +33,15 @@ import numpy as np
 
 from . import dist
 from .dist import JointDistribution
-from .errors import InfeasibleBoundLP, InternalError, NotDecodable
-from .linalg import RANK_TOL, LinearProgram, enumerate_vertices, rank_and_nullity, solve_lp
+from .errors import Infeasible, InfeasibleBoundLP, InternalError, NotDecodable
+from .linalg import RANK_TOL, TAU_LP, LinearProgram, enumerate_vertices, rank_and_nullity, solve_lp
 
 TAU_ENT = 1e-7
 WEIGHT_FLOOR = 1e-12  # a vertex weight at or below this counts as zero
 TAU_DET = 1e-9  # a P(X|Y) column within this of a point mass counts as one
+# a P(X|Y) column farther than this from P_X (max-abs over x) differs from
+# it; closer, the LP path decides (see ``excludes_two_part``)
+TAU_COLUMN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,24 +76,85 @@ class MechanismBounds:
 
 @dataclass(frozen=True)
 class Analysis:
-    """What the reports and codes of one joint are built from: H(Y|X=x) for
-    every x (``h_given_x``) and H(Y|X) (``h_cond``), whether X = f(Y),
-    membership, and for a member the g0 optimizer ``mech`` (with a decode
+    """What the reports and codes of one joint are built from.
+
+    Taken up front: H(Y|X=x) for every x (``h_given_x``), H(Y|X)
+    (``h_cond``), whether X = f(Y) (``x_det``) and ``two_part_excluded``,
+    the exact test ``excludes_two_part``. The rest is computed on first
+    read and cached. The g0 synthesis comes from one ``solve_g0``: ``g0``,
+    ``member``, ``boundary``, a member's optimizer ``mech`` (with a decode
     table when ``mech_decodable``) and its entropy ``achieved_hu`` (else
-    None). The rank and nullity of P_{X|Y} and the member's H(U) sandwich
-    ``bounds`` are computed on first read and cached, so a caller that
-    never reads them, such as ``code``, never pays for them."""
+    None). The rank and nullity of P_{X|Y} and a member's H(U) sandwich
+    ``bounds`` come from their own solves. So a caller that never reads a
+    figure, such as ``code`` on an excluded joint, never pays for it."""
 
     d: JointDistribution
     h_given_x: np.ndarray
     h_cond: float
     x_det: bool
-    member: bool
-    boundary: bool
-    g0: float
-    mech: Mechanism | None
-    mech_decodable: bool
-    achieved_hu: float | None
+    two_part_excluded: bool
+
+    @cached_property
+    def _g0_solve(self) -> tuple[float, Mechanism | None]:
+        """``solve_g0``'s (value, optimizer). X = f(Y) is a known sufficient
+        condition for membership, so there g0 is reported as H(Y|X). A
+        vertex walk or mixture LP that finds P_Y outside the polytope at
+        TAU_LP, which happens only where P(X|Y) is near-singular, gives
+        (nan, None): no verdict of the LP, see ``boundary_note``."""
+        try:
+            g0, mech = solve_g0(self.d)
+        except Infeasible:
+            return float("nan"), None
+        return (self.h_cond if self.x_det else g0), mech
+
+    @property
+    def g0(self) -> float:
+        return self._g0_solve[0]
+
+    @cached_property
+    def member(self) -> bool:
+        """g0 equals H(Y|X) within TAU_ENT (false when g0 is nan)."""
+        return abs(self.g0 - self.h_cond) <= TAU_ENT
+
+    @cached_property
+    def boundary(self) -> bool:
+        """The verdict rests on a tolerance: the gap |g0 - H(Y|X)| lies within
+        a decade of TAU_ENT either side, or an LP failed at TAU_LP
+        (``boundary_note``). For a member this reads ``bounds``."""
+        gap = abs(self.g0 - self.h_cond)
+        return TAU_ENT / 10.0 <= gap <= 10.0 * TAU_ENT or self.boundary_note is not None
+
+    @property
+    def boundary_note(self) -> str | None:
+        """Which LP failed at TAU_LP, and the verdict given, or None. Both
+        failures arise where P(X|Y) is near-singular, as on near-independent
+        joints."""
+        if np.isnan(self.g0):
+            return f"g0 vertex walk or mixture LP infeasible at TAU_LP = {TAU_LP:g}; not a member"
+        if self.member and self.bounds is None:
+            return f"H(U) bound LPs infeasible at TAU_LP = {TAU_LP:g}; a member at TAU_ENT = {TAU_ENT:g}"
+        return None
+
+    @cached_property
+    def mech(self) -> Mechanism | None:
+        """A member's g0 optimizer, with its decode table when it has one;
+        None for a non-member."""
+        if not self.member:
+            return None
+        mech = self._g0_solve[1]
+        try:
+            return build_decode_table(self.d, mech)
+        except NotDecodable:
+            return mech
+
+    @property
+    def mech_decodable(self) -> bool:
+        return self.mech is not None and self.mech.decode is not None
+
+    @cached_property
+    def achieved_hu(self) -> float | None:
+        """H(U) of a member's optimizer, None for a non-member."""
+        return None if self.mech is None else dist.entropy(self.mech.p_u)
 
     @cached_property
     def rank(self) -> int:
@@ -101,16 +168,44 @@ class Analysis:
 
     @cached_property
     def bounds(self) -> MechanismBounds | None:
-        """``theorem1_bounds`` for a member, None (no LP solved) otherwise."""
+        """``theorem1_bounds`` for a member, None (no LP solved) otherwise,
+        and None for a member whose bound LPs fail (``boundary_note``)."""
         if not self.member:
             return None
-        return theorem1_bounds(self.d, self.nullity, self.h_given_x, self.h_cond)
+        try:
+            return theorem1_bounds(self.d, self.nullity, self.h_given_x, self.h_cond)
+        except InfeasibleBoundLP:
+            return None
 
 
 def x_is_function_of_y(d: JointDistribution) -> bool:
     """True when every column of P(X|Y) is a point mass (within TAU_DET)."""
     k = dist.kernel_x_given_y(d)
     return bool((k.max(axis=0) >= 1.0 - TAU_DET).all())
+
+
+def excludes_two_part(d: JointDistribution) -> bool:
+    """True when no two-part code can serve ``d``: ``d.p`` has no zero entry
+    and some y with P_Y(y) > WEIGHT_FLOOR has a P(X|Y) column farther than
+    TAU_COLUMN from P_X, in max-abs over x.
+
+    Proof. A two-part code needs a decodable U: U independent of X, X - Y - U,
+    and at most one live y for every (x, u). On a full-support joint every
+    (x, y) is live, so an atom u whose column P(Y|u) puts mass on two y's
+    leaves every pair (x, u) two candidates; a decodable U has only unit
+    columns e_y. The column e_y lies in the zero-leakage polytope
+    {p >= 0 : P_{X|Y} p = P_X} only when column y of P(X|Y) equals P_X. So
+    a y whose column does not equal P_X is carried only by atoms with two
+    or more y's, and ``build_decode_table`` raises NotDecodable on such an
+    atom. Closer to P_X than TAU_COLUMN, and on joints with a zero entry,
+    the LP path decides: its tolerances (RANK_TOL in the vertex walk) may
+    read a column near P_X as equal to it.
+    """
+    if not d.p.all():
+        return False
+    heavy = dist.marginal_y(d) > WEIGHT_FLOOR
+    k = dist.kernel_x_given_y(d)[:, heavy]
+    return bool((np.abs(k - dist.marginal_x(d)[:, None]) > TAU_COLUMN).any())
 
 
 def build_bound_matrices(
@@ -141,6 +236,8 @@ def _lp_mixture(d: JointDistribution) -> tuple[np.ndarray, np.ndarray, float]:
     verts = feasible_columns(d)
     lp = LinearProgram(dist.entropy_rows(verts), verts.T, dist.marginal_y(d), sense="min")
     out = solve_lp(lp)
+    if out.status == "infeasible":
+        raise Infeasible(f"mixture weight LP: P_Y is not a mixture of the vertices at TAU_LP = {TAU_LP:g}")
     if out.status != "optimal":
         raise InternalError(f"mixture weight LP came back {out.status}")
     support = np.nonzero(out.point > WEIGHT_FLOOR)[0]
@@ -219,7 +316,9 @@ def solve_g0(d: JointDistribution) -> tuple[float, Mechanism]:
     the value is H(Y) - [H(P_1..P_K) + sum_k P_k value_k]. A basic solution
     keeps at most nullity_k + 1 weights per component and the coupling at
     most sum_k |U_k| - K + 1 atoms, so the surviving alphabet has at most
-    nullity(P_{X|Y}) + 1 symbols.
+    nullity(P_{X|Y}) + 1 symbols. Raises Infeasible where the vertex walk
+    or the mixture LP finds P_Y outside the polytope at TAU_LP, which a
+    near-singular P(X|Y) can cause.
     """
     py = dist.marginal_y(d)
     count, x_part, y_part = dist.support_components(d)
@@ -296,9 +395,10 @@ def conditional_u_given_y(d: JointDistribution, mech: Mechanism) -> np.ndarray:
 def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     """Fill decode[x, u] with the unique y compatible with both, or -1.
 
-    Verifies H(Y | X, U) <= 1e-7 bits on the exact joint. Raises
-    NotDecodable for the first (x, u) pair, in (x, u) order, that leaves
-    two candidate y symbols (possible when the membership equality fails).
+    Raises NotDecodable for the first (x, u) pair, in (x, u) order, that
+    leaves two candidate y symbols (possible when the membership equality
+    fails). Otherwise H(Y | X, U) = 0 exactly on the exact joint: each live
+    (x, u) has one positive entry a, and a / a = 1.
     """
     joint = mechanism_joint(d, mech)
     live = joint > 0.0  # [x][y][u], as the audit counts a triple
@@ -308,9 +408,6 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
         x, u = ambiguous[0].tolist()
         ys = np.nonzero(live[x, :, u])[0].tolist()
         raise NotDecodable(f"pair (x={x}, u={u}) is consistent with y in {ys}")
-    h_y_given_xu = _entropy_y_given_xu(joint)
-    if h_y_given_xu > TAU_ENT:
-        raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")
     return replace(mech, decode=np.where(n_live > 0, live.argmax(axis=1), -1))
 
 
@@ -323,39 +420,20 @@ def _entropy_y_given_xu(joint: np.ndarray) -> float:
 
 
 def analyze(d: JointDistribution) -> Analysis:
-    """Whether X = f(Y), the funnel optimum g0 and its optimizer (solved
-    once), membership, then for a member the optimizer's entropy and, when
-    one exists, its decode table. Commands and the length report read these
-    from the Analysis instead of computing them again; the kernel's rank
-    and the H(U) bounds wait there until first read.
+    """H(Y|X=x) for every x, H(Y|X), whether X = f(Y) and
+    ``excludes_two_part``; the g0 synthesis and membership, the kernel's
+    rank and the H(U) bounds wait in the Analysis until first read.
+    Commands and the length report read these from the Analysis instead of
+    computing them again.
 
     A joint is a member when g0 equals H(Y|X) within TAU_ENT; X = f(Y)
     is a known sufficient condition, so there g0 is reported as H(Y|X).
-    Gaps within a decade of the tolerance either side are flagged
-    ``boundary`` instead of being silently classified."""
+    Gaps within a decade of the tolerance either side, and LPs that fail
+    at their tolerance, are flagged ``boundary`` instead of being silently
+    classified."""
     h_given_x = dist.conditional_entropies(d)
     h_cond = dist.sum_in_order(dist.marginal_x(d) * h_given_x)
-    x_det = x_is_function_of_y(d)
-    g0, mech = solve_g0(d)
-    if x_det:
-        g0 = h_cond
-    gap = abs(g0 - h_cond)
-    member = gap <= TAU_ENT
-    achieved = None
-    decodable = False
-    if member:
-        achieved = dist.entropy(mech.p_u)
-        try:
-            mech = build_decode_table(d, mech)
-            decodable = True
-        except NotDecodable:
-            pass
-    else:
-        mech = None
-    return Analysis(
-        d, h_given_x, h_cond, x_det, member,
-        TAU_ENT / 10.0 <= gap <= 10.0 * TAU_ENT, g0, mech, decodable, achieved,
-    )
+    return Analysis(d, h_given_x, h_cond, x_is_function_of_y(d), excludes_two_part(d))
 
 
 def information_identity_terms(d: JointDistribution, mech: Mechanism) -> dict[str, float]:

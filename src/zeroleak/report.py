@@ -112,10 +112,13 @@ def improvement_flags(uppers: list[BoundEntry]) -> dict[str, bool]:
 
 
 def build_report(a: Analysis) -> BoundsReport:
-    """The length report of one analysis, for the key size |X|."""
+    """The length report of one analysis, for the key size |X|; its notes
+    include ``a.boundary_note``, which names the tolerance an LP failed at."""
     uppers = upper_bounds(a)
     lowers, nonexistence = lower_bounds(a, a.d.x_size)
     notes = [f"nullity(P_X|Y) = |Y| - |X| = {a.nullity}"] if a.x_det else []
+    if a.boundary_note is not None:
+        notes.append(a.boundary_note)
     return BoundsReport(
         upper=uppers,
         lower=lowers,

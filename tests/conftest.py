@@ -32,7 +32,6 @@ from zeroleak.dist import JointDistribution
 from zeroleak.errors import EmptySupport, InternalError, NotDecodable, ParseError, WrongRegime
 from zeroleak.linalg import LinearProgram, solve_lp
 from zeroleak.mechanism import (
-    TAU_ENT,
     Mechanism,
     build_bound_matrices,
     conditional_u_given_y,
@@ -244,9 +243,6 @@ def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
                     f"pair (x={x}, u={u}) is consistent with y in {ys.tolist()}"
                 )
             table[x, u] = ys[0]
-    h_y_given_xu = loop_entropy_y_given_xu(joint)
-    if h_y_given_xu > TAU_ENT:
-        raise NotDecodable(f"H(Y|X,U) = {h_y_given_xu:.3g} bits exceeds tolerance")
     return replace(mech, decode=table)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -829,11 +830,22 @@ def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key,
     assert "direct-pad.key_size" in capsys.readouterr().err
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Point every binding of the function ``original`` in the package at
+    ``replacement``."""
+    import sys
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("zeroleak"):
+            for attr, obj in list(vars(mod).items()):
+                if obj is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def _count_calls(monkeypatch, argv):
     """Run the CLI on ``argv``, counting the calls of rank/nullity, X = f(Y),
     g0, the per-x entropies H(Y|X=x) and the H(U) bound LPs through every
     binding in the package."""
-    import sys
     from collections import Counter
 
     from zeroleak import linalg
@@ -852,11 +864,7 @@ def _count_calls(monkeypatch, argv):
             counts[_f.__name__] += 1
             return _f(*args, **kwargs)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("zeroleak"):
-                for attr, obj in list(vars(mod).items()):
-                    if obj is original:
-                        monkeypatch.setattr(mod, attr, counting)
+        _rebind(monkeypatch, original, counting)
     status, out = run_cli(argv)
     return status, out, counts
 
@@ -885,6 +893,86 @@ def test_code_computes_the_converse_once(monkeypatch):
     assert status == 0 and "two-part.audit.ok = true" in out and "direct-pad.audit.ok = true" in out
     assert counts["conditional_entropies"] == 1
     assert counts["rank_and_nullity"] == 0 and counts["theorem1_bounds"] == 0
+
+
+def test_code_on_a_full_support_dependent_joint_walks_no_vertex(tmp_path, monkeypatch):
+    # every (x, y) is live and a column of P(X|Y) is off P_X, so no U is
+    # decodable: code skips the g0 synthesis, direct-pad or no scheme
+    from zeroleak import linalg
+
+    small_y = tmp_path / "small_y.txt"
+    small_y.write_text("joint:\n0.2 0.1\n0.1 0.2\n0.2 0.2\n")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("walked a vertex or solved an LP")
+
+    for original in (linalg.enumerate_vertices, linalg.solve_lp):
+        _rebind(monkeypatch, original, forbidden)
+    status, out = run_cli(["--cmd", "code", "--input", str(small_y), "--format", "structured"])
+    assert status == 0 and "schemes = direct-pad\n" in out and "direct-pad.audit.ok = true" in out
+    status, out = run_cli(["--cmd", "code", "--input", str(GOLDEN / "noisy.txt")])
+    assert status == 2 and "no applicable scheme" in out
+    # analyze on the same joint still solves g0 and prints it
+    monkeypatch.undo()
+    status, out = run_cli(["--cmd", "analyze", "--input", str(small_y), "--format", "structured"])
+    assert status == 0 and "member = false\nboundary = false\ng0_bits = " in out
+
+
+def _code_document(a) -> str:
+    lines = cli.Lines(True)
+    cli.render_code_document(a, lines)
+    return lines.text()
+
+
+@given(st.sampled_from(sorted(families.FAMILIES)), st.integers(0, 2**32 - 1))
+def test_reading_g0_first_leaves_the_code_document_unchanged(family, seed):
+    # the lazy g0 changes no code: reading it before build_codes, or
+    # letting the LP alone decide two-part, writes the same document
+    d = families.FAMILIES[family](np.random.default_rng(seed))
+    lazy = _code_document(mm.analyze(d))
+    eager = mm.analyze(d)
+    assert eager.g0 == eager.g0 or eager.boundary  # nan only on a boundary verdict
+    assert _code_document(eager) == lazy
+    assert _code_document(replace(mm.analyze(d), two_part_excluded=False)) == lazy
+
+
+NEAR_INDEPENDENT = "joint:\n0.3 0.1000000001\n0.3 0.1\n"
+# a 4x2 joint whose P(X|Y) columns differ by 7e-11: rank 1 at RANK_TOL, so a
+# member, but its H(U) bound LPs are infeasible at TAU_LP
+BOUND_LPS_FAIL = """joint:
+0.0017149686904379675 0.0058336734091377134
+0.20163107706220035 0.6858724919385228
+0.0008575829318767257 0.002917172050958292
+0.022985403694473487 0.07818763022239246
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "mechanism", "code"])
+def test_near_independent_joint_gets_a_boundary_verdict(tmp_path, command):
+    # P(X|Y) has rank 2 at a condition number near 4e9, and the vertex the
+    # walk finds misses P_Y by more than TAU_LP: the mixture LP is
+    # infeasible, so the verdict is a non-member flagged boundary, with the
+    # failed tolerance named; code pads Y
+    path = tmp_path / "near.txt"
+    path.write_text(NEAR_INDEPENDENT)
+    status, out = run_cli(["--cmd", command, "--input", str(path), "--format", "structured"])
+    assert status == 0
+    if command == "code":
+        assert "schemes = direct-pad\n" in out and "direct-pad.audit.ok = true" in out
+    else:
+        assert "member = false\nboundary = true\ng0_bits = nan\n" in out
+        assert "note = g0 vertex walk or mixture LP infeasible at TAU_LP = 1e-09; not a member\n" in out
+
+
+def test_member_with_infeasible_bound_lps_gets_a_boundary_verdict(tmp_path):
+    path = tmp_path / "bound_lps_fail.txt"
+    path.write_text(BOUND_LPS_FAIL)
+    status, out = run_cli(["--cmd", "analyze", "--input", str(path), "--format", "structured"])
+    assert status == 0 and "member = true\nboundary = true\n" in out
+    assert "k_lower" not in out and "lower.lp_conditional_converse" not in out
+    assert "note = H(U) bound LPs infeasible at TAU_LP = 1e-09; a member at TAU_ENT = 1e-07\n" in out
+    status, out = run_cli(["--cmd", "code", "--input", str(path), "--format", "structured"])
+    assert status == 0 and "two-part.audit.ok = true" in out
 
 
 def test_readme_library_example_runs():

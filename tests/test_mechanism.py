@@ -19,7 +19,7 @@ from conftest import (
 )
 
 from zeroleak import cli, codec, dist, families, mechanism as mm, report
-from zeroleak.errors import NotDecodable
+from zeroleak.errors import Infeasible, NotDecodable
 from zeroleak.linalg import rank_and_nullity
 
 EX1_KERNEL = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
@@ -215,9 +215,11 @@ def test_bounds_and_rank_are_computed_on_first_read(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("computed a figure that was not read")
 
-    # a non-member's bounds are None without any LP or rank
+    # a non-member's bounds are None without any LP or rank once its
+    # membership (the g0 solve) is known
     bsc = mm.analyze(dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), [0.5, 0.5]))
     member = mm.analyze(dist.from_conditional(EX1_KERNEL, EX1_PY))
+    assert not bsc.member and member.member
     for name in ("theorem1_bounds", "solve_lp", "rank_and_nullity"):
         monkeypatch.setattr(mm, name, forbidden)
     assert bsc.bounds is None
@@ -269,6 +271,26 @@ def test_membership_boundary_band():
     # the binary symmetric pair has gap 0.469 bits, far outside the band
     a = mm.analyze(dist.from_conditional(np.array([[0.9, 0.1], [0.1, 0.9]]), np.array([0.5, 0.5])))
     assert not a.member and not a.boundary
+
+
+def test_excludes_two_part_only_on_full_support_dependent_joints():
+    # every (x, y) is live and column 0 of P(X|Y) is off P_X: no decodable U
+    dependent = dist.validate_and_normalize(np.array([[0.2, 0.1], [0.1, 0.2], [0.2, 0.2]]))
+    a = mm.analyze(dependent)
+    assert a.two_part_excluded and not a.member and not a.mech_decodable
+    # every column is P_X: U = Y decodes
+    independent = dist.validate_and_normalize(np.outer([0.3, 0.7], [0.2, 0.5, 0.3]))
+    a = mm.analyze(independent)
+    assert not a.two_part_excluded and a.mech_decodable
+    # a zero entry: the LP path decides, and Example 1 is a decodable member
+    a = mm.analyze(example1())
+    assert not a.two_part_excluded and a.mech_decodable
+    # columns off P_X by 2.5e-8, under TAU_COLUMN: the LP path decides
+    near = dist.validate_and_normalize(np.array([[0.3, 0.1 + 1e-7], [0.3, 0.1]]))
+    assert not mm.excludes_two_part(near)
+    # a column off P_X counts only when its y outweighs WEIGHT_FLOOR
+    light = dist.validate_and_normalize(np.array([[0.5, 1e-13], [0.5, 2e-13]]))
+    assert not mm.excludes_two_part(light)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +453,21 @@ def _decode_outcome(build, d, mech):
 @given(st.sampled_from(["example1", *families.FAMILIES]), st.integers(0, 2**32 - 1))
 def test_decode_table_and_h_y_given_xu_match_loops(family, seed):
     d = example1() if family == "example1" else families.FAMILIES[family](np.random.default_rng(seed))
-    _, solved = mm.solve_g0(d)
+    try:
+        _, solved = mm.solve_g0(d)
+    except Infeasible:
+        return assert_boundary_verdict(d)
     for name, mech in _hostile_mechanisms(solved):
         want = _decode_outcome(loop_build_decode_table, d, mech)
         assert _decode_outcome(mm.build_decode_table, d, mech) == want, name
         joint = mm.mechanism_joint(d, mech)
-        assert bits(mm._entropy_y_given_xu(joint)) == bits(loop_entropy_y_given_xu(joint)), name
+        h = mm._entropy_y_given_xu(joint)
+        assert bits(h) == bits(loop_entropy_y_given_xu(joint)), name
+        # once every live (x, u) has one live y, H(Y|X,U) is not positive
+        # (a NaN, from a NaN P(u), compares false), so build_decode_table
+        # needs no entropy check
+        if not isinstance(want, str):
+            assert not h > 0.0, name
         if name == "two-live-y" and (d.p > 0.0).sum(axis=1).max() > 1:
             assert want.startswith("NotDecodable: pair ("), want
 
@@ -456,11 +487,23 @@ NAMED_JOINTS = {
 }
 
 
+def assert_boundary_verdict(d):
+    """Where the walk or the mixture LP finds P_Y outside the polytope at
+    TAU_LP (a near-singular P(X|Y)), ``analyze`` gives a non-member verdict
+    flagged boundary that names the tolerance."""
+    a = mm.analyze(d)
+    assert not a.member and a.boundary and "TAU_LP = 1e-09" in a.boundary_note
+
+
 def assert_factored_g0_matches_whole_joint(d):
     """solve_g0's value equals the whole-joint LP's within 1e-9, one
     component gives the whole-joint optimizer bit for bit, |U| <= nullity + 1,
-    no atom at or below 1e-12, and every code built passes its exact audit."""
-    value, mech = mm.solve_g0(d)
+    no atom at or below 1e-12, and every code built passes its exact audit.
+    A joint whose walk or mixture LP fails gets a boundary verdict."""
+    try:
+        value, mech = mm.solve_g0(d)
+    except Infeasible:
+        return assert_boundary_verdict(d)
     want, whole = whole_joint_g0(d)
     assert abs(value - want) <= 1e-9
     if dist.support_components(d)[0] == 1:
