@@ -433,8 +433,6 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     y_size = _doc_field(doc, "y_size", int)
     joint = _doc_block(doc, "joint", x_size, y_size)
     d = dist.validate_and_normalize(joint)
-    if d.p.shape != joint.shape:
-        raise ParseError("joint block has an all-zero row or column")
     schemes = _doc_field(doc, "schemes", str.split)
     if not schemes:
         raise ParseError("code document's schemes entry is empty")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -187,7 +187,7 @@ def build_codes(a: Analysis) -> list[PrivateCode]:
     exact test ``a.two_part_excluded`` is read first, so a joint it rules
     out never starts the g0 synthesis."""
     codes = []
-    if not a.two_part_excluded and a.member and a.mech_decodable:
+    if not a.two_part_excluded and a.mech_decodable:
         codes.append(build_two_part(a.d, a.mech, build_huffman(a.mech.p_u)))
     if a.d.y_size <= a.d.x_size:
         codes.append(build_direct_pad(a.d))
@@ -311,6 +311,20 @@ def _totals(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.bincount(keys, weights=values)[keys]
 
 
+def _p_log2_ratio(p: np.ndarray, top: tuple, bottom: tuple) -> np.ndarray:
+    """p * log2(prod(top) / prod(bottom)) per entry, each product taken left
+    to right. Where that is not finite, as when a mass or a product of masses
+    underflows to 0, the term is p times the sum of the factors' logs, and 0
+    where p is 0 (0 log 0 = 0). Every finite term stands, bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = p * np.log2(reduce(np.multiply, top) / reduce(np.multiply, bottom))
+        bad = ~np.isfinite(out)
+        if bad.any():
+            logs = sum(np.log2(f[bad]) for f in top) - sum(np.log2(f[bad]) for f in bottom)
+            out[bad] = np.where(p[bad] > 0.0, p[bad] * logs, 0.0)
+    return out
+
+
 def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
     """The symbol decode reads off a message ending in ``word``; -1 where it raises."""
     try:
@@ -394,8 +408,8 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     cx += x
     g, first = _first_seen(cx)
     p_cx = _sums(g, mass, k)
-    p_c_p_x = _totals(msg[first], p_cx) * _sums(x[first], p_cx, fields)[x[first]]
-    mi = dist.sum_in_order((p_cx * np.log2(p_cx / p_c_p_x)).repeat(fields))
+    p_c, p_x = _totals(msg[first], p_cx), _sums(x[first], p_cx, fields)[x[first]]
+    mi = dist.sum_in_order(_p_log2_ratio(p_cx, (p_cx,), (p_c, p_x)).repeat(fields))
     # the (x, y, c) key is built on the compact (c, x) ids, so its table has
     # |Y| entries per (c, x) group however sparse the message numbers are
     g *= d.y_size
@@ -407,8 +421,8 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     p_xc = _totals(cx[first], p_xyc)
     p_y = dist.marginal_y(d)
     # I(X;C|Y) = sum p(x,y,c) log [ p(x,y,c) p(y) / (p(x,y) p(y,c)) ]
-    mi_cond = p_xyc * np.log2(p_xyc * p_y[y_g] / (d.p[x_g, y_g] * p_yc))
-    h_y_given_xc = -(p_xyc * np.log2(p_xyc / p_xc))
+    mi_cond = _p_log2_ratio(p_xyc, (p_xyc, p_y[y_g]), (d.p[x_g, y_g], p_yc))
+    h_y_given_xc = -_p_log2_ratio(p_xyc, (p_xyc,), (p_xc,))
 
     return LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),

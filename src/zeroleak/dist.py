@@ -1,8 +1,8 @@
 """Finite discrete joint distributions and their exact information measures.
 
 All probabilities are doubles, all logarithms base 2, all entropies in bits.
-Zero rows/columns are stripped at construction so every marginal has full
-support; the original indices are kept in ``x_map`` / ``y_map``. Entropies
+A symbol of no mass is an input error, so every x and y has positive mass
+and every index a report prints is the input's own. Entropies
 of many rows are taken in one batch (``entropy_rows``) that equals the
 one-row ``entropy`` of each row bit for bit, and weighted sums of them add
 left to right (``sum_in_order``), as a Python loop would. Conditionals
@@ -11,7 +11,7 @@ are plain arrays; ``stochastic_columns`` checks one read from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,9 @@ class JointDistribution:
     """A normalized |X| x |Y| joint probability matrix with full-support marginals."""
 
     p: np.ndarray
-    x_map: tuple[int, ...] = field(default=())
-    y_map: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "p", _readonly(self.p))
-        if not self.x_map:
-            object.__setattr__(self, "x_map", tuple(range(self.p.shape[0])))
-        if not self.y_map:
-            object.__setattr__(self, "y_map", tuple(range(self.p.shape[1])))
 
     @property
     def x_size(self) -> int:
@@ -53,12 +47,12 @@ class JointDistribution:
 def validate_and_normalize(raw) -> JointDistribution:
     """Build a JointDistribution from a raw matrix.
 
-    Clamps entries in [-TAU_PROB, 0) to zero, renormalizes to total mass 1,
-    and deletes all-zero rows and columns, recording which original indices
-    survive; a total that overflows is taken after dividing by the largest
-    entry. Raises BadShape for ragged/empty input, NonFiniteMass for NaN or
-    infinite entries, NegativeMass for entries below -TAU_PROB, EmptySupport
-    when nothing remains.
+    Clamps entries in [-TAU_PROB, 0) to zero and renormalizes to total mass
+    1; a total that overflows is taken after dividing by the largest entry.
+    Raises BadShape for ragged/empty input, NonFiniteMass for NaN or infinite
+    entries, NegativeMass for entries below -TAU_PROB, and EmptySupport when
+    nothing remains or a row or column is then all zero, naming the first
+    such x, else y, by its index in ``raw``.
     """
     try:
         m = np.array(raw, dtype=float)
@@ -79,10 +73,11 @@ def validate_and_normalize(raw) -> JointDistribution:
     if total <= TAU_PROB:
         raise EmptySupport("all probability mass is zero")
     m = m / total
-    keep_x = np.nonzero(m.sum(axis=1) > 0.0)[0]
-    keep_y = np.nonzero(m.sum(axis=0) > 0.0)[0]
-    m = m[np.ix_(keep_x, keep_y)]
-    return JointDistribution(m, tuple(int(i) for i in keep_x), tuple(int(j) for j in keep_y))
+    for symbol, line, live in (("x", "row", m.any(axis=1)), ("y", "column", m.any(axis=0))):
+        if not live.all():
+            i = live.argmin()
+            raise EmptySupport(f"{symbol} = {i} has no probability mass: joint {line} {i} is all zero")
+    return JointDistribution(m)
 
 
 def from_conditional(p_x_given_y, p_y) -> JointDistribution:

@@ -14,7 +14,7 @@ class BadShape(InputError):
 
 
 class EmptySupport(InputError):
-    """All probability mass is zero; no distribution can be formed."""
+    """Some symbol, or the whole input, carries no probability mass."""
 
 
 class NegativeMass(InputError):

@@ -397,8 +397,9 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
 
     Raises NotDecodable for the first (x, u) pair, in (x, u) order, that
     leaves two candidate y symbols (possible when the membership equality
-    fails). Otherwise H(Y | X, U) = 0 exactly on the exact joint: each live
-    (x, u) has one positive entry a, and a / a = 1.
+    fails), then for the first y that no live (x, u) carries (encode has no
+    u to draw for it). Otherwise H(Y | X, U) = 0 exactly on the exact joint:
+    each live (x, u) has one positive entry a, and a / a = 1.
     """
     joint = mechanism_joint(d, mech)
     live = joint > 0.0  # [x][y][u], as the audit counts a triple
@@ -408,6 +409,9 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
         x, u = ambiguous[0].tolist()
         ys = np.nonzero(live[x, :, u])[0].tolist()
         raise NotDecodable(f"pair (x={x}, u={u}) is consistent with y in {ys}")
+    carried = live.any(axis=(0, 2))
+    if not carried.all():
+        raise NotDecodable(f"no live (x, u) pair carries y = {carried.argmin()}")
     return replace(mech, decode=np.where(n_live > 0, live.argmax(axis=1), -1))
 
 

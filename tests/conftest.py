@@ -243,6 +243,9 @@ def loop_build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
                     f"pair (x={x}, u={u}) is consistent with y in {ys.tolist()}"
                 )
             table[x, u] = ys[0]
+    for y in range(d.y_size):
+        if not (table == y).any():
+            raise NotDecodable(f"no live (x, u) pair carries y = {y}")
     return replace(mech, decode=table)
 
 

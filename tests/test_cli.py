@@ -336,7 +336,7 @@ def _edited_code_doc(input_file, tmp_path, key, value):
         ("two-part.p_u", "0.5 0.5", "two-part.p_u"),
         ("two-part.key_size", "0", "two-part.key_size"),
         ("two-part.field_bits", "-1", "field_bits = -1"),
-        ("joint.1", "0 0 0 0 0 0", "all-zero row"),
+        ("joint.1", "0 0 0 0 0 0", "x = 1 has no probability mass"),
         ("schemes", None, "schemes"),
         ("schemes", "", "schemes"),
         ("schemes", "two-part two-part", "schemes"),
@@ -809,14 +809,57 @@ def test_decode_table_counts_every_triple_of_positive_mass(tmp_path):
     assert audited[0] == 0 and "two-part.audit.ok = true" in audited[1]
 
 
+# the two-part code of the joint 1e-13 0.5 0 / 0 0 0.5, as built before the
+# decode table named a y that no (x, u) carries
+UNCOVERED_Y_DOC = """format = zeroleak-code-v3
+x_size = 2
+y_size = 3
+joint.0 = 9.9999999999990007e-14 0.49999999999995004 0
+joint.1 = 0 0 0.49999999999995004
+schemes = two-part
+two-part.key_size = 2
+two-part.field_bits = 1
+two-part.u_size = 1
+two-part.p_u = 0.99999999999979994
+two-part.p_y_given_u.0 = 0 0.50000000000005007 0.49999999999995004
+two-part.codeword.0 = 0
+two-part.decode.0 = 1
+two-part.decode.1 = 2
+"""
+
+
 def test_y_that_no_u_symbol_covers_is_a_violation(tmp_path):
     # the coupling spends y0's weight of 2e-13, so P(u | y0) = 0 for every
-    # u: encode has no u to draw for y0, and the audit has no event of it
-    (status, out), audited = _code_then_audit(tmp_path, "joint:\n1e-13 0.5 0\n0 0 0.5\n")
-    for status, out in ((status, out), audited):
-        assert status == 1 and "two-part.audit.lossless_prob = 1\n" in out
-        assert _violations(out) == ["two-part: no U symbol covers y"]
-        assert "violation = two-part: no U symbol covers y = 0\n" in out
+    # u: encode would have no u to draw for y0, so the g0 mechanism is not
+    # decodable, and with |Y| > |X| no scheme applies
+    path = tmp_path / "joint.txt"
+    path.write_text("joint:\n1e-13 0.5 0\n0 0 0.5\n")
+    status, out = run_cli(["--cmd", "analyze", "--input", str(path), "--format", "structured"])
+    assert status == 0 and "member = true\n" in out and "mechanism_decodable = false\n" in out
+    status, out = run_cli(["--cmd", "code", "--input", str(path), "--format", "structured"])
+    assert status == 2 and "schemes = \nerror = no applicable scheme" in out
+    # a document that carries such a code anyway fails its audit, which
+    # has no event of y0
+    status, out = _audit_text(tmp_path, UNCOVERED_Y_DOC)
+    assert status == 1 and "two-part.audit.lossless_prob = 1\n" in out
+    assert _violations(out) == ["two-part: not decodable (no live (x, u) pair carries y", "two-part: no U symbol covers y"]
+    assert "violation = two-part: no U symbol covers y = 0\n" in out
+
+
+@pytest.mark.parametrize("tiny", ["1e-320", "5e-324"])
+def test_underflowing_mass_gives_finite_audit_figures(tmp_path, tiny):
+    # y0's one entry is subnormal, so products of two masses of y0 underflow
+    # to 0 in the audit's log ratios (at 5e-324 its event masses do too);
+    # the coupling spends its weight, so only direct-pad applies
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (status, out), (audit_status, audited) = _code_then_audit(tmp_path, f"joint:\n{tiny} 0.5\n0 0.5\n")
+    assert status == 0 and "schemes = direct-pad\n" in out
+    assert "direct-pad.audit.mi_c_x_given_y = 0\n" in out and "direct-pad.audit.ok = true\n" in out
+    assert "nan" not in out
+    assert audit_status == 0 and "direct-pad.audit.mi_c_x_given_y = 0\n" in audited
 
 
 @pytest.mark.parametrize(
@@ -1117,6 +1160,62 @@ def test_malformed_input_exits_2_with_named_error(tmp_path, capsys, command, con
     err = capsys.readouterr().err
     assert status == 2
     assert err.startswith("error: ") and named in err
+
+
+ZERO_MASS_INPUTS = {
+    "joint-row": ("joint:\n0.5 0.25\n0 0\n0 0.25\n", "x = 1 has no probability mass: joint row 1"),
+    "joint-column": ("joint:\n0.5 0 0.25\n0 0 0.25\n", "y = 1 has no probability mass: joint column 1"),
+    "p-y-entry": ("p_x_given_y:\n1 0 0.5\n0 1 0.5\np_y: 0.5 0.5 0\n", "y = 2 has no probability mass"),
+    "kernel-row": ("p_x_given_y:\n1 0.5\n0 0.5\n0 0\np_y: 0.5 0.5\n", "x = 2 has no probability mass"),
+    "clamped-row": ("joint:\n0.5 0.5\n-1e-10 -5e-10\n", "x = 1 has no probability mass"),
+}
+ZERO_MASS_DOCS = {
+    "doc-joint-row": (_golden_doc_with("uniform4x3", "joint.3", "0 0 0"), "x = 3 has no probability mass"),
+    "doc-joint-column": (
+        re.sub(r"^(joint\.\d = \S+ \S+) \S+$", r"\1 0", (GOLDEN / "uniform4x3.code.txt").read_text(), flags=re.M),
+        "y = 2 has no probability mass",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [(command, case) for case in ZERO_MASS_INPUTS for command in ("analyze", "mechanism", "code")]
+    + [("audit", case) for case in ZERO_MASS_DOCS],
+)
+def test_zero_mass_symbol_exits_2_naming_it(tmp_path, capsys, command, case):
+    # every entry rejects an x or y of no mass, in the input's numbering,
+    # with one error line
+    content, named = (ZERO_MASS_INPUTS | ZERO_MASS_DOCS)[case]
+    path = tmp_path / "input.txt"
+    path.write_text(content)
+    status, out = run_cli(["--cmd", command, "--input", str(path), "--format", "structured"])
+    err = capsys.readouterr().err
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def padded_joint_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("padded") / "joint.txt"
+
+
+@given(st.sampled_from(sorted(families.FAMILIES)), st.integers(0, 2**32 - 1), st.sampled_from([0, 1]), st.data())
+def test_inserted_zero_row_or_column_is_named(padded_joint_path, family, seed, axis, data):
+    # a sweep draw gives every symbol mass; an all-zero row or column
+    # inserted at any index makes analyze exit 2, naming that index
+    p = families.FAMILIES[family](np.random.default_rng(seed)).p
+    at = data.draw(st.integers(0, p.shape[axis]))
+    padded = np.insert(p, at, 0.0, axis=axis)
+    padded_joint_path.write_text("joint:\n" + "".join(" ".join(map(repr, row)) + "\n" for row in padded.tolist()))
+    import io
+    from contextlib import redirect_stderr
+
+    err = io.StringIO()
+    with redirect_stderr(err):
+        status, out = run_cli(["--cmd", "analyze", "--input", str(padded_joint_path)])
+    assert (status, out) == (2, "")
+    assert err.getvalue().startswith(f"error: {'xy'[axis]} = {at} has no probability mass")
 
 
 def test_overflowing_joint_is_normalized(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    bits,
     encode_pair,
     loop_audit,
     random_small_y_pair,
@@ -525,6 +526,21 @@ def test_first_seen_matches_unique_oracle_on_audit_keys(family, seed):
 def test_audit_zero_conditional_entropy_is_positive_zero():
     d, mech, code = example1_code()
     assert struct.pack("<d", codec.audit(code, d).h_y_given_x_c) == struct.pack("<d", 0.0)
+
+
+def test_log_ratio_terms_of_underflowing_masses_are_finite():
+    # p log2(a b / (c e)) entry by entry: with normal products it is that
+    # expression bit for bit; where a product underflows the factors' logs
+    # are added instead; a p of 0 gives 0
+    p = np.array([0.25, 1e-320, 1e-200, 0.0])
+    a = np.array([0.5, 1e-320, 1e-200, 0.0])
+    b = np.array([0.125, 0.5, 1e-200, 0.0])
+    c = np.array([0.75, 1e-320, 0.5, 0.0])
+    e = np.array([0.1, 0.5, 1e-200, 0.0])
+    got = codec._p_log2_ratio(p, (a, b), (c, e))
+    assert bits(got[0]) == bits(p[0] * np.log2(a[0] * b[0] / (c[0] * e[0])))
+    assert got[1] == 0.0 and got[3] == 0.0
+    assert got[2] == pytest.approx(1e-200 * (math.log2(1e-200) + 1.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(2, 16, 8), (2, 14, 9), (3, 11, 5)], ids=str)

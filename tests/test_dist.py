@@ -39,18 +39,29 @@ def h_bits(*probs):
     return -sum(p * math.log2(p) for p in probs if p > 0)
 
 
-def test_zero_row_is_stripped():
-    d = dist.validate_and_normalize([[0.5, 0.5], [0.0, 0.0]])
-    assert d.x_size == 1 and d.y_size == 2
-    assert np.allclose(d.p, [[0.5, 0.5]])
-    assert d.x_map == (0,) and d.y_map == (0, 1)
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ([[0.5, 0.5], [0.0, 0.0]], "x = 1 has no probability mass: joint row 1"),
+        ([[0.5, 0.0, 0.25], [0.0, 0.0, 0.25]], "y = 1 has no probability mass: joint column 1"),
+        # x = 2 and y = 0 are both empty; the first x is named
+        ([[0.0, 0.5], [0.0, 0.5], [0.0, 0.0]], "x = 2 "),
+        # the clamp of [-TAU_PROB, 0) empties the row
+        ([[0.5, 0.5], [-1e-10, -5e-10]], "x = 1 "),
+        # dividing an overflowing total by the largest entry empties the column
+        ([[1.5e308, 1e-300], [1.5e308, 0.0]], "y = 1 "),
+    ],
+    ids=["row", "column", "row-first", "clamped-row", "underflowed-column"],
+)
+def test_zero_mass_symbol_is_rejected(raw, named):
+    with pytest.raises(EmptySupport, match=re.escape(named)):
+        dist.validate_and_normalize(raw)
 
 
 def test_valid_distribution_is_fixed_point():
     raw = np.array([[0.1, 0.4], [0.3, 0.2]])
     d = dist.validate_and_normalize(raw)
     assert np.array_equal(d.p, raw)
-    assert d.x_map == (0, 1) and d.y_map == (0, 1)
 
 
 def test_example1_composition_and_marginals():
@@ -287,10 +298,12 @@ def search_components(d):
 @example("chain", 0)
 def test_support_components_match_search_oracle(family, seed):
     rng = np.random.default_rng(seed)
-    if family == "sparse":  # random zeros, then every row and column kept
+    if family == "sparse":  # random zeros, then a wrapped diagonal keeps every row and column
         shape = tuple(rng.integers(1, 9, size=2))
         m = rng.random(shape) * (rng.random(shape) < rng.uniform(0.05, 0.6))
-        d = dist.validate_and_normalize(m + np.eye(*shape) * 1e-3)
+        diagonal = np.arange(max(shape))
+        m[diagonal % shape[0], diagonal % shape[1]] += 1e-3
+        d = dist.validate_and_normalize(m)
     elif family == "chain":  # a staircase in shuffled order: one component, many passes
         n = int(rng.integers(2, 12))
         m = np.eye(n) + np.eye(n, k=1)
