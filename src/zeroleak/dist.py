@@ -51,8 +51,9 @@ def validate_and_normalize(raw) -> JointDistribution:
     1; a total that overflows is taken after dividing by the largest entry.
     Raises BadShape for ragged/empty input, NonFiniteMass for NaN or infinite
     entries, NegativeMass for entries below -TAU_PROB, and EmptySupport when
-    nothing remains or a row or column is then all zero, naming the first
-    such x, else y, by its index in ``raw``.
+    the total is then exactly 0 (any positive total normalizes, however
+    small) or a row or column is then all zero, naming the first such x,
+    else y, by its index in ``raw``.
     """
     try:
         m = np.array(raw, dtype=float)
@@ -70,7 +71,7 @@ def validate_and_normalize(raw) -> JointDistribution:
     if np.isinf(total):
         m = m / m.max()
         total = m.sum()
-    if total <= TAU_PROB:
+    if total == 0.0:
         raise EmptySupport("all probability mass is zero")
     m = m / total
     for symbol, line, live in (("x", "row", m.any(axis=1)), ("y", "column", m.any(axis=0))):

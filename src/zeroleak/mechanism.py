@@ -8,8 +8,9 @@ linear program over vertex weights. The polytope is a product of one
 polytope per connected component of the support of P_XY (the Gacs-Korner
 common part), so ``solve_g0`` solves each component alone, with no LP at
 all where X and Y are independent on it, and joins the components' optima
-by a greedy minimum-entropy coupling, which keeps the optimum and shortens
-the code. This module synthesizes that optimizer, tests whether the
+by a greedy minimum-entropy coupling on per-component heaps, which keeps
+the optimum and shortens the code. This module synthesizes that
+optimizer, tests whether the
 synthesis is information-lossless (the funnel value equals H(Y|X)), and
 computes LP sandwich bounds on the minimum achievable H(U). Every
 command starts from ``analyze``, which takes only H(Y|X=x), H(Y|X),
@@ -26,6 +27,7 @@ that of a loop over them with the one-row ``dist.entropy``, bit for bit.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -246,57 +248,70 @@ def _lp_mixture(d: JointDistribution) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _component_mixture(d: JointDistribution, xs: np.ndarray, ys: np.ndarray):
-    """(P_k, vertices, weights, value) of the component on rows ``xs`` and
-    columns ``ys``: its mass P_k, then ``_lp_mixture`` of its normalised
-    sub-joint. Where X and Y are independent on the component (its columns
-    of P(X|Y) agree within RANK_TOL, the tolerance at which the vertex
-    walk's elimination would find rank 1) its polytope is the simplex on
-    ``ys``: the vertices are the unit vectors, the weights are P(Y|k) and
-    the value is 0, with no enumeration and no LP. That holds exactly for
-    a component of one row, so for every component of X = f(Y), and for
+    """(ys, P_k, vertices, weights, value) of the component on rows ``xs``
+    and columns ``ys``: its mass P_k, then ``_lp_mixture`` of its normalised
+    sub-joint. Where X and Y are independent on the component its polytope
+    is the simplex on ``ys``: the vertices are the unit vectors (None here),
+    the weights are P(Y|k) and the value is 0, with no enumeration and no
+    LP. That holds exactly on one row, as in every component of X = f(Y),
+    whose weights are then read off the row. On more rows it is taken to
+    hold where the columns of P(X|Y) agree within RANK_TOL, the tolerance at
+    which the vertex walk's elimination would find rank 1, as they do in
     every component of a common-information joint."""
+    if xs.size == 1:
+        row = d.p[xs[0], ys]
+        mass = row.sum()
+        return ys, mass, None, row / mass, 0.0
     sub = d.p[np.ix_(xs, ys)]
     mass = sub.sum()
     p_y = sub.sum(axis=0)
     if np.ptp(sub / p_y, axis=1).max() <= RANK_TOL:
-        return mass, np.eye(ys.size), p_y / mass, 0.0
-    return (mass, *_lp_mixture(JointDistribution(sub / mass)))
+        return ys, mass, None, p_y / mass, 0.0
+    return (ys, mass, *_lp_mixture(JointDistribution(sub / mass)))
 
 
-def _couple(parts: list, y_parts: list[np.ndarray], y_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy minimum-entropy coupling of the components' weight vectors
-    (Kocaoglu et al., AAAI 2017); returns (p_u, P(Y|U) columns).
+def _couple(parts: list, y_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy minimum-entropy coupling (Kocaoglu et al., AAAI 2017) of the
+    weight vectors of ``_component_mixture``'s ``parts``; returns (p_u,
+    P(Y|U) columns).
 
-    Each step takes every component's largest remaining weight, the lowest
-    index on ties, emits an atom of the smallest of them and subtracts it
-    from each. The atom's column is sum_k P_k v_k over the vertices v_k
-    taken. A remaining weight at or below WEIGHT_FLOOR counts as spent: it
-    is set to exactly 0, and the coupling stops once some component has
-    nothing left. So every atom outweighs WEIGHT_FLOOR, and the round-off
-    by which the weight vectors' sums differ leaves no atom of its own.
-    p_u holds the atoms as emitted, not rescaled: their sum misses 1 only
-    by that spent round-off. Atoms are ordered by their columns,
+    Each component's weights above WEIGHT_FLOOR go on a heap of (-weight,
+    key), keyed by y on a simplex and by vertex row otherwise. Each step
+    takes every heap's top (the lowest key on ties), emits an atom of the
+    smallest and subtracts it from each; a weight left at or below
+    WEIGHT_FLOOR counts as spent and leaves its heap, and the coupling stops
+    once a heap is empty. So every atom outweighs WEIGHT_FLOOR, and the
+    round-off by which the weight vectors' sums differ leaves no atom of
+    its own: p_u, the atoms as emitted, misses sum 1 only by it. The atom's
+    column is sum_k P_k v_k over the vertices v_k taken, so a simplex
+    component puts P_k on its y. Atoms are ordered by their columns,
     lexicographically, as ``enumerate_vertices`` orders vertices.
     """
-    rest = np.zeros((len(parts), max(w.size for _, _, w, _ in parts)))
-    for k, (_, _, w, _) in enumerate(parts):
-        rest[k, : w.size] = np.where(w > WEIGHT_FLOOR, w, 0.0)
-    rows = np.arange(len(parts))
+    heaps = []
+    for ys, _, verts, w, _ in parts:
+        keys = ys.tolist() if verts is None else range(w.size)
+        heaps.append([(-v, key) for key, v in zip(keys, w.tolist()) if v > WEIGHT_FLOOR])
+        heapq.heapify(heaps[-1])
     atoms, picks = [], []
-    while True:
-        pick = rest.argmax(axis=1)
-        top = rest[rows, pick]
-        atom = top.min()
-        if atom <= WEIGHT_FLOOR:
-            break
-        left = top - atom
-        rest[rows, pick] = np.where(left > WEIGHT_FLOOR, left, 0.0)
+    while all(heaps):
+        tops = [heap[0] for heap in heaps]
+        atom = -max(tops)[0]
+        for heap, (top, key) in zip(heaps, tops):
+            left = -top - atom
+            if left > WEIGHT_FLOOR:
+                heapq.heapreplace(heap, (-left, key))
+            else:
+                heapq.heappop(heap)
         atoms.append(atom)
-        picks.append(pick)
+        picks.append([key for _, key in tops])
     picks = np.array(picks)
-    cols = np.zeros((y_size, len(atoms)))
-    for k, ((mass, verts, _, _), ys) in enumerate(zip(parts, y_parts)):
-        cols[ys] = mass * verts[picks[:, k]].T
+    n = np.arange(len(atoms))
+    cols = np.zeros((y_size, n.size))
+    simplex = [k for k, part in enumerate(parts) if part[2] is None]
+    cols[picks[:, simplex], n[:, None]] = [parts[k][1] for k in simplex]
+    for (ys, mass, verts, _, _), pick in zip(parts, picks.T):
+        if verts is not None:
+            cols[ys] = mass * verts[pick].T
     cols = cols / cols.sum(axis=0)[None, :]
     order = np.lexsort(cols[::-1])
     return np.array(atoms)[order], cols[:, order]
@@ -312,8 +327,9 @@ def solve_g0(d: JointDistribution) -> tuple[float, Mechanism]:
     the component's mass P_k, and H(v) = H(P_1..P_K) + sum_k P_k H(v_k).
     A joint of one component solves the LP over all its vertices. Otherwise
     each component is solved alone (``_component_mixture``) and the optima
-    are joined by ``_couple``, which any coupling would leave g0-optimal;
-    the value is H(Y) - [H(P_1..P_K) + sum_k P_k value_k]. A basic solution
+    are joined by ``_couple``'s greedy coupling on per-component heaps,
+    though any coupling would leave them g0-optimal; the value is
+    H(Y) - [H(P_1..P_K) + sum_k P_k value_k]. A basic solution
     keeps at most nullity_k + 1 weights per component and the coupling at
     most sum_k |U_k| - K + 1 atoms, so the surviving alphabet has at most
     nullity(P_{X|Y}) + 1 symbols. Raises Infeasible where the vertex walk
@@ -329,8 +345,8 @@ def solve_g0(d: JointDistribution) -> tuple[float, Mechanism]:
         xs = [np.nonzero(x_part == k)[0] for k in range(count)]
         ys = [np.nonzero(y_part == k)[0] for k in range(count)]
         parts = [_component_mixture(d, xs[k], ys[k]) for k in range(count)]
-        p_u, cols = _couple(parts, ys, d.y_size)
-        masses = np.array([mass for mass, *_ in parts])
+        p_u, cols = _couple(parts, d.y_size)
+        masses = np.array([mass for _, mass, *_ in parts])
         values = np.array([value for *_, value in parts])
         cost = dist.entropy(masses) + dist.sum_in_order(masses * values)
     mech = Mechanism(p_u=p_u, p_y_given_u=cols)

@@ -10,15 +10,16 @@ holds ``oracle``, such as ``test_doc_block_reader_oracle``, runs there.
 
 The helpers below serve only the tests: a negative-control leakage figure,
 a |Y| <= |X| instance generator, the whole-joint g0 LP that is the oracle
-for the factored ``mechanism.solve_g0``, the per-symbol entropy profile of
-a mechanism, the loop audit that is the oracle for ``codec.audit``, the
-sorting group numbering that is the oracle for its grouping, the
-one-row-at-a-time entropy and decode-table loops that are the oracles for
-the batched forms in ``dist`` and ``mechanism``, the token-at-a-time
-distribution parser that is the oracle for the section-at-a-time
-``cli.parse_distribution_text``, the row-at-a-time code document reader
-that is the oracle for the block-at-a-time ``cli._doc_block``, and the
-two-part encoder for a sender who sees (x, y).
+for the factored ``mechanism.solve_g0``, the array coupling that is the
+bit-for-bit oracle for its per-component heaps, the per-symbol entropy
+profile of a mechanism, the loop audit that is the oracle for
+``codec.audit``, the sorting group numbering that is the oracle for its
+grouping, the one-row-at-a-time entropy and decode-table loops that are
+the oracles for the batched forms in ``dist`` and ``mechanism``, the
+token-at-a-time distribution parser that is the oracle for the
+section-at-a-time ``cli.parse_distribution_text``, the row-at-a-time code
+document reader that is the oracle for the block-at-a-time
+``cli._doc_block``, and the two-part encoder for a sender who sees (x, y).
 """
 
 import struct
@@ -30,8 +31,9 @@ from hypothesis import settings
 from zeroleak import cli, codec, dist, mechanism
 from zeroleak.dist import JointDistribution
 from zeroleak.errors import EmptySupport, InternalError, NotDecodable, ParseError, WrongRegime
-from zeroleak.linalg import LinearProgram, solve_lp
+from zeroleak.linalg import RANK_TOL, LinearProgram, solve_lp
 from zeroleak.mechanism import (
+    WEIGHT_FLOOR,
     Mechanism,
     build_bound_matrices,
     conditional_u_given_y,
@@ -95,6 +97,61 @@ def whole_joint_g0(d: JointDistribution) -> tuple[float, Mechanism]:
     cols = verts[support].T
     mech = Mechanism(p_u=p_u / p_u.sum(), p_y_given_u=cols / cols.sum(axis=0)[None, :])
     return dist.entropy(py) - float(out.value), mech
+
+
+def array_coupled_g0(d: JointDistribution) -> tuple[float, Mechanism]:
+    """``mechanism.solve_g0`` with its multi-component synthesis done on
+    arrays: every component goes through the ``np.ix_`` copy and the
+    RANK_TOL independence test, one row or many, and the greedy coupling
+    takes every component's largest remaining weight by ``argmax`` over a
+    K x max|w| array, lowest index on ties, a weight at or below
+    WEIGHT_FLOOR counting as spent. The oracle, bit for bit, for the
+    per-component heaps of ``mechanism._couple``."""
+    count, x_part, y_part = dist.support_components(d)
+    if count == 1:
+        verts, p_u, cost = mechanism._lp_mixture(d)
+        cols = verts.T / verts.T.sum(axis=0)[None, :]
+        return _g0_value(d, cost), Mechanism(p_u=p_u, p_y_given_u=cols)
+    parts, y_parts = [], []
+    for k in range(count):
+        xs, ys = np.nonzero(x_part == k)[0], np.nonzero(y_part == k)[0]
+        sub = d.p[np.ix_(xs, ys)]
+        mass, p_y = sub.sum(), sub.sum(axis=0)
+        if np.ptp(sub / p_y, axis=1).max() <= RANK_TOL:
+            parts.append((mass, np.eye(ys.size), p_y / mass, 0.0))
+        else:
+            parts.append((mass, *mechanism._lp_mixture(JointDistribution(sub / mass))))
+        y_parts.append(ys)
+    rest = np.zeros((count, max(w.size for _, _, w, _ in parts)))
+    for k, (_, _, w, _) in enumerate(parts):
+        rest[k, : w.size] = np.where(w > WEIGHT_FLOOR, w, 0.0)
+    rows = np.arange(count)
+    atoms, picks = [], []
+    while True:
+        pick = rest.argmax(axis=1)
+        top = rest[rows, pick]
+        atom = top.min()
+        if atom <= WEIGHT_FLOOR:
+            break
+        left = top - atom
+        rest[rows, pick] = np.where(left > WEIGHT_FLOOR, left, 0.0)
+        atoms.append(atom)
+        picks.append(pick)
+    picks = np.array(picks)
+    cols = np.zeros((d.y_size, len(atoms)))
+    for k, ((mass, verts, _, _), ys) in enumerate(zip(parts, y_parts)):
+        cols[ys] = mass * verts[picks[:, k]].T
+    cols = cols / cols.sum(axis=0)[None, :]
+    order = np.lexsort(cols[::-1])
+    masses = np.array([mass for mass, *_ in parts])
+    values = np.array([value for *_, value in parts])
+    cost = dist.entropy(masses) + dist.sum_in_order(masses * values)
+    return _g0_value(d, cost), Mechanism(p_u=np.array(atoms)[order], p_y_given_u=cols[:, order])
+
+
+def _g0_value(d: JointDistribution, cost: float) -> float:
+    value = dist.entropy(dist.marginal_y(d)) - cost
+    return 0.0 if -1e-12 < value < 0.0 else value
 
 
 def entropy_profile(d: JointDistribution, mech: Mechanism) -> np.ndarray:

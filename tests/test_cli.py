@@ -1195,6 +1195,22 @@ def test_zero_mass_symbol_exits_2_naming_it(tmp_path, capsys, command, case):
     assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "mechanism", "code"])
+def test_tiny_total_normalizes_and_zero_total_exits_2(tmp_path, capsys, command):
+    # entries summing to 4e-10, below TAU_PROB, describe the uniform 2x2 as
+    # 1 1 / 1 1 does, byte for byte; a total of exactly 0 stays an error
+    outs = []
+    for content in ("joint:\n1e-10 1e-10\n1e-10 1e-10\n", "joint:\n1 1\n1 1\n"):
+        path = tmp_path / "input.txt"
+        path.write_text(content)
+        outs.append([run_cli(["--cmd", command, "--input", str(path), "--format", f]) for f in ("text", "structured")])
+        assert capsys.readouterr().err == ""
+    assert outs[0] == outs[1] and outs[0][0][0] == 0
+    path.write_text("joint:\n0 0\n0 0\n")
+    assert run_cli(["--cmd", command, "--input", str(path)]) == (2, "")
+    assert capsys.readouterr().err == "error: all probability mass is zero\n"
+
+
 @pytest.fixture(scope="module")
 def padded_joint_path(tmp_path_factory):
     return tmp_path_factory.mktemp("padded") / "joint.txt"

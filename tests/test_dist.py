@@ -58,6 +58,14 @@ def test_zero_mass_symbol_is_rejected(raw, named):
         dist.validate_and_normalize(raw)
 
 
+def test_tiny_positive_total_normalizes():
+    # a total at or below TAU_PROB is still a total; only exactly 0 is empty
+    d = dist.validate_and_normalize(np.full((2, 2), 1e-10))
+    assert d.p.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+    with pytest.raises(EmptySupport, match="all probability mass is zero"):
+        dist.validate_and_normalize([[0.0, 0.0], [0.0, -1e-10]])
+
+
 def test_valid_distribution_is_fixed_point():
     raw = np.array([[0.1, 0.4], [0.3, 0.2]])
     d = dist.validate_and_normalize(raw)

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    array_coupled_g0,
     bits,
     bound_matrices,
     entropy_profile,
@@ -144,20 +145,24 @@ def test_solve_g0_example1_couples_its_two_rows():
 
 
 def test_coupling_counts_weight_at_or_below_the_floor_as_spent():
-    # two components of mass 1/2 on y {0, 1} and {2, 3}, whose weights sum
-    # to 1 + 4e-13 and 1 + 3e-13: after the 0.75 + 2e-13 and 0.25 atoms
-    # they have 2e-13 and 1e-13 left, which are spent, not a third atom
-    eye = np.eye(2)
+    # two simplex components of mass 1/2 on y {0, 1} and {2, 3}, whose
+    # weights sum to 1 + 4e-13 and 1 + 3e-13: after the 0.75 + 2e-13 and
+    # 0.25 atoms they have 2e-13 and 1e-13 left, which are spent, not a
+    # third atom
+    ys = [np.array([0, 1]), np.array([2, 3])]
     parts = [
-        (0.5, eye, np.array([0.25, 0.75 + 4e-13]), 0.0),
-        (0.5, eye, np.array([0.75 + 2e-13, 0.25 + 1e-13]), 0.0),
+        (ys[0], 0.5, None, np.array([0.25, 0.75 + 4e-13]), 0.0),
+        (ys[1], 0.5, None, np.array([0.75 + 2e-13, 0.25 + 1e-13]), 0.0),
     ]
-    p_u, cols = mm._couple(parts, [np.array([0, 1]), np.array([2, 3])], 4)
+    p_u, cols = mm._couple(parts, 4)
     assert p_u.tolist() == [0.75 + 2e-13, 0.25]
     assert cols.T.tolist() == [[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]]
     # a weight at or below the floor never enters an atom
-    parts = [(0.5, eye, np.array([0.25, 0.75]), 0.0), (0.5, eye, np.array([1.0, mm.WEIGHT_FLOOR]), 0.0)]
-    p_u, cols = mm._couple(parts, [np.array([0, 1]), np.array([2, 3])], 4)
+    parts = [
+        (ys[0], 0.5, None, np.array([0.25, 0.75]), 0.0),
+        (ys[1], 0.5, None, np.array([1.0, mm.WEIGHT_FLOOR]), 0.0),
+    ]
+    p_u, cols = mm._couple(parts, 4)
     assert p_u.tolist() == [0.75, 0.25]
     assert cols.T.tolist() == [[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.5, 0.0]]
 
@@ -525,3 +530,34 @@ def test_factored_g0_matches_whole_joint_oracle(family, seed):
 @pytest.mark.parametrize("name", sorted(NAMED_JOINTS))
 def test_factored_g0_matches_whole_joint_oracle_on_named_joints(name):
     assert_factored_g0_matches_whole_joint(NAMED_JOINTS[name]())
+
+
+def assert_g0_matches_array_coupling(d):
+    """solve_g0's value, p_u and P(Y|U) equal the array coupling's bit for
+    bit, or both raise Infeasible."""
+    try:
+        want = array_coupled_g0(d)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            mm.solve_g0(d)
+        return
+    value, mech = mm.solve_g0(d)
+    assert bits(value) == bits(want[0])
+    assert mech.p_u.shape == want[1].p_u.shape and bits(mech.p_u) == bits(want[1].p_u)
+    assert mech.p_y_given_u.shape == want[1].p_y_given_u.shape
+    assert bits(mech.p_y_given_u) == bits(want[1].p_y_given_u)
+
+
+@given(st.sampled_from([*sorted(families.FAMILIES), "det-f-64"]), st.integers(0, 2**32 - 1))
+def test_g0_heap_coupling_matches_array_coupling_oracle(source, seed):
+    rng = np.random.default_rng(seed)
+    if source == "det-f-64":
+        d = families.random_deterministic_pair(rng, x_size=64, y_size=int(rng.integers(64, 193)))
+    else:
+        d = families.FAMILIES[source](rng)
+    assert_g0_matches_array_coupling(d)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_JOINTS))
+def test_g0_heap_coupling_matches_array_coupling_oracle_on_named_joints(name):
+    assert_g0_matches_array_coupling(NAMED_JOINTS[name]())
