@@ -28,11 +28,14 @@ Reports print each vector, and each row of a matrix, with one `%` format.
 A code document (`code --format structured`, format `zeroleak-code-v3`) is
 flat `key = value` lines, each key given once. Each scheme named in
 `schemes` (once) opens with the same header, `<scheme>.key_size` and
-`<scheme>.field_bits`, before its own keys. Matrices are rows `key.i`: the
-joint, two-part's P(Y|U=u) and its decode table, `two-part.decode.x`
-holding the y of each (x, u), -1 where the pair has no mass. `audit` reads
-each block of rows with one numpy conversion, and any miss reads it row by
-row, which names the first missing, short or malformed row.
+`<scheme>.field_bits`, before its own keys. The key is the pad, so the
+header must give the scheme's own values: |X| and ceil(log2 |X|) for
+two-part, |Y| and ceil(log2 |Y|) for direct-pad. Matrices are rows
+`key.i`: the joint, two-part's P(Y|U=u) and its decode table,
+`two-part.decode.x` holding the y of each (x, u), -1 where the pair has no
+mass. `audit` reads each block of rows with one numpy conversion, and any
+miss reads it row by row, which names the first missing, short or
+malformed row.
 
 `--seed` seeds `sweep`; no other command draws a random number.
 """
@@ -44,7 +47,6 @@ import functools
 import itertools
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -66,12 +68,9 @@ DEFAULT_SEED = 12345
 CODE_FORMAT = "zeroleak-code-v3"
 # The most (x, y, u, w) events (`codec.event_count`: key_size per
 # positive-mass triple) a code document may ask `audit` to account for; past
-# it, and past a field of `codec.MAX_FIELD_BITS`, `audit` raises ParseError.
-# At the limit an audit peaked at 0.13 GB resident on the folded path that
-# every code `code` builds takes, and at 0.36 GB on the event-by-event path
-# of a key size that is no multiple of the pad modulus. A code that `code`
-# builds has |X| or |Y| keys, so a 128 x 128 joint of positive entries with
-# one U symbol per y fits.
+# it, `audit` raises ParseError. At the limit an audit peaked at 0.13 GB
+# resident. A code has |X| or |Y| keys, so a 128 x 128 joint of positive
+# entries with one U symbol per y fits.
 MAX_AUDIT_EVENTS = 1 << 22
 
 
@@ -383,6 +382,14 @@ def _doc_field(doc: dict[str, str], key: str, parse):
         raise ParseError(f"cannot parse {key} = {doc[key]!r}") from None
 
 
+def _doc_size(doc: dict[str, str], key: str) -> int:
+    """``int(doc[key])``; ParseError unless it is at least 1."""
+    size = _doc_field(doc, key, int)
+    if size < 1:
+        raise ParseError(f"{key} = {size}, expected at least 1")
+    return size
+
+
 def _doc_vector(doc: dict[str, str], key: str, size: int, convert=_floats) -> np.ndarray:
     """``convert`` of the entries at ``key``; ParseError unless it has ``size`` entries."""
     v = _doc_field(doc, key, lambda text: convert(text.split()))
@@ -413,24 +420,19 @@ def _doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=_float
     return np.array([_doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
 
 
-def _doc_key_and_field(doc: dict[str, str], code: codec.PrivateCode) -> codec.PrivateCode:
-    """``code`` with the key size and field width of its scheme's header;
-    ParseError unless the key size is at least 1 and the field holds
-    ceil(log2 pad_modulus) to ``codec.MAX_FIELD_BITS`` bits."""
-    scheme = code.scheme
-    key_size = _doc_field(doc, f"{scheme}.key_size", int)
-    field_bits = _doc_field(doc, f"{scheme}.field_bits", int)
-    if key_size < 1 or field_bits < codec.ceil_log2(code.pad_modulus):
-        raise ParseError(f"{scheme}.key_size = {key_size} or field_bits = {field_bits} too small")
-    if field_bits > codec.MAX_FIELD_BITS:
-        raise ParseError(f"{scheme}.field_bits = {field_bits} exceeds the limit of {codec.MAX_FIELD_BITS} bits")
-    return replace(code, key_size=key_size, field_bits=field_bits)
+def _check_header(doc: dict[str, str], code: codec.PrivateCode) -> None:
+    """ParseError unless the scheme's header, ``<scheme>.key_size`` and then
+    ``<scheme>.field_bits``, gives the key size and field width of ``code``."""
+    for name in ("key_size", "field_bits"):
+        key = f"{code.scheme}.{name}"
+        value, want = _doc_field(doc, key, int), getattr(code, name)
+        if value != want:
+            raise ParseError(f"{key} = {value}, but the {code.scheme} code of this joint has {want}")
 
 
 def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
     """Reconstruct each serialized scheme and re-verify every invariant."""
-    x_size = _doc_field(doc, "x_size", int)
-    y_size = _doc_field(doc, "y_size", int)
+    x_size, y_size = _doc_size(doc, "x_size"), _doc_size(doc, "y_size")
     joint = _doc_block(doc, "joint", x_size, y_size)
     d = dist.validate_and_normalize(joint)
     schemes = _doc_field(doc, "schemes", str.split)
@@ -444,7 +446,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
         if scheme == codec.DIRECT_PAD:
             if y_size > x_size:
                 raise ParseError(f"direct-pad entry for a joint with |Y| = {y_size} > |X| = {x_size}")
-            code = _doc_key_and_field(doc, codec.build_direct_pad(d))
+            code = codec.build_direct_pad(d)
         elif scheme != codec.TWO_PART:
             raise ParseError(f"unknown scheme {scheme!r} in code document")
         else:
@@ -466,7 +468,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
             if None in words.values() or sum(key.startswith("two-part.codeword.") for key in doc) != u_size:
                 raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
             mech = Mechanism(p_u=p_u, p_y_given_u=dist.stochastic_columns(cols), decode=table)
-            code = _doc_key_and_field(doc, codec.build_two_part(d, mech, codec.PrefixCode(words)))
+            code = codec.build_two_part(d, mech, codec.PrefixCode(words))
             # zero-leakage and decodability are re-derived, not trusted
             resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())
             if resid > 1e-7:
@@ -487,6 +489,7 @@ def rebuild_and_audit(doc: dict[str, str], lines: Lines) -> list[str]:
                 if sorted_words[i + 1].startswith(sorted_words[i]):
                     violations.append("two-part: codewords are not prefix-free")
                     break
+        _check_header(doc, code)
         events = codec.event_count(code, d)
         if events > MAX_AUDIT_EVENTS:
             raise ParseError(

@@ -11,11 +11,11 @@ symbol and U. Two schemes:
 
 Audits never sample: they account exactly for every (x, y, u, w) event,
 every message bit and every unit of probability mass, in one vectorised
-pass that sums in the order of a one-at-a-time loop over the events. For
-every code ``build_codes`` makes, the uniform key spreads each padded
-symbol evenly over the fields (the one-time pad), so the pass enumerates
-only the (x, y, u) triples and expands them to events inside the ordered
-sums (see ``audit``). The (c, x) and (x, y, c) groups are numbered by first
+pass that sums in the order of a one-at-a-time loop over the events. The
+uniform key runs over the padded symbol's alphabet and spreads each symbol
+evenly over the fields (the one-time pad), so the pass enumerates only the
+(x, y, u) triples and expands them to events inside the ordered sums (see
+``audit``). The (c, x) and (x, y, c) groups are numbered by first
 occurrence from a key-indexed table of first entries, with no sort.
 ``build_codes`` picks the schemes that apply to an analysis, and
 ``check_audit`` names the invariants an audit shows broken.
@@ -42,9 +42,6 @@ from .mechanism import Analysis, Mechanism, conditional_u_given_y
 
 TWO_PART = "two-part"
 DIRECT_PAD = "direct-pad"
-# the widest fixed field the audit reads: it holds padded values and their
-# bounds (1 << width) in int64; a wider field reads as this wide
-MAX_FIELD_BITS = 62
 
 
 def ceil_log2(n: int) -> int:
@@ -130,18 +127,22 @@ class PrivateCode:
     message = ``field_bits``-bit padded symbol + ``u_code`` codeword of U,
     and y = ``mech.decode[symbol, u]``. The padded symbol is X for
     two-part (key_size = |X|) and Y for direct-pad (key_size = |Y|, one U
-    symbol with the empty codeword).
+    symbol with the empty codeword). The key is the pad: it runs over the
+    padded symbol's alphabet, the modulus of the pad.
     """
 
     scheme: str
     key_size: int
-    pad_modulus: int
     y_size: int
-    field_bits: int
     u_code: PrefixCode
     mech: Mechanism
     p_u_given_y: np.ndarray  # [u][y]
     p_x_given_y: np.ndarray | None = None  # [x][y]; two-part only
+
+    @property
+    def field_bits(self) -> int:
+        """The width of the fixed field, which holds every padded value."""
+        return ceil_log2(self.key_size)
 
 
 def build_two_part(d: JointDistribution, mech: Mechanism, u_code: PrefixCode) -> PrivateCode:
@@ -152,9 +153,7 @@ def build_two_part(d: JointDistribution, mech: Mechanism, u_code: PrefixCode) ->
     return PrivateCode(
         scheme=TWO_PART,
         key_size=d.x_size,
-        pad_modulus=d.x_size,
         y_size=d.y_size,
-        field_bits=ceil_log2(d.x_size),
         u_code=u_code,
         mech=mech,
         p_u_given_y=conditional_u_given_y(d, mech),
@@ -172,9 +171,7 @@ def build_direct_pad(d: JointDistribution) -> PrivateCode:
     return PrivateCode(
         scheme=DIRECT_PAD,
         key_size=n,
-        pad_modulus=n,
         y_size=n,
-        field_bits=ceil_log2(n),
         u_code=PrefixCode({0: ""}),
         mech=mech,
         p_u_given_y=np.ones((1, n)),
@@ -200,7 +197,7 @@ def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
 
 def message_bits(code: PrivateCode, x: int, u: int, y: int, w: int) -> str:
     """The deterministic bitstring for fully specified realizations."""
-    padded = ((x if code.scheme == TWO_PART else y) + w) % code.pad_modulus
+    padded = ((x if code.scheme == TWO_PART else y) + w) % code.key_size
     return to_bits(padded, code.field_bits) + code.u_code.codewords[u]
 
 
@@ -231,9 +228,9 @@ def decode(code: PrivateCode, bits: str, w: int) -> int:
     if len(bits) < field:
         raise MalformedBits(f"message shorter than the {field}-bit fixed field")
     padded = int(bits[:field], 2) if field else 0
-    if padded >= code.pad_modulus:
+    if padded >= code.key_size:
         raise MalformedBits(f"fixed field value {padded} out of range")
-    x = (padded - w) % code.pad_modulus  # the padded symbol: y for direct-pad
+    x = (padded - w) % code.key_size  # the padded symbol: y for direct-pad
     u = code.u_code.parse(bits[field:])
     if not 0 <= u < code.mech.u_size or code.mech.decode[x, u] < 0:
         raise MalformedBits(f"pair (x={x}, u={u}) has no decodable y")
@@ -251,16 +248,6 @@ class LeakageAudit:
     h_y_given_x_c: float
 
 
-def _folds(code: PrivateCode) -> bool:
-    """Whether the key runs over whole pad cycles into a field that holds
-    every padded value. Then each source symbol (x for two-part, y for
-    direct-pad) reaches each of the pad_modulus fields key_size //
-    pad_modulus times, and decoding does not depend on the key."""
-    n, width = code.pad_modulus, code.field_bits
-    whole_cycles = code.key_size > 0 and code.key_size % n == 0
-    return whole_cycles and (n == 1 or (width > 0 and n <= 1 << min(width, MAX_FIELD_BITS)))
-
-
 def event_count(code: PrivateCode, d: JointDistribution) -> int:
     """The number of (x, y, u, w) events ``audit`` accounts for: key_size
     per positive-mass (x, y, u) triple. Its time and memory grow with it."""
@@ -268,16 +255,13 @@ def event_count(code: PrivateCode, d: JointDistribution) -> int:
     return code.key_size * int(triples)
 
 
-def _events(code: PrivateCode, d: JointDistribution, keys: int):
-    """Arrays x, y, u, w, mass over the positive-mass events with w < ``keys``,
-    in (x, y, u, w) order."""
-    m = code.key_size
+def _events(code: PrivateCode, d: JointDistribution):
+    """Arrays x, y, u over the positive-mass (x, y, u) triples in order, and
+    the mass of each of a triple's key_size events."""
     q = code.p_u_given_y
     x, y, u = np.argwhere(~(d.p <= 0.0)[:, :, None] & ~(q.T <= 0.0)[None]).T
-    mass = d.p[x, y] * q[u, y] / m  # direct-pad's p * 1.0 / m is exactly p / m
-    if keys > 1:  # each (x, y, u) once per w
-        x, y, u, mass = (a.repeat(keys) for a in (x, y, u, mass))
-    return x, y, u, np.arange(x.size) % keys, mass
+    mass = d.p[x, y] * q[u, y] / code.key_size  # direct-pad's p * 1.0 / m is exactly p / m
+    return x, y, u, mass
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,14 +280,6 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = lead.cumsum()
     ids -= 1
     return ids[first_of], np.flatnonzero(lead)
-
-
-def _sums(ids: np.ndarray, values: np.ndarray, reps: int) -> np.ndarray:
-    """Each id's total (ids are small ints >= 0), added in array order with
-    every value ``reps`` times in a row."""
-    if reps > 1:
-        ids, values = ids.repeat(reps), values.repeat(reps)
-    return np.bincount(ids, weights=values)
 
 
 def _totals(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -334,38 +310,29 @@ def _decoded_u(u_code: PrefixCode, word: str, u_size: int) -> int:
     return u_hat if 0 <= u_hat < u_size else -1
 
 
-def _messages(code: PrivateCode, x, y, u, w):
-    """Each event's message as the int u_hat * pad_modulus + padded field,
-    its length in bits and the y decode reads off it. Raises decode's
-    MalformedBits for the first event that does not decode."""
-    n, width = code.pad_modulus, min(code.field_bits, MAX_FIELD_BITS)
-    padded = (x if code.scheme == TWO_PART else y) + w
-    padded %= n
-    # to_bits cannot render a value too wide for a nonempty field; an empty
-    # field holds any value and reads back as 0
-    bad = (padded >> width != 0) & (width > 0)
-    padded %= 1 << width
+def _messages(code: PrivateCode, x, y, u):
+    """Each triple's message class, its message length in bits and the y
+    decode reads off it. Raises decode's MalformedBits for the first event
+    that does not decode."""
+    field = x if code.scheme == TWO_PART else y  # the padded symbol, at w = 0
     u_size = code.p_u_given_y.shape[0]
     words = [code.u_code.codewords[s] for s in range(u_size)]
     length = (code.field_bits + np.array([len(c) for c in words]))[u]
     # symbols that share a codeword decode to the same one, so once every
-    # event decodes, the message C is the pair (u_hat, padded field)
+    # event decodes, the message C is the pair (u_hat, padded field), and
+    # its class, the message with the field dropped, is u_hat
     u_hat = np.array([_decoded_u(code.u_code, c, u_size) for c in words])[u]
-    msg = u_hat * n
-    msg += padded
     # decode's y, -1 where it raises: the decode table and one more column
     # of -1, which u_hat = -1 reads
-    table = np.full((n, u_size + 1), -1, dtype=code.mech.decode.dtype)
+    table = np.full((code.key_size, u_size + 1), -1, dtype=code.mech.decode.dtype)
     table[:, :-1] = code.mech.decode
-    padded -= w
-    padded %= n
-    y_hat = table[padded, u_hat]
-    bad |= y_hat < 0
+    y_hat = table[field, u_hat]
+    bad = y_hat < 0
     if bad.any():
-        ev = tuple(int(a[bad.argmax()]) for a in (x, u, y, w))
-        decode(code, message_bits(code, *ev), ev[3])
+        ev = tuple(int(a[bad.argmax()]) for a in (x, u, y)) + (0,)
+        decode(code, message_bits(code, *ev), 0)
         raise InternalError(f"audit finds event (x, u, y, w) = {ev} undecodable, decode does not")
-    return msg, length, y_hat
+    return u_hat, length, y_hat
 
 
 def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
@@ -377,46 +344,43 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     so each figure is, bit for bit, that of adding the events one at a time.
     Raises decode's MalformedBits for the first event that does not decode.
 
-    When the key folds (``_folds``; every code ``build_codes`` makes), the
-    (x, y, u) triples at w = 0 stand for all their events: a (c, x) or
-    (x, y, c) group is a class of triples, (x, u_hat) or (x, u_hat, y), at
-    one field, with the same mass at every field (direct-pad's u_hat is
-    always 0). Masses are expanded only inside the ordered sums:
-    key_size times for the total and the failed mass, key_size //
-    pad_modulus times in each group's sum, and pad_modulus times, class
-    first, for each group term. Other codes are enumerated event by event.
+    The key runs over the padded symbol's alphabet, so each padded symbol
+    (x for two-part, y for direct-pad) reaches each of the key_size fields
+    once, and decoding does not depend on the key. The (x, y, u) triples at
+    w = 0 thus stand for all their events: a (c, x) or (x, y, c) group is a
+    class of triples, (x, u_hat) or (x, u_hat, y), at one field, with the
+    same mass at every field (direct-pad's u_hat is always 0). Masses are
+    expanded key_size times, and only inside the ordered sums: in the total,
+    the failed mass, each x's mass and, class first, each group term.
     """
     if code.y_size != d.y_size:
         raise InternalError("code and distribution disagree on |Y|")
     m = code.key_size
-    keys, fields = (1, code.pad_modulus) if _folds(code) else (m, 1)
-    x, y, u, w, mass = _events(code, d, keys)
-    msg, length, y_hat = _messages(code, x, y, u, w)
+    x, y, u, mass = _events(code, d)
+    c, length, y_hat = _messages(code, x, y, u)
     if not (mass > 0.0).any():
         raise EmptySupport("no (x, y, u, w) event has positive mass")
-    each = m // keys  # events per enumerated one: the keys it stands for
-    total = dist.sum_in_order(mass.repeat(each))
-    failed = dist.sum_in_order(mass[y_hat != y].repeat(each))
-    # divide out P(w) = 1/m
-    per_key = np.bincount(w, weights=mass * length, minlength=keys).repeat(each) * m
-    del u, w, length, y_hat  # the groups need only x, y, msg and mass; this lowers the peak
-    msg //= fields  # the message class: the field is dropped under the fold
-    k = each // fields  # times each enumerated event enters its group at one field
+    total = dist.sum_in_order(mass.repeat(m))
+    failed = dist.sum_in_order(mass[y_hat != y].repeat(m))
+    # every key sees the same lengths; divide out P(w) = 1/m
+    per_key = np.full(m, dist.sum_in_order(mass * length) * m)
+    del u, length, y_hat  # the groups need only x, y, c and mass; this lowers the peak
 
     # p(c, x) and p(x, y, c), each group numbered and summed in event order
-    cx = msg * d.x_size
+    cx = c * d.x_size
     cx += x
     g, first = _first_seen(cx)
-    p_cx = _sums(g, mass, k)
-    p_c, p_x = _totals(msg[first], p_cx), _sums(x[first], p_cx, fields)[x[first]]
-    mi = dist.sum_in_order(_p_log2_ratio(p_cx, (p_cx,), (p_c, p_x)).repeat(fields))
+    p_cx = np.bincount(g, weights=mass)
+    x_g = x[first]
+    p_c, p_x = _totals(c[first], p_cx), np.bincount(x_g.repeat(m), weights=p_cx.repeat(m))[x_g]
+    mi = dist.sum_in_order(_p_log2_ratio(p_cx, (p_cx,), (p_c, p_x)).repeat(m))
     # the (x, y, c) key is built on the compact (c, x) ids, so its table has
     # |Y| entries per (c, x) group however sparse the message numbers are
     g *= d.y_size
     g += y
     g, first = _first_seen(g)
-    p_xyc = _sums(g, mass, k)
-    x_g, y_g, c_g = x[first], y[first], msg[first]
+    p_xyc = np.bincount(g, weights=mass)
+    x_g, y_g, c_g = x[first], y[first], c[first]
     p_yc = _totals(c_g * d.y_size + y_g, p_xyc)
     p_xc = _totals(cx[first], p_xyc)
     p_y = dist.marginal_y(d)
@@ -428,8 +392,8 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
         mi_c_x=float(max(mi, 0.0)),
         lossless_prob=np.float64(1.0 - failed / total),  # a numpy float, as the loop audit returned
         per_key_expected_length=per_key,
-        mi_c_x_given_y=float(max(dist.sum_in_order(mi_cond.repeat(fields)), 0.0)),
-        h_y_given_x_c=float(max(dist.sum_in_order(h_y_given_xc.repeat(fields)), 0.0)),
+        mi_c_x_given_y=float(max(dist.sum_in_order(mi_cond.repeat(m)), 0.0)),
+        h_y_given_x_c=float(max(dist.sum_in_order(h_y_given_xc.repeat(m)), 0.0)),
     )
 
 

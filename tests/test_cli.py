@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import bits, loop_doc_block, loop_parse_distribution_text
 
-from zeroleak import cli, dist, families
+from zeroleak import cli, codec, dist, families
 from zeroleak import mechanism as mm
 from zeroleak.errors import ParseError, StochasticityError
 
@@ -343,7 +343,10 @@ def _edited_code_doc(input_file, tmp_path, key, value):
         ("two-part.key_size", str(10**30), "two-part.key_size"),
         ("two-part.field_bits", str(10**30), "two-part.field_bits"),
         ("two-part.key_size", str(2**50), "two-part.key_size"),
-        ("two-part.key_size", str(cli.MAX_AUDIT_EVENTS - 1), "two-part.key_size"),
+        # a key size that is a multiple of |X| = 2, and a field wider than
+        # the scheme's, are not the scheme's own either
+        ("two-part.key_size", "4", "two-part.key_size = 4"),
+        ("two-part.field_bits", "2", "two-part.field_bits = 2"),
     ],
     ids=[
         "missing",
@@ -364,7 +367,8 @@ def _edited_code_doc(input_file, tmp_path, key, value):
         "key-size-past-int64",
         "field-bits-past-int64",
         "key-size-2-to-50",
-        "key-size-past-event-limit",
+        "key-size-multiple-of-x-size",
+        "field-bits-wider",
     ],
 )
 def test_audit_malformed_document_is_parse_error(
@@ -376,21 +380,28 @@ def test_audit_malformed_document_is_parse_error(
     assert named in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["two-part.key_size", "direct-pad.key_size"])
-def test_audit_key_size_past_the_event_limit_is_parse_error(tmp_path, capsys, key):
-    # a 16 x 16 joint with every entry positive has at least 256 (x, y, u)
-    # triples, so this key size, far below the number of keys an int64
-    # holds, asks the audit for more than MAX_AUDIT_EVENTS events
-    rng = np.random.default_rng(7)
-    joint = np.outer(rng.dirichlet(np.ones(16)), rng.dirichlet(np.ones(16)))
-    src = tmp_path / "independent.txt"
-    src.write_text("joint:\n" + "".join(" ".join(map(repr, row)) + "\n" for row in joint.tolist()))
-    # at its own 16 keys the document audits
-    assert run_cli(["--cmd", "audit", "--input", _edited_code_doc(str(src), tmp_path, key, "16")])[0] == 0
-    doc = _edited_code_doc(str(src), tmp_path, key, str(cli.MAX_AUDIT_EVENTS // 256 + 1))
-    status, _ = run_cli(["--cmd", "audit", "--input", doc])
+@pytest.mark.parametrize(
+    "key, n", [("two-part.key_size", 64), ("direct-pad.key_size", 162)], ids=["two-part.key_size", "direct-pad.key_size"]
+)
+def test_audit_key_size_past_the_event_limit_is_parse_error(tmp_path, capsys, key, n):
+    # the header gives the scheme's own key size, |X| = |Y| = n, and every
+    # joint entry is positive, so direct-pad has n^3 events and two-part,
+    # whose n U symbols each carry every y, n^4: past MAX_AUDIT_EVENTS
+    scheme = key.partition(".")[0]
+    events = n ** (3 if scheme == codec.DIRECT_PAD else 4)
+    assert events > cli.MAX_AUDIT_EVENTS
+    row = " ".join([repr(1 / n)] * n)
+    lines = [f"format = {cli.CODE_FORMAT}", f"x_size = {n}", f"y_size = {n}"]
+    lines += [f"joint.{x} = {row}" for x in range(n)]
+    lines += [f"schemes = {scheme}", f"{key} = {n}", f"{scheme}.field_bits = {codec.ceil_log2(n)}"]
+    if scheme == codec.TWO_PART:
+        lines += [f"two-part.u_size = {n}", f"two-part.p_u = {row}"]
+        lines += [f"two-part.p_y_given_u.{u} = {row}" for u in range(n)]
+        lines += [f"two-part.codeword.{u} = {u:06b}" for u in range(n)]
+        lines += [f"two-part.decode.{x} = {' '.join(['0'] * n)}" for x in range(n)]
+    status, _ = _audit_text(tmp_path, "".join(line + "\n" for line in lines))
     assert status == 2
-    assert f"{key} = {cli.MAX_AUDIT_EVENTS // 256 + 1}" in capsys.readouterr().err
+    assert f"{key} = {n} asks the audit for {events} events, past the limit of {cli.MAX_AUDIT_EVENTS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -490,19 +501,19 @@ def test_code_no_applicable_scheme(tmp_path):
     assert "no applicable scheme" in out
 
 
-def test_audit_reads_direct_pad_fields(tmp_path):
-    # the document's direct-pad key size and field width are audited, not
-    # rebuilt from the joint: a 7-bit field breaks the exact 2-bit length
+def test_audit_reads_direct_pad_fields(tmp_path, capsys):
+    # the document's direct-pad key size and field width are read and
+    # checked against the scheme's own |Y| = 3 keys and 2-bit field, key
+    # size first: a 7-bit field under 1 key is a ParseError, not a code
     doc = (GOLDEN / "uniform4x3.code.txt").read_text(encoding="utf-8")
     doc = doc.replace("direct-pad.field_bits = 2", "direct-pad.field_bits = 7")
     doc = doc.replace("direct-pad.key_size = 3", "direct-pad.key_size = 1")
-    path = tmp_path / "edited.txt"
-    path.write_text(doc)
-    status, out = run_cli(["--cmd", "audit", "--input", str(path)])
-    assert status == 1
-    assert "two-part.audit.ok = true" in out
-    assert "direct-pad.audit.ok = false" in out
-    assert "violation = direct-pad: message length is not exactly 2" in out
+    status, out = _audit_text(tmp_path, doc)
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: direct-pad.key_size = 1, but the direct-pad code of this joint has 3\n"
+    status, _ = _audit_text(tmp_path, doc.replace("direct-pad.key_size = 1\n", ""))
+    assert status == 2
+    assert "no 'direct-pad.key_size' entry" in capsys.readouterr().err
 
 
 def _golden_doc_with(name, key, value):
@@ -863,14 +874,22 @@ def test_underflowing_mass_gives_finite_audit_figures(tmp_path, tiny):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("direct-pad.key_size", "0"), ("direct-pad.field_bits", "1")]
+    "key, value",
+    [
+        ("direct-pad.key_size", "0"),
+        ("direct-pad.field_bits", "1"),
+        ("direct-pad.key_size", "1"),
+        ("direct-pad.field_bits", "7"),
+    ],
 )
 def test_audit_direct_pad_fields_too_small_is_parse_error(tmp_path, capsys, key, value):
+    # the scheme's own header is |Y| = 3 keys and a 2-bit field; any other
+    # value, smaller or larger, is named
     path = tmp_path / "edited.txt"
     path.write_text(_golden_doc_with("uniform4x3", key, value))
     status, _ = run_cli(["--cmd", "audit", "--input", str(path)])
     assert status == 2
-    assert "direct-pad.key_size" in capsys.readouterr().err
+    assert f"{key} = {value}," in capsys.readouterr().err
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -1085,8 +1104,16 @@ def test_negative_seed_is_usage_error(capsys, argv):
         ("analyze", "joint:\n1 1e400\n", "line 2, column 2"),
         ("analyze", None, "Is a directory"),
         ("analyze", b"\x89PNG\r\n\x1a\n\xff\xfe", "can't decode"),
-        ("audit", _golden_doc_with("uniform4x3", "x_size", 0), "shape"),
-        ("audit", _golden_doc_with("uniform4x3", "x_size", 2), "|Y| = 3 > |X| = 2"),
+        ("audit", _golden_doc_with("uniform4x3", "x_size", 0), "x_size = 0, expected at least 1"),
+        ("audit", _golden_doc_with("uniform4x3", "y_size", -1), "y_size = -1, expected at least 1"),
+        # the joint is cut to its first two rows, so two-part's header of
+        # |X| = 4 keys is no longer the scheme's own, and is read first
+        ("audit", _golden_doc_with("uniform4x3", "x_size", 2), "two-part.key_size = 4"),
+        (
+            "audit",
+            _golden_doc_with("uniform4x3", "x_size", 2).replace("schemes = two-part direct-pad", "schemes = direct-pad"),
+            "|Y| = 3 > |X| = 2",
+        ),
         ("audit", _golden_doc_with("uniform4x3", "joint.0", "inf 0.1 0.1"), "entry inf is not finite"),
         ("audit", _golden_doc_with("uniform4x3", "joint.2", "0.1 nan 0.1"), "entry nan is not finite"),
         ("audit", _golden_doc_with("example1", "two-part.p_u", "0 0 0 0"), "two-part.p_u has no positive mass"),
@@ -1134,7 +1161,9 @@ def test_negative_seed_is_usage_error(capsys, argv):
         "directory",
         "binary-file",
         "doc-x-size-0",
+        "doc-y-size-negative",
         "doc-direct-pad-y-above-x",
+        "doc-direct-pad-only-y-above-x",
         "doc-joint-inf",
         "doc-joint-nan",
         "doc-p-u-zero",
