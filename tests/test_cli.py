@@ -450,6 +450,7 @@ def test_audit_empty_codeword_beside_others_is_named_twice(tmp_path):
         pytest.param("example1", "code", id="code"),
         pytest.param("example1", "audit", id="audit"),
         pytest.param("example1", "analyze", id="analyze"),
+        pytest.param("example1", "mechanism", id="mechanism"),
         ("noisy", "analyze"),
         ("uniform4x3", "analyze"),
         ("uniform4x3", "code"),
@@ -463,13 +464,27 @@ def test_structured_output_matches_golden(name, command):
     """Structured output equals ``tests/golden/<name>.<command>.txt``. The
     input is the named joint (Example 1 from ``data/``, the others beside
     the goldens); ``audit`` reads the golden code document."""
+    assert _golden_run(name, command, "structured") == (GOLDEN / f"{name}.{command}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["example1", "uniform4x3", "ci2x2x3"])
+@pytest.mark.parametrize("command", ["code", "audit"])
+def test_text_output_matches_golden(name, command):
+    """Text output equals ``tests/golden/<name>.<command>.text.txt``, from
+    the same inputs as the structured goldens."""
+    assert _golden_run(name, command, "text") == (GOLDEN / f"{name}.{command}.text.txt").read_text(encoding="utf-8")
+
+
+def _golden_run(name, command, fmt):
+    """The output of ``command`` on the golden input of ``name`` in ``fmt``,
+    which must exit 0."""
     if command == "audit":
         source = GOLDEN / f"{name}.code.txt"
     else:
         source = EXAMPLE1_PATH if name == "example1" else GOLDEN / f"{name}.txt"
-    status, out = run_cli(["--cmd", command, "--input", str(source), "--format", "structured"])
+    status, out = run_cli(["--cmd", command, "--input", str(source), "--format", fmt])
     assert status == 0
-    assert out == (GOLDEN / f"{name}.{command}.txt").read_text(encoding="utf-8")
+    return out
 
 
 def test_code_solves_g0_once_on_common_info(tmp_path, monkeypatch):
