@@ -19,11 +19,25 @@ evenly over the fields (the one-time pad), so the pass enumerates only the
 occurrence from a key-indexed table of first entries, with no sort.
 ``build_codes`` picks the schemes that apply to an analysis, and
 ``check_audit`` names the invariants an audit shows broken.
+
+A code document (format ``zeroleak-code-v3``) is flat ``key = value``
+lines, each key given once: the head (format, sizes, joint rows and
+``schemes``, each scheme named once), then per scheme the header
+``<scheme>.key_size`` and ``<scheme>.field_bits`` and the body of the
+scheme's one writer and reader in ``_DOCUMENT``. The key is the pad, so the
+header must give the scheme's own values: |X| and ceil(log2 |X|) for
+two-part, |Y| and ceil(log2 |Y|) for direct-pad. Matrices are rows
+``key.i``, floats at ``%.17g``: the joint, two-part's P(Y|U=u) and its
+decode table, ``two-part.decode.x`` holding the y of each (x, u), -1 where
+the pair has no mass. A reader re-derives zero leakage and decodability.
+Each block of rows is read with one numpy conversion, and any miss reads
+it row by row, which names the first missing, short or malformed row.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -36,9 +50,13 @@ from .errors import (
     IncompleteMechanism,
     InternalError,
     MalformedBits,
+    NegativeMass,
+    NonFiniteMass,
+    NotDecodable,
+    ParseError,
     WrongRegime,
 )
-from .mechanism import Analysis, Mechanism, conditional_u_given_y
+from .mechanism import Analysis, Mechanism, build_decode_table, conditional_u_given_y
 
 TWO_PART = "two-part"
 DIRECT_PAD = "direct-pad"
@@ -248,13 +266,6 @@ class LeakageAudit:
     h_y_given_x_c: float
 
 
-def event_count(code: PrivateCode, d: JointDistribution) -> int:
-    """The number of (x, y, u, w) events ``audit`` accounts for: key_size
-    per positive-mass (x, y, u) triple. Its time and memory grow with it."""
-    triples = (~(d.p <= 0.0)).sum(axis=0) @ (~(code.p_u_given_y <= 0.0)).sum(axis=0)
-    return code.key_size * int(triples)
-
-
 def _events(code: PrivateCode, d: JointDistribution):
     """Arrays x, y, u over the positive-mass (x, y, u) triples in order, and
     the mass of each of a triple's key_size events."""
@@ -429,3 +440,219 @@ def check_audit(code: PrivateCode, audit: LeakageAudit, d: JointDistribution, co
         if not (np.abs(lengths - want) <= 1e-12).all():
             violations.append(f"{scheme}: message length is not exactly {want}")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# the code document
+
+CODE_FORMAT = "zeroleak-code-v3"
+# The most (x, y, u, w) events (key_size per positive-mass triple; the
+# audit's time and memory grow with them) a code document may ask ``audit``
+# to account for; past it, ``read_code`` raises ParseError. At the limit an
+# audit peaked at 0.13 GB resident. A code has |X| or |Y| keys, so a
+# 128 x 128 joint of positive entries with one U symbol per y fits.
+MAX_AUDIT_EVENTS = 1 << 22
+FLOAT = "%.17g"  # every float a document holds; "%.17g" % v is format(v, ".17g")
+
+
+def format_row(v, spec: str = FLOAT) -> str:
+    """Each entry of ``v`` as a float in ``spec``, space separated, in one format op."""
+    vals = np.asarray(v, dtype=float).tolist()
+    return " ".join([spec] * len(vals)) % tuple(vals)
+
+
+def format_rows(key: str, m: np.ndarray, spec: str = FLOAT) -> list[str]:
+    """The lines ``key.i = <row i of m>``, every entry in the ``%`` format
+    ``spec`` (``"%d"`` for a decode table), one format op per row."""
+    line = f"{key}.%d = " + " ".join([spec] * m.shape[1])
+    return [line % (i, *row) for i, row in enumerate(m.tolist())]
+
+
+def write_head(d: JointDistribution, schemes: list[str]) -> list[str]:
+    """The document's head: format marker, sizes, joint rows and ``schemes``."""
+    head = [f"format = {CODE_FORMAT}", f"x_size = {d.x_size}", f"y_size = {d.y_size}"]
+    return head + format_rows("joint", d.p) + [f"schemes = {' '.join(schemes)}"]
+
+
+def write_code(code: PrivateCode) -> list[str]:
+    """The lines of one scheme: its header, then its writer's body."""
+    header = [f"{code.scheme}.key_size = {code.key_size}", f"{code.scheme}.field_bits = {code.field_bits}"]
+    return header + _DOCUMENT[code.scheme][0](code)
+
+
+def parse_code_document(text: str) -> tuple[dict[str, str], JointDistribution, list[str]]:
+    """A document's ``key = value`` lines as a dict, with the joint and the
+    scheme names of its head; ``#`` starts a comment and a ``[`` line, a
+    text report's section title, is skipped."""
+    doc: dict[str, str] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line or line.startswith("["):
+            continue
+        if "=" not in line:
+            raise ParseError("expected `key = value`", line_no)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}", line_no)
+        doc[key] = value.strip()
+    if doc.get("format") != CODE_FORMAT:
+        raise ParseError(f"missing or unknown format marker (want {CODE_FORMAT})")
+    x_size, y_size = _doc_size(doc, "x_size"), _doc_size(doc, "y_size")
+    d = dist.validate_and_normalize(_doc_block(doc, "joint", x_size, y_size))
+    schemes = _doc_field(doc, "schemes", str.split)
+    if not schemes:
+        raise ParseError("code document's schemes entry is empty")
+    if len(set(schemes)) != len(schemes):
+        raise ParseError(f"code document's schemes entry names a scheme twice: {' '.join(schemes)}")
+    return doc, d, schemes
+
+
+def read_code(doc: dict[str, str], scheme: str, d: JointDistribution) -> tuple[PrivateCode, list[str]]:
+    """The ``scheme`` code of ``d`` rebuilt by the scheme's reader, and the
+    invariants it re-derives broken. ParseError unless the header gives the
+    code's own key size and field width, and the audit's events fit."""
+    if scheme not in _DOCUMENT:
+        raise ParseError(f"unknown scheme {scheme!r} in code document")
+    code, violations = _DOCUMENT[scheme][1](doc, d)
+    for name in ("key_size", "field_bits"):
+        key = f"{scheme}.{name}"
+        value, want = _doc_field(doc, key, int), getattr(code, name)
+        if value != want:
+            raise ParseError(f"{key} = {value}, but the {scheme} code of this joint has {want}")
+    events = code.key_size * int((~(d.p <= 0.0)).sum(axis=0) @ (~(code.p_u_given_y <= 0.0)).sum(axis=0))
+    if events > MAX_AUDIT_EVENTS:
+        raise ParseError(
+            f"{scheme}.key_size = {code.key_size} asks the audit for {events} events,"
+            f" past the limit of {MAX_AUDIT_EVENTS}"
+        )
+    return code, violations
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    """Each token read by ``float`` (numpy's conversion of a string is ``float``'s)."""
+    return np.array(tokens, dtype=float)
+
+
+def _ints(tokens: list[str]) -> np.ndarray:
+    """Each token read by ``int`` (numpy's conversion of a string is
+    ``int``'s) into int64; an integer past int64 reads as -2, which is no
+    decode table's entry either."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -(1 << 63) <= v < 1 << 63 else -2 for v in map(int, tokens)], dtype=np.int64)
+
+
+def _doc_field(doc: dict[str, str], key: str, parse):
+    """``parse(doc[key])``; ParseError when the key is missing or malformed."""
+    if key not in doc:
+        raise ParseError(f"code document has no {key!r} entry")
+    try:
+        return parse(doc[key])
+    except ValueError:
+        raise ParseError(f"cannot parse {key} = {doc[key]!r}") from None
+
+
+def _doc_size(doc: dict[str, str], key: str) -> int:
+    """``int(doc[key])``; ParseError unless it is at least 1."""
+    size = _doc_field(doc, key, int)
+    if size < 1:
+        raise ParseError(f"{key} = {size}, expected at least 1")
+    return size
+
+
+def _doc_vector(doc: dict[str, str], key: str, size: int, convert=_floats) -> np.ndarray:
+    """``convert`` of the entries at ``key``; ParseError unless it has ``size`` entries."""
+    v = _doc_field(doc, key, lambda text: convert(text.split()))
+    if v.size != size:
+        raise ParseError(f"{key} has {v.size} entries, expected {size}")
+    return v
+
+
+def _doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=_floats) -> np.ndarray:
+    """The rows ``key.0`` .. ``key.{n-1}`` of ``width`` entries each, as one
+    (n, width) array from one ``convert`` of the whole block.
+
+    Rows are gathered up to the first missing one, so a hostile ``n`` builds
+    nothing larger than the document. Any miss reads the block row by row
+    with ``_doc_vector``, which raises ParseError at the first missing, short
+    or malformed row (and, for n = 0, gives the empty vector)."""
+    rows = []
+    for i in range(n):
+        row = doc.get(f"{key}.{i}")
+        if row is None:
+            break
+        rows.append(row.split())
+    if 0 < len(rows) == n and all(len(row) == width for row in rows):
+        try:
+            return convert(list(itertools.chain.from_iterable(rows))).reshape(n, width)
+        except ValueError:
+            pass
+    return np.array([_doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
+
+
+def _write_two_part(code: PrivateCode) -> list[str]:
+    m = code.mech
+    return [
+        f"two-part.u_size = {m.u_size}",
+        f"two-part.p_u = {format_row(m.p_u)}",
+        *format_rows("two-part.p_y_given_u", m.p_y_given_u.T),
+        *[f"two-part.codeword.{u} = {w}" for u, w in sorted(code.u_code.codewords.items())],
+        *format_rows("two-part.decode", m.decode, "%d"),
+    ]
+
+
+def _read_two_part(doc: dict[str, str], d: JointDistribution) -> tuple[PrivateCode, list[str]]:
+    u_size = _doc_size(doc, "two-part.u_size")
+    p_u = _doc_vector(doc, "two-part.p_u", u_size)
+    if not np.isfinite(p_u).all():
+        raise NonFiniteMass(f"two-part.p_u entry {p_u[~np.isfinite(p_u)][0]} is not finite")
+    if (p_u < 0.0).any():
+        raise NegativeMass(f"two-part.p_u entry {p_u[p_u < 0.0][0]} is negative")
+    if not (p_u > 0.0).any():
+        raise ParseError("two-part.p_u has no positive mass")
+    cols = _doc_block(doc, "two-part.p_y_given_u", u_size, d.y_size).T
+    # a y outside -1..|Y|-1 is stored as |Y|, which no event decodes to; a
+    # decode key other than the x_size rows is flagged
+    table = _doc_block(doc, "two-part.decode", d.x_size, u_size, _ints)
+    table[(table < -1) | (table >= d.y_size)] = d.y_size
+    stray = sum(key.startswith("two-part.decode.") for key in doc) != d.x_size
+    words = {u: doc.get(f"two-part.codeword.{u}") for u in range(u_size)}
+    if None in words.values() or sum(key.startswith("two-part.codeword.") for key in doc) != u_size:
+        raise ParseError(f"two-part.codeword.* must be numbered 0..{u_size - 1}")
+    mech = Mechanism(p_u=p_u, p_y_given_u=dist.stochastic_columns(cols), decode=table)
+    code = build_two_part(d, mech, PrefixCode(words))
+    violations = []
+    resid = float(np.abs(code.p_x_given_y @ cols - dist.marginal_x(d)[:, None]).max())
+    if resid > 1e-7:
+        violations.append(f"two-part: column leakage residual {resid:.3g}")
+    mix = float(np.abs(cols @ p_u - dist.marginal_y(d)).max())
+    if mix > 1e-7:
+        violations.append(f"two-part: mixture does not reproduce P_Y ({mix:.3g})")
+    try:
+        if stray or not np.array_equal(build_decode_table(d, mech).decode, table):
+            violations.append("two-part: serialized decode table mismatch")
+    except NotDecodable as exc:
+        violations.append(f"two-part: not decodable ({exc})")
+    # sorted, a word that prefixes any other prefixes the next one; a
+    # prefix-free set satisfies Kraft, so no Kraft check is made
+    sorted_words = sorted(words.values())
+    if any(b.startswith(a) for a, b in zip(sorted_words, sorted_words[1:])):
+        violations.append("two-part: codewords are not prefix-free")
+    return code, violations
+
+
+def _read_direct_pad(doc: dict[str, str], d: JointDistribution) -> tuple[PrivateCode, list[str]]:
+    if d.y_size > d.x_size:
+        raise ParseError(f"direct-pad entry for a joint with |Y| = {d.y_size} > |X| = {d.x_size}")
+    return build_direct_pad(d), []
+
+
+# each scheme's (writer, reader): the writer gives the lines after the
+# scheme's header, and the reader rebuilds the code and names the
+# invariants it re-derives broken; direct-pad writes no lines of its own
+_DOCUMENT = {
+    TWO_PART: (_write_two_part, _read_two_part),
+    DIRECT_PAD: (lambda code: [], _read_direct_pad),
+}

@@ -1,4 +1,4 @@
-"""Seeded random instance generators used by the sweep command and the tests.
+"""Seeded random instance generators, and the sweep command's property suite.
 
 Three families cover the three membership branches: deterministic X = f(Y)
 (member by construction), common-structure pairs X = (V, N1), Y = (V, N2)
@@ -9,14 +9,17 @@ its vertices differ in entropy, so the g0 LP has a live objective there.
 A fifth draws full-support joints, which no two-part code serves unless X
 and Y are independent: dependent ones, and near-independent products on
 which the membership tolerances decide.
+
+``check_instance`` runs the suite on one instance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import dist
+from . import codec, dist, mechanism
 from .dist import JointDistribution
+from .errors import ZeroLeakError
 
 
 def _random_simplex(rng: np.random.Generator, n: int, floor: float = 0.02) -> np.ndarray:
@@ -131,3 +134,68 @@ FAMILIES = {
     "rect": random_rectangle_member,
     "full-support": random_full_support_pair,
 }
+
+
+def check_instance(d: JointDistribution, family: str) -> list[str]:
+    """Property suite for one instance of ``family``; returns the violated
+    invariants. An error raised by the analysis or the codes is one of
+    them: none may escape."""
+    try:
+        a = mechanism.analyze(d)
+        if a.two_part_excluded and a.mech_decodable:
+            return ["two-part ruled out by the full-support test, yet the g0 mechanism decodes"]
+        if family in ("det-f", "common-info", "rect") and not a.member:
+            return [f"expected membership, got g0 = {a.g0:.6g}"]
+        if family == "invertible" and a.member and not a.boundary:
+            if a.h_cond > 10 * mechanism.TAU_ENT:
+                return ["invertible kernel unexpectedly a member"]
+            return []
+        if not a.member:
+            return []
+        problems = []
+        b, hu = a.bounds, a.achieved_hu
+        # a member whose bound LPs failed has no sandwich; ``boundary`` says so
+        if b is not None and not (b.k_lower - 1e-6 <= hu <= b.k_upper_strengthened + 1e-6):
+            problems.append(f"sandwich failed: {b.k_lower} <= {hu} <= {b.k_upper_strengthened}")
+        if information_identity_residual(d, a.mech) > 1e-9:
+            problems.append("information identity residual above 1e-9")
+        for code in codec.build_codes(a):
+            problems += codec.check_audit(code, codec.audit(code, d), d, a.h_given_x.max())
+        return problems
+    except ZeroLeakError as exc:
+        return [f"raised {type(exc).__name__}: {exc}"]
+
+
+def _entropy_y_given_xu(joint: np.ndarray) -> float:
+    """sum over (x, u) with P(x, u) > 0 of P(x, u) H(Y | x, u), added in (x, u)
+    order; each term equals, bit for bit, the one-row ``dist.entropy``'s."""
+    p_xu = joint.sum(axis=1)
+    live = p_xu > 0.0
+    w = p_xu[live]
+    return dist.sum_in_order(w * dist.entropy_rows(joint.transpose(0, 2, 1)[live] / w[:, None]))
+
+
+def information_identity_terms(d: JointDistribution, mech: mechanism.Mechanism) -> dict[str, float]:
+    """The five terms of I(U;Y) = I(X;U) + H(Y|X) - I(X;U|Y) - H(Y|X,U),
+    each computed from the exact (x, y, u) joint."""
+    joint = mechanism.mechanism_joint(d, mech)
+    p_xu = joint.sum(axis=1)
+    p_yu = joint.sum(axis=0)
+    i_xu_given_y = 0.0
+    for y in range(d.y_size):
+        slab = joint[:, y, :]
+        m = slab.sum()
+        if m > 0.0:
+            i_xu_given_y += m * dist.mutual_information(JointDistribution(slab / m))
+    return {
+        "i_uy": dist.mutual_information(JointDistribution(p_yu)),
+        "i_xu": dist.mutual_information(JointDistribution(p_xu)),
+        "h_y_given_x": dist.conditional_entropy_y_given_x(d),
+        "i_xu_given_y": i_xu_given_y,
+        "h_y_given_xu": _entropy_y_given_xu(joint),
+    }
+
+
+def information_identity_residual(d: JointDistribution, mech: mechanism.Mechanism) -> float:
+    t = information_identity_terms(d, mech)
+    return abs(t["i_uy"] - t["i_xu"] - t["h_y_given_x"] + t["i_xu_given_y"] + t["h_y_given_xu"])

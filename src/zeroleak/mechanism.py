@@ -20,9 +20,9 @@ are computed on their first read from the ``Analysis`` and kept there.
 ``analyze`` and ``mechanism`` print them all; ``code`` reads the test
 first, so on a full-support joint that no two-part code can serve it
 walks no vertex and solves no LP.
-The vertex entropies, the decode table and H(Y|X,U) are taken as array
-operations over all vertices or (x, u) pairs at once; each figure equals
-that of a loop over them with the one-row ``dist.entropy``, bit for bit.
+The vertex entropies and the decode table are taken as array operations
+over all vertices or (x, u) pairs at once; each figure equals that of a
+loop over them with the one-row ``dist.entropy``, bit for bit.
 """
 
 from __future__ import annotations
@@ -431,14 +431,6 @@ def build_decode_table(d: JointDistribution, mech: Mechanism) -> Mechanism:
     return replace(mech, decode=np.where(n_live > 0, live.argmax(axis=1), -1))
 
 
-def _entropy_y_given_xu(joint: np.ndarray) -> float:
-    """sum over (x, u) with P(x, u) > 0 of P(x, u) H(Y | x, u), added in (x, u) order."""
-    p_xu = joint.sum(axis=1)
-    live = p_xu > 0.0
-    w = p_xu[live]
-    return dist.sum_in_order(w * dist.entropy_rows(joint.transpose(0, 2, 1)[live] / w[:, None]))
-
-
 def analyze(d: JointDistribution) -> Analysis:
     """H(Y|X=x) for every x, H(Y|X), whether X = f(Y) and
     ``excludes_two_part``; the g0 synthesis and membership, the kernel's
@@ -454,31 +446,3 @@ def analyze(d: JointDistribution) -> Analysis:
     h_given_x = dist.conditional_entropies(d)
     h_cond = dist.sum_in_order(dist.marginal_x(d) * h_given_x)
     return Analysis(d, h_given_x, h_cond, x_is_function_of_y(d), excludes_two_part(d))
-
-
-def information_identity_terms(d: JointDistribution, mech: Mechanism) -> dict[str, float]:
-    """The five terms of I(U;Y) = I(X;U) + H(Y|X) - I(X;U|Y) - H(Y|X,U),
-    each computed from the exact (x, y, u) joint."""
-    joint = mechanism_joint(d, mech)
-    p_xu = joint.sum(axis=1)
-    p_yu = joint.sum(axis=0)
-    i_xu_given_y = 0.0
-    for y in range(d.y_size):
-        slab = joint[:, y, :]
-        m = slab.sum()
-        if m > 0.0:
-            i_xu_given_y += m * dist.mutual_information(JointDistribution(slab / m))
-    return {
-        "i_uy": dist.mutual_information(JointDistribution(p_yu)),
-        "i_xu": dist.mutual_information(JointDistribution(p_xu)),
-        "h_y_given_x": dist.conditional_entropy_y_given_x(d),
-        "i_xu_given_y": i_xu_given_y,
-        "h_y_given_xu": _entropy_y_given_xu(joint),
-    }
-
-
-def information_identity_residual(d: JointDistribution, mech: Mechanism) -> float:
-    t = information_identity_terms(d, mech)
-    return abs(
-        t["i_uy"] - t["i_xu"] - t["h_y_given_x"] + t["i_xu_given_y"] + t["h_y_given_xu"]
-    )

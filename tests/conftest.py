@@ -15,11 +15,12 @@ bit-for-bit oracle for its per-component heaps, the per-symbol entropy
 profile of a mechanism, the loop audit that is the oracle for
 ``codec.audit``, the sorting group numbering that is the oracle for its
 grouping, the one-row-at-a-time entropy and decode-table loops that are
-the oracles for the batched forms in ``dist`` and ``mechanism``, the
-token-at-a-time distribution parser that is the oracle for the
-section-at-a-time ``cli.parse_distribution_text``, the row-at-a-time code
-document reader that is the oracle for the block-at-a-time
-``cli._doc_block``, and the two-part encoder for a sender who sees (x, y).
+the oracles for the batched forms in ``dist``, ``mechanism`` and
+``families``, the token-at-a-time distribution parser that is the oracle
+for the section-at-a-time ``cli.parse_distribution_text``, the
+row-at-a-time code document reader that is the oracle for the
+block-at-a-time ``codec._doc_block``, and the two-part encoder for a
+sender who sees (x, y).
 """
 
 import struct
@@ -363,10 +364,10 @@ def loop_parse_distribution_text(text: str) -> JointDistribution:
     raise ParseError("need a joint: section or both p_x_given_y: and p_y:")
 
 
-def loop_doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=cli._floats) -> np.ndarray:
-    """``cli._doc_block`` one row at a time: each row read by
-    ``cli._doc_vector`` in turn."""
-    return np.array([cli._doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
+def loop_doc_block(doc: dict[str, str], key: str, n: int, width: int, convert=codec._floats) -> np.ndarray:
+    """``codec._doc_block`` one row at a time: each row read by
+    ``codec._doc_vector`` in turn."""
+    return np.array([codec._doc_vector(doc, f"{key}.{i}", width, convert) for i in range(n)])
 
 
 def encode_pair(code: codec.PrivateCode, x: int, y: int, w: int, rng: np.random.Generator) -> str:

@@ -78,7 +78,7 @@ def test_criterion_1_example_reproduction():
     d = dist.from_conditional(EX1_KERNEL, EX1_PY)
     a = mm.analyze(d)
     value, mech = synthesized(d)
-    terms = mm.information_identity_terms(d, mech)
+    terms = families.information_identity_terms(d, mech)
     hu = dist.entropy(mech.p_u)
     elapsed = time.perf_counter() - t0
     h_cond = dist.conditional_entropy_y_given_x(d)
@@ -142,7 +142,7 @@ def test_criterion_4_information_identity():
     ds = [dist.from_conditional(EX1_KERNEL, EX1_PY)] + det_instances()
     for d in ds:
         _, mech = synthesized(d)
-        worst = max(worst, mm.information_identity_residual(d, mech))
+        worst = max(worst, families.information_identity_residual(d, mech))
         count += 1
     _verdict(
         "4 (information identity on every synthesized mechanism)",

@@ -224,8 +224,8 @@ def test_vec_and_rows_match_format_oracle(values):
     for structured, spec in ((True, ".17g"), (False, ".6g")):
         assert [cli._f(v, structured) for v in values] == [format(v, spec) for v in values]
         want = " ".join(format(v, spec) for v in values)
-        assert cli._vec(np.array(values), structured) == want
-        rows = cli._rows("key", np.array([values, values[::-1]]).reshape(2, len(values)), cli._SPEC[structured])
+        assert codec.format_row(np.array(values), cli._SPEC[structured]) == want
+        rows = codec.format_rows("key", np.array([values, values[::-1]]).reshape(2, len(values)), cli._SPEC[structured])
         assert rows == [f"key.0 = {want}", "key.1 = " + " ".join(format(v, spec) for v in values[::-1])]
 
 
@@ -327,6 +327,8 @@ def _edited_code_doc(input_file, tmp_path, key, value):
     [
         ("two-part.u_size", None, "two-part.u_size"),
         ("two-part.u_size", "two", "two-part.u_size"),
+        ("two-part.u_size", "0", "two-part.u_size = 0, expected at least 1"),
+        ("two-part.u_size", "-1", "two-part.u_size = -1, expected at least 1"),
         ("joint.0", "0.125 0.25 0.375 0 0", "joint.0"),
         ("two-part.p_y_given_u.0", "0 0 0.75 0.25 0", "two-part.p_y_given_u.0"),
         ("two-part.decode.0", "abc 1 1 0", "two-part.decode.0"),
@@ -351,6 +353,8 @@ def _edited_code_doc(input_file, tmp_path, key, value):
     ids=[
         "missing",
         "malformed",
+        "u-size-0",
+        "u-size-negative",
         "ragged-joint-row",
         "ragged-column",
         "decode-value",
@@ -389,9 +393,9 @@ def test_audit_key_size_past_the_event_limit_is_parse_error(tmp_path, capsys, ke
     # whose n U symbols each carry every y, n^4: past MAX_AUDIT_EVENTS
     scheme = key.partition(".")[0]
     events = n ** (3 if scheme == codec.DIRECT_PAD else 4)
-    assert events > cli.MAX_AUDIT_EVENTS
+    assert events > codec.MAX_AUDIT_EVENTS
     row = " ".join([repr(1 / n)] * n)
-    lines = [f"format = {cli.CODE_FORMAT}", f"x_size = {n}", f"y_size = {n}"]
+    lines = [f"format = {codec.CODE_FORMAT}", f"x_size = {n}", f"y_size = {n}"]
     lines += [f"joint.{x} = {row}" for x in range(n)]
     lines += [f"schemes = {scheme}", f"{key} = {n}", f"{scheme}.field_bits = {codec.ceil_log2(n)}"]
     if scheme == codec.TWO_PART:
@@ -401,7 +405,7 @@ def test_audit_key_size_past_the_event_limit_is_parse_error(tmp_path, capsys, ke
         lines += [f"two-part.decode.{x} = {' '.join(['0'] * n)}" for x in range(n)]
     status, _ = _audit_text(tmp_path, "".join(line + "\n" for line in lines))
     assert status == 2
-    assert f"{key} = {n} asks the audit for {events} events, past the limit of {cli.MAX_AUDIT_EVENTS}" in capsys.readouterr().err
+    assert f"{key} = {n} asks the audit for {events} events, past the limit of {codec.MAX_AUDIT_EVENTS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -619,7 +623,7 @@ def _audit_error(tmp_path, capsys, text):
 def test_audit_of_a_v1_document_is_parse_error(tmp_path, capsys, marker):
     # no reader is kept for an earlier format
     text = (GOLDEN / "example1.code.txt").read_text(encoding="utf-8")
-    status, err = _audit_error(tmp_path, capsys, text.replace(cli.CODE_FORMAT, marker))
+    status, err = _audit_error(tmp_path, capsys, text.replace(codec.CODE_FORMAT, marker))
     assert status == 2
     assert err == "error: missing or unknown format marker (want zeroleak-code-v3)\n"
 
@@ -688,9 +692,9 @@ def mutated_blocks(draw):
     to three edits, each one of: drop a row, drop a token from a row, add a
     token to a row, set a token to a hostile one, or ask for rows past those
     present."""
-    convert = draw(st.sampled_from([cli._floats, cli._ints]))
+    convert = draw(st.sampled_from([codec._floats, codec._ints]))
     n, width = draw(st.integers(0, 5)), draw(st.integers(0, 4))
-    token = st.integers(-3, 40).map(str) if convert is cli._ints else st.floats(0, 1).map(repr)
+    token = st.integers(-3, 40).map(str) if convert is codec._ints else st.floats(0, 1).map(repr)
     rows = {i: [draw(token) for _ in range(width)] for i in range(n)}
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(["drop", "short", "extra", "hostile", "past"]))
@@ -710,16 +714,16 @@ def mutated_blocks(draw):
 
 
 @given(mutated_blocks())
-@example(({"b.0": "1 2 3", "b.1": "4"}, 2, 2, cli._ints))  # ragged rows whose total is n * width
-@example(({"b.0": f"{2**64} 1", "b.1": "abc 1"}, 2, 2, cli._ints))
-@example(({"b.0": "0.5 1e400"}, 10**30, 2, cli._floats))
-@example(({}, 0, 3, cli._floats))
+@example(({"b.0": "1 2 3", "b.1": "4"}, 2, 2, codec._ints))  # ragged rows whose total is n * width
+@example(({"b.0": f"{2**64} 1", "b.1": "abc 1"}, 2, 2, codec._ints))
+@example(({"b.0": "0.5 1e400"}, 10**30, 2, codec._floats))
+@example(({}, 0, 3, codec._floats))
 def test_doc_block_reader_oracle(block):
     # one conversion per block reads the same array as one per row, or raises
     # the same ParseError
     doc, n, width, convert = block
     want = _block_outcome(loop_doc_block, doc, "b", n, width, convert)
-    assert _block_outcome(cli._doc_block, doc, "b", n, width, convert) == want
+    assert _block_outcome(codec._doc_block, doc, "b", n, width, convert) == want
 
 
 GOLDEN_CODE_DOCS = [p.read_text(encoding="utf-8") for p in sorted(GOLDEN.glob("*.code.txt"))]

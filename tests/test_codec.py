@@ -543,3 +543,20 @@ def test_audit_matches_loop_oracle_on_audit_heavy_shapes(shape):
     rng = np.random.default_rng(1)
     d = families.random_common_info_pair(rng, *shape)
     assert _audits_match_loop(d, rng) == [codec.TWO_PART, codec.DIRECT_PAD]
+
+
+@given(st.sampled_from(sorted(families.FAMILIES)), st.integers(0, 2**32 - 1))
+def test_each_scheme_reads_back_the_code_it_writes(family, seed):
+    # a scheme's reader, given the written lines and the joint, rebuilds
+    # the code its writer wrote, bit for bit, and names no violation
+    d = families.FAMILIES[family](np.random.default_rng(seed))
+    for code in codec.build_codes(mm.analyze(d)):
+        lines = codec.write_head(d, [code.scheme]) + codec.write_code(code)
+        doc, _, schemes = codec.parse_code_document("".join(line + "\n" for line in lines))
+        rebuilt, violations = codec.read_code(doc, code.scheme, d)
+        assert schemes == [code.scheme] and violations == []
+        assert (rebuilt.scheme, rebuilt.key_size) == (code.scheme, code.key_size)
+        assert rebuilt.u_code.codewords == code.u_code.codewords
+        for name in ("p_u", "p_y_given_u", "decode"):
+            want, got = getattr(code.mech, name), getattr(rebuilt.mech, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
