@@ -18,11 +18,11 @@ Input files are plain text: either a `joint:` section with |X| rows of |Y|
 entries, or a `p_x_given_y:` kernel section plus a `p_y:` vector. Entries
 are decimals or exact fractions like 3/16, each read as
 `float(Fraction(entry))`. `#` starts a comment. A section is converted when
-it closes: if every line is plain ASCII decimals with no minus sign, one
-numpy conversion reads the whole section, and it stands unless it holds an
-infinite value: `float` and `Fraction` part only there and at -0. Otherwise
-the section is read entry by entry, and the first bad entry raises
-ParseError with its line and column.
+it closes: if it holds only the ASCII characters of decimals, with a minus
+sign only in an exponent, one numpy conversion reads the whole section, and
+it stands unless a token is not a number or a value is infinite: `float` and
+`Fraction` part only there and at -0. Otherwise the section is read entry
+by entry, and the first bad entry raises ParseError with its line and column.
 
 Reports print each vector, and each row of a matrix, with one `%` format.
 
@@ -52,10 +52,9 @@ DEFAULT_SEED = 12345
 # input parsing
 
 
-# a decimal with no minus sign, and a line of them between ASCII whitespace,
-# which str.split cuts into exactly those decimals
-_NUMBER = r"\+?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
-_DECIMAL_LINE = re.compile(rf"{_NUMBER}(?:\s+{_NUMBER})*", re.ASCII)
+# decimals' characters and the ASCII whitespace str.split cuts them at, with
+# a minus sign only in an exponent
+_DECIMAL_CHARS = re.compile(r"[0-9.+\s]*(?:[eE]-?[0-9.+\s]*)*", re.ASCII)
 
 
 def _parse_token(tok: str, line_no: int, col: int) -> float:
@@ -69,22 +68,25 @@ def _parse_token(tok: str, line_no: int, col: int) -> float:
 def _section_values(lines: list[tuple[int, str]]) -> tuple[np.ndarray, list[int]]:
     """A section's entries in reading order, and how many each line holds.
 
-    When every line is plain decimals, one numpy conversion (which is
-    ``float``) reads the whole section. ``float`` rounds a plain decimal to
-    the same double as ``Fraction``; they part only at an exact zero with a
-    minus sign, which ``Fraction`` reads as 0.0 and ``float`` as -0.0, and
-    past the largest double, where ``Fraction`` raises and ``float`` gives
-    inf.
-    So a section with a minus sign (in valid input only a zero carries one)
-    is not converted, and a conversion stands unless a value is infinite.
-    Any miss reads the section token by token with ``_parse_token``, which
-    raises at the first bad token in reading order."""
+    When the section holds only the characters of plain decimals, one
+    numpy conversion (which is ``float``) reads it whole. ``float`` rounds a
+    plain decimal to the same double as ``Fraction``; they part only at an
+    exact zero with a minus sign, which ``Fraction`` reads as 0.0 and
+    ``float`` as -0.0, and past the largest double, where ``Fraction``
+    raises and ``float`` gives inf. So a section with a minus sign other
+    than an exponent's is not converted, and a conversion stands unless a
+    token is not a number (``1e``, ``..``) or a value is infinite. Any miss
+    reads the section token by token with ``_parse_token``, which raises at
+    the first bad token in reading order."""
     rows = [line.split() for _, line in lines]
     counts = [len(row) for row in rows]
-    if all(_DECIMAL_LINE.fullmatch(line) for _, line in lines):
-        values = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
-        if np.isfinite(values).all():
-            return values, counts
+    if _DECIMAL_CHARS.fullmatch(" ".join(line for _, line in lines)):
+        try:
+            values = np.array(list(itertools.chain.from_iterable(rows)), dtype=float)
+            if np.isfinite(values).all():
+                return values, counts
+        except ValueError:  # a token such as 1e or .. is no number
+            pass
     return np.array(
         [
             _parse_token(tok, line_no, col)

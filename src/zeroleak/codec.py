@@ -14,7 +14,8 @@ every message bit and every unit of probability mass, in one vectorised
 pass that sums in the order of a one-at-a-time loop over the events. The
 uniform key runs over the padded symbol's alphabet and spreads each symbol
 evenly over the fields (the one-time pad), so the pass enumerates only the
-(x, y, u) triples and expands them to events inside the ordered sums (see
+(x, y, u) triples and expands them to events inside the ordered sums, which
+skip exact zeros, and sums the total mass only when some mass fails (see
 ``audit``). The (c, x) and (x, y, c) groups are numbered by first
 occurrence from a key-indexed table of first entries, with no sort.
 ``build_codes`` picks the schemes that apply to an analysis, and
@@ -361,8 +362,10 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     w = 0 thus stand for all their events: a (c, x) or (x, y, c) group is a
     class of triples, (x, u_hat) or (x, u_hat, y), at one field, with the
     same mass at every field (direct-pad's u_hat is always 0). Masses are
-    expanded key_size times, and only inside the ordered sums: in the total,
-    the failed mass, each x's mass and, class first, each group term.
+    expanded key_size times, and only inside the ordered sums: in the failed
+    mass, the total, each x's mass and, class first, each group term, less
+    the exact zeros, which move no bit. The total is summed only when the
+    failed mass is not 0: 1 - 0 / total is 1.0 for every positive total.
     """
     if code.y_size != d.y_size:
         raise InternalError("code and distribution disagree on |Y|")
@@ -371,8 +374,8 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     c, length, y_hat = _messages(code, x, y, u)
     if not (mass > 0.0).any():
         raise EmptySupport("no (x, y, u, w) event has positive mass")
-    total = dist.sum_in_order(mass.repeat(m))
-    failed = dist.sum_in_order(mass[y_hat != y].repeat(m))
+    failed = dist.sum_in_order(mass[y_hat != y], m)
+    lossless = np.float64(1.0 - failed / dist.sum_in_order(mass, m) if failed else 1.0)
     # every key sees the same lengths; divide out P(w) = 1/m
     per_key = np.full(m, dist.sum_in_order(mass * length) * m)
     del u, length, y_hat  # the groups need only x, y, c and mass; this lowers the peak
@@ -384,7 +387,7 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
     p_cx = np.bincount(g, weights=mass)
     x_g = x[first]
     p_c, p_x = _totals(c[first], p_cx), np.bincount(x_g.repeat(m), weights=p_cx.repeat(m))[x_g]
-    mi = dist.sum_in_order(_p_log2_ratio(p_cx, (p_cx,), (p_c, p_x)).repeat(m))
+    mi = dist.sum_in_order(_p_log2_ratio(p_cx, (p_cx,), (p_c, p_x)), m)
     # the (x, y, c) key is built on the compact (c, x) ids, so its table has
     # |Y| entries per (c, x) group however sparse the message numbers are
     g *= d.y_size
@@ -401,10 +404,10 @@ def audit(code: PrivateCode, d: JointDistribution) -> LeakageAudit:
 
     return LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),
-        lossless_prob=np.float64(1.0 - failed / total),  # a numpy float, as the loop audit returned
+        lossless_prob=lossless,  # a numpy float, as the loop audit returned
         per_key_expected_length=per_key,
-        mi_c_x_given_y=float(max(dist.sum_in_order(mi_cond.repeat(m)), 0.0)),
-        h_y_given_x_c=float(max(dist.sum_in_order(h_y_given_xc.repeat(m)), 0.0)),
+        mi_c_x_given_y=float(max(dist.sum_in_order(mi_cond, m), 0.0)),
+        h_y_given_x_c=float(max(dist.sum_in_order(h_y_given_xc, m), 0.0)),
     )
 
 

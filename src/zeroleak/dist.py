@@ -186,9 +186,16 @@ def entropy_rows(m) -> np.ndarray:
     return out
 
 
-def sum_in_order(v: np.ndarray) -> float:
-    """0.0 + v[0] + v[1] + ..., added left to right."""
-    return float(np.concatenate(([0.0], v)).cumsum()[-1])
+def sum_in_order(v: np.ndarray, times: int = 1) -> float:
+    """0.0 + each entry of ``v``, ``times`` times over, added left to right.
+
+    Exact zeros are dropped first, which moves no bit: a rounded sum is 0
+    only when the exact one is (tiny sums are exact), and an exact zero sum
+    is -0 only when both operands are (IEEE 754 §6.3), so a sum started at
+    +0 is never -0, and s + 0 of either sign is s. NaN stays. The first term
+    t left gives 0.0 + t == t, and an empty fold is +0.0."""
+    t = v[v != 0.0]
+    return float(t.repeat(times).cumsum()[-1]) if t.size else 0.0
 
 
 def conditional_entropies(d: JointDistribution) -> np.ndarray:

@@ -218,8 +218,10 @@ def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAu
     for (c, x), mass in p_cx.items():
         p_c[c] = p_c.get(c, 0.0) + mass
         p_x[x] = p_x.get(x, 0.0) + mass
+    # a group of no mass, as when every event mass in it underflows to 0,
+    # adds 0 to each log sum (0 log 0 = 0)
     mi = sum(
-        mass * np.log2(mass / (p_c[c] * p_x[x])) for (c, x), mass in p_cx.items()
+        mass * np.log2(mass / (p_c[c] * p_x[x])) if mass else 0.0 for (c, x), mass in p_cx.items()
     )
 
     p_yc: dict[tuple[int, str], float] = {}
@@ -231,10 +233,12 @@ def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAu
     # I(X;C|Y) = sum p(x,y,c) log [ p(x,y,c) p(y) / (p(x,y) p(y,c)) ]
     mi_cond = 0.0
     for (x, y, c), mass in p_xyc.items():
-        mi_cond += mass * np.log2(mass * p_y[y] / (d.p[x, y] * p_yc[(y, c)]))
+        if mass:
+            mi_cond += mass * np.log2(mass * p_y[y] / (d.p[x, y] * p_yc[(y, c)]))
     h_y_given_xc = 0.0
     for (x, y, c), mass in p_xyc.items():
-        h_y_given_xc -= mass * np.log2(mass / p_xc[(x, c)])
+        if mass:
+            h_y_given_xc -= mass * np.log2(mass / p_xc[(x, c)])
 
     return codec.LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),

@@ -210,6 +210,10 @@ def _parse_outcome(parse, text):
 @example("joint:\n0.5 0.25\n0.25\n")
 @example("joint:\n0.5\t\u00a00.5\n")
 @example("0.5\njoint: 1\n")
+@example("joint: 1e-05 1\n")
+@example("joint: 0.5 1e\n")
+@example("joint: 1..2 1\n")
+@example("joint: e- 1\n")
 def test_section_parser_matches_token_oracle(text):
     # the section-at-a-time parser reads the same doubles as the
     # token-at-a-time one, or raises the same ParseError at the same place

@@ -1,8 +1,12 @@
 """Prefix codes, the two keyed schemes, and the exact-enumeration audits."""
 
+import functools
+import importlib.util
 import math
 import struct
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -19,7 +23,7 @@ from conftest import (
     unpadded_reference_leakage,
 )
 
-from zeroleak import codec, dist, families, mechanism as mm
+from zeroleak import cli, codec, dist, families, mechanism as mm
 from zeroleak.errors import EmptySupport, IncompleteMechanism, MalformedBits, WrongRegime
 
 EX1_KERNEL = np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]], dtype=float)
@@ -534,6 +538,52 @@ def test_log_ratio_terms_of_underflowing_masses_are_finite():
     assert bits(got[0]) == bits(p[0] * np.log2(a[0] * b[0] / (c[0] * e[0])))
     assert got[1] == 0.0 and got[3] == 0.0
     assert got[2] == pytest.approx(1e-200 * (math.log2(1e-200) + 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [5e-324, 0.5], ids=["underflowing-mass", "normal-mass"])
+def test_audit_total_shortcut_matches_loop_oracle(q):
+    # one wrong decode entry on the triple (x, y, u) = (1, 5, 1), with
+    # p(x, y) = 1/16 and P(u|y) = q > 0: when its event mass p q / m
+    # underflows to 0 no mass fails, lossless_prob is 1.0 with the total
+    # never summed; otherwise the failed mass is positive
+    d, _, code = example1_code()
+    p_u_given_y = code.p_u_given_y.copy()
+    p_u_given_y[1, 5] = q
+    decode = code.mech.decode.copy()
+    decode[1, 1] = 4
+    code = replace(code, p_u_given_y=p_u_given_y, mech=replace(code.mech, decode=decode))
+    x, y, u, mass = codec._events(code, d)
+    wrong = codec._messages(code, x, y, u)[2] != y
+    assert [a[wrong].tolist() for a in (x, y, u)] == [[1], [5], [1]]
+    assert (mass[wrong][0] == 0.0) == (q < 1e-300)
+    assert _outcome(codec.audit, code, d) == _outcome(loop_audit, code, d)
+    assert (codec.audit(code, d).lossless_prob == 1.0) == (q < 1e-300)
+
+
+@functools.cache
+def _benchmark_workloads():
+    """``perfbench/workloads.py``'s table of workloads, loaded once by path
+    (its dataclasses need the module registered while it runs)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["det-wide", "ci-deep", "audit-heavy", "batch-small"])
+def test_audit_matches_loop_on_benchmark_ladder(workload, seed):
+    # every code built on a benchmark pool's inputs, read as the benchmark
+    # reads them, audits as the loop oracle does, bit for bit
+    pool = _benchmark_workloads()[workload].build(np.random.default_rng(seed))
+    checked = 0
+    for instance in pool:
+        d = cli.parse_distribution_text(instance.text)
+        for code in codec.build_codes(mm.analyze(d)):
+            assert _outcome(codec.audit, code, d) == _outcome(loop_audit, code, d), (instance.name, code.scheme)
+            checked += 1
+    assert checked >= len(pool)
 
 
 @pytest.mark.parametrize("shape", [(2, 16, 8), (2, 14, 9), (3, 11, 5)], ids=str)

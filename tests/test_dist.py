@@ -2,6 +2,7 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -254,6 +255,35 @@ def test_sum_in_order_adds_left_to_right(seed, n):
     for t in v:
         h += t
     assert bits(dist.sum_in_order(v)) == bits(h)
+
+
+# both zeros, the smallest subnormals, NaN, the infinities and any finite
+# double of either sign
+FOLD_TERMS = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+        st.floats(allow_nan=False),
+    ),
+    max_size=30,
+)
+
+
+@given(FOLD_TERMS, st.integers(1, 40))
+@example([], 1)
+@example([-0.0, -0.0], 3)
+@example([0.0, -0.0, 5e-324, -5e-324, -0.0], 2)
+@example([1e308, 1e308, -math.inf, 0.0, math.nan], 1)
+def test_sum_in_order_matches_loop_oracle(terms, times):
+    # the fold that drops exact zeros adds what the loop over every term,
+    # each repeated ``times`` times, adds, byte for byte (the sign of 0 too);
+    # numpy warns where the loop silently overflows or meets inf - inf
+    s = 0.0
+    for t in terms:
+        for _ in range(times):
+            s += t
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = dist.sum_in_order(np.array(terms, dtype=float), times)
+    assert struct.pack("<d", got) == struct.pack("<d", s)
 
 
 @given(st.sampled_from(["example1", "wide", *families.FAMILIES]), st.integers(0, 2**32 - 1))
