@@ -261,30 +261,35 @@ def render_code_document(a: Analysis, lines: Lines) -> tuple[list[str], list[str
     violations: list[str] = []
     for code in codes:
         lines.out += codec.write_code(code)
-        violations += render_audit_result(code, a.d, a.h_given_x.max(), lines)
+        violations += render_audit_result(code, [], a.d, a.h_given_x.max(), lines)
     return schemes, violations
 
 
-def render_audit_result(code: codec.PrivateCode, d: JointDistribution, converse: float, lines: Lines) -> list[str]:
-    """Audit ``code`` on ``d`` and print the figures; returns the violated
-    invariants, or the one naming a message that does not decode."""
+def render_audit_result(
+    code: codec.PrivateCode, found: list[str], d: JointDistribution, converse: float, lines: Lines
+) -> list[str]:
+    """Audit ``code`` on ``d``, print the figures and the verdict, and
+    return the violated invariants: the reader's ``found``, then the
+    audit's, or the one naming a message that does not decode."""
+    scheme = code.scheme
+    lines.header(f"audit {scheme}")
+    violations = list(found)
     try:
         audit = codec.audit(code, d)
     except MalformedBits as exc:
-        return [f"{code.scheme}: a message does not decode ({exc})"]
-    scheme = code.scheme
-    lines.header(f"audit {scheme}")
-    lines.kv(f"{scheme}.audit.mi_c_x", audit.mi_c_x)
-    # all 17 digits in both formats: the audit fails on any value below 1,
-    # which .6g would print as 1
-    lines.kv(f"{scheme}.audit.lossless_prob", _f(audit.lossless_prob, True))
-    lines.kv(
-        f"{scheme}.audit.per_key_expected_length",
-        codec.format_row(audit.per_key_expected_length, _SPEC[lines.structured]),
-    )
-    lines.kv(f"{scheme}.audit.mi_c_x_given_y", audit.mi_c_x_given_y)
-    lines.kv(f"{scheme}.audit.h_y_given_x_c", audit.h_y_given_x_c)
-    violations = codec.check_audit(code, audit, d, converse)
+        violations.append(f"{scheme}: a message does not decode ({exc})")
+    else:
+        lines.kv(f"{scheme}.audit.mi_c_x", audit.mi_c_x)
+        # all 17 digits in both formats: the audit fails on any value below 1,
+        # which .6g would print as 1
+        lines.kv(f"{scheme}.audit.lossless_prob", _f(audit.lossless_prob, True))
+        lines.kv(
+            f"{scheme}.audit.per_key_expected_length",
+            codec.format_row([audit.expected_length] * code.key_size, _SPEC[lines.structured]),
+        )
+        lines.kv(f"{scheme}.audit.mi_c_x_given_y", audit.mi_c_x_given_y)
+        lines.kv(f"{scheme}.audit.h_y_given_x_c", audit.h_y_given_x_c)
+        violations += codec.check_audit(code, audit, converse)
     lines.kv(f"{scheme}.audit.ok", not violations)
     return violations
 
@@ -321,8 +326,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
         converse = dist.conditional_entropies(d).max()
         violations = []
         for scheme in schemes:
-            code, found = codec.read_code(doc, scheme, d)
-            violations += found + render_audit_result(code, d, converse, lines)
+            violations += render_audit_result(*codec.read_code(doc, scheme, d), d, converse, lines)
     else:
         a = mech_mod.analyze(parse_distribution(args.input_path))
         if args.cmd in ("analyze", "mechanism"):

@@ -160,7 +160,7 @@ def check_instance(d: JointDistribution, family: str) -> list[str]:
         if information_identity_residual(d, a.mech) > 1e-9:
             problems.append("information identity residual above 1e-9")
         for code in codec.build_codes(a):
-            problems += codec.check_audit(code, codec.audit(code, d), d, a.h_given_x.max())
+            problems += codec.check_audit(code, codec.audit(code, d), a.h_given_x.max())
         return problems
     except ZeroLeakError as exc:
         return [f"raised {type(exc).__name__}: {exc}"]

@@ -184,14 +184,16 @@ def loop_events(code: codec.PrivateCode, d: JointDistribution):
                     yield x, y, u, w, d.p[x, y] * pu / m
 
 
-def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAudit:
+def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> tuple[codec.LeakageAudit, np.ndarray]:
     """The event-at-a-time audit that ``codec.audit`` must match bit for bit.
 
     Enumerate every (x, y, u, w) event and account for it exactly.
 
     Computes I(C; X), the probability of correct decoding, the expected
     message length conditioned on each key value, and the two received-code
-    diagnostics I(C; X | Y) and H(Y | X, C).
+    diagnostics I(C; X | Y) and H(Y | X, C). Returns the audit, with key
+    0's length as its ``expected_length``, and every key's length, each of
+    which must equal ``codec.audit``'s ``expected_length``.
     """
     if code.y_size != d.y_size:
         raise InternalError("code and distribution disagree on |Y|")
@@ -243,10 +245,10 @@ def loop_audit(code: codec.PrivateCode, d: JointDistribution) -> codec.LeakageAu
     return codec.LeakageAudit(
         mi_c_x=float(max(mi, 0.0)),
         lossless_prob=1.0 - failed / total,
-        per_key_expected_length=per_key,
+        expected_length=float(per_key[0]),
         mi_c_x_given_y=float(max(mi_cond, 0.0)),
         h_y_given_x_c=float(max(h_y_given_xc, 0.0)),
-    )
+    ), per_key
 
 
 def unique_first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

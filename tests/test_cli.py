@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from conftest import bits, loop_doc_block, loop_parse_distribution_text
 
 from zeroleak import cli, codec, dist, families
 from zeroleak import mechanism as mm
-from zeroleak.errors import ParseError, StochasticityError
+from zeroleak.errors import InputError, ParseError, StochasticityError
 
 GOLDEN = Path(__file__).parent / "golden"
 EXAMPLE1_PATH = Path(__file__).parents[1] / "data" / "example1.txt"
@@ -772,10 +773,16 @@ def mutated_doc_path(tmp_path_factory):
 
 
 @given(mutated_code_documents())
+# Example 1's last p_u entry raised from 1/6 to 4/15: the mixture misses
+# P_Y by 0.075, which only the reader sees
+@example(_golden_doc_with("example1", "two-part.p_u", "0.5 0.083333333333333315 0.25 0.26666666666666666"))
+# a codeword that prefixes two others: u2's message does not decode
+@example(_golden_doc_with("example1", "two-part.codeword.1", "1"))
 def test_mutated_code_document_ends_in_a_verdict(mutated_doc_path, text):
-    # exit 0, exit 1 naming a violation, or exit 2 with one error line; an
-    # uncaught exception, or a warning (an error under the test settings),
-    # fails the test
+    # exit 0 with every scheme's ok true, exit 1 naming a violation and
+    # printing ok = false for each scheme a violation names (true for the
+    # rest), or exit 2 with one error line; an uncaught exception, or a
+    # warning (an error under the test settings), fails the test
     import io
     from contextlib import redirect_stderr
 
@@ -783,12 +790,132 @@ def test_mutated_code_document_ends_in_a_verdict(mutated_doc_path, text):
     err = io.StringIO()
     with redirect_stderr(err):
         status, out = run_cli(["--cmd", "audit", "--input", str(mutated_doc_path)])
-    if status == 1:
-        assert _violations(out)
-    elif status == 2:
+    if status == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert status == 0
+        return
+    named = {v.split(": ", 1)[0] for v in _violations(out)}
+    assert status == (1 if named else 0)
+    schemes = codec.parse_code_document(text)[2]
+    verdicts = [line for line in out.splitlines() if ".audit.ok = " in line]
+    assert verdicts == [f"{s}.audit.ok = {'false' if s in named else 'true'}" for s in schemes]
+
+
+def _zero_mass_symbol_doc():
+    """Example 1 with a fifth U symbol of no mass appended: P(Y|U=4) is
+    P(Y|U=0), u0's codeword 0 is split into 00 for u0 and 01 for u4, and
+    u4's decode column is -1. No event reaches u4."""
+    doc = codec.parse_code_document((GOLDEN / "example1.code.txt").read_text(encoding="utf-8"))[0]
+    doc = {k: v for k, v in doc.items() if ".audit." not in k}
+    doc["two-part.u_size"] = "5"
+    doc["two-part.p_u"] += " 0"
+    doc["two-part.p_y_given_u.4"] = doc["two-part.p_y_given_u.0"]
+    doc["two-part.codeword.0"], doc["two-part.codeword.4"] = "00", "01"
+    for x in range(2):
+        doc[f"two-part.decode.{x}"] += " -1"
+    return doc
+
+
+def _tally_pool():
+    """{name: (document, joint)} of the documents the check tally edits: the
+    golden code documents, those of two seeded draws of each member family,
+    and Example 1 with a zero-mass symbol appended."""
+    texts = {f"golden{i}": text for i, text in enumerate(GOLDEN_CODE_DOCS)}
+    rng = np.random.default_rng(7)
+    for family in ("det-f", "common-info", "rect"):
+        for i in range(2):
+            d = families.FAMILIES[family](rng)
+            codes = codec.build_codes(mm.analyze(d))
+            lines = codec.write_head(d, [c.scheme for c in codes]) + sum((codec.write_code(c) for c in codes), [])
+            texts[f"{family}{i}"] = "".join(line + "\n" for line in lines)
+    texts["zero-mass"] = "".join(f"{k} = {v}\n" for k, v in _zero_mass_symbol_doc().items())
+    return {name: codec.parse_code_document(text)[:2] for name, text in texts.items()}
+
+
+def _tally_edits(doc):
+    """Single edits of a two-part document's codewords, decode entries, p_u
+    entries and P(Y|U) columns, each column edit a move of mass that keeps
+    the column's sum: (name, edited document) pairs."""
+    f = codec.FLOAT.__mod__
+    n, y_size = int(doc["two-part.u_size"]), int(doc["y_size"])
+    words = [doc[f"two-part.codeword.{u}"] for u in range(n)]
+    p_u = [float(v) for v in doc["two-part.p_u"].split()]
+    for u, w in enumerate(words):
+        for edited in (w + "0", w + "000", w[:-1], words[(u + 1) % n]):
+            yield f"codeword.{u} = {edited}", {**doc, f"two-part.codeword.{u}": edited}
+        for scale in (1.0 + 1e-9, 1.0 + 1e-4, 1.25, 0.0):
+            value = " ".join(f(v * scale) if i == u else f(v) for i, v in enumerate(p_u))
+            yield f"p_u.{u} * {scale}", {**doc, "two-part.p_u": value}
+        col = [float(v) for v in doc[f"two-part.p_y_given_u.{u}"].split()]
+        for y0 in np.flatnonzero(col):
+            for y1 in range(y_size):
+                for share in (1e-5, 0.5, 1.0) if y1 != y0 else ():
+                    moved = list(col)
+                    moved[y0], moved[y1] = col[y0] * (1.0 - share), col[y1] + col[y0] * share
+                    yield f"p_y_given_u.{u}: {share} of y{y0} to y{y1}", {
+                        **doc,
+                        f"two-part.p_y_given_u.{u}": " ".join(map(f, moved)),
+                    }
+    for x in range(int(doc["x_size"])):
+        row = doc[f"two-part.decode.{x}"].split()
+        for u, entry in enumerate(row):
+            for value in (-1, (int(entry) + 1) % y_size):
+                if value != int(entry):
+                    edited = " ".join(str(value) if i == u else e for i, e in enumerate(row))
+                    yield f"decode.{x}.{u} = {value}", {**doc, f"two-part.decode.{x}": edited}
+
+
+# each two-part violation's check, by the text that names it
+TALLY_CHECKS = {
+    "column leakage residual": "residual",
+    "mixture does not reproduce": "mixture",
+    "serialized decode table mismatch": "decode table",
+    "not decodable": "not decodable",
+    "not prefix-free": "prefix",
+    "exceeds H(U)": "cap",
+    "below the converse": "converse",
+    "leakage mi_c_x": "leakage",
+    "lossless_prob": "lossless",
+    "a message does not decode": "message",
+}
+
+
+def test_mutated_code_document_check_tally():
+    # single edits to two-part documents, each audited as `audit` audits
+    # it. Each reader check, and the cap, is on some edit the only
+    # violation, so none of them can go; a y that no U symbol covers is
+    # always named by the decode-table rebuild, as not decodable
+    tally, alone = Counter(), Counter()
+    pool = _tally_pool()
+    for pool_name, (doc, d) in pool.items():
+        converse = dist.conditional_entropies(d).max()
+        code, found = codec.read_code(doc, codec.TWO_PART, d)
+        assert found == [] and codec.check_audit(code, codec.audit(code, d), converse) == [], pool_name
+        for name, edited in _tally_edits(doc):
+            try:
+                code, found = codec.read_code(edited, codec.TWO_PART, d)
+            except InputError:
+                tally["input error"] += 1
+                continue
+            violations = cli.render_audit_result(code, found, d, converse, cli.Lines(True))
+            checks = [next(c for text, c in TALLY_CHECKS.items() if text in v) for v in violations]
+            tally.update(checks or ["ok"])
+            tally["edits"] += 1
+            if len(checks) == 1:
+                alone[checks[0]] += 1
+            if not (code.p_u_given_y > 0.0).any(axis=0).all():
+                assert "not decodable" in checks, (pool_name, name, violations)
+    for check in ("residual", "mixture", "decode table", "prefix", "cap"):
+        assert alone[check] > 0, (check, alone)
+    assert tally["edits"] > 2000 and tally["ok"] > 0
+    # the zero-mass symbol's codeword and decode column: only the reader's
+    # prefix and decode-table checks see them
+    doc, d = pool["zero-mass"]
+    for key, value, named in (
+        ("two-part.codeword.4", "000", "two-part: codewords are not prefix-free"),
+        ("two-part.decode.1", "3 5 4 5 2", "two-part: serialized decode table mismatch"),
+    ):
+        rebuilt = codec.read_code({**doc, key: value}, codec.TWO_PART, d)
+        assert cli.render_audit_result(*rebuilt, d, 1.5, cli.Lines(True)) == [named]
 
 
 def test_lossless_prob_prints_all_digits_in_both_formats(tmp_path):
@@ -873,11 +1000,12 @@ def test_y_that_no_u_symbol_covers_is_a_violation(tmp_path):
     status, out = run_cli(["--cmd", "code", "--input", str(path), "--format", "structured"])
     assert status == 2 and "schemes = \nerror = no applicable scheme" in out
     # a document that carries such a code anyway fails its audit, which
-    # has no event of y0
+    # has no event of y0, on the reader's decode-table rebuild alone
     status, out = _audit_text(tmp_path, UNCOVERED_Y_DOC)
     assert status == 1 and "two-part.audit.lossless_prob = 1\n" in out
-    assert _violations(out) == ["two-part: not decodable (no live (x, u) pair carries y", "two-part: no U symbol covers y"]
-    assert "violation = two-part: no U symbol covers y = 0\n" in out
+    assert "two-part.audit.ok = false\n" in out
+    assert _violations(out) == ["two-part: not decodable (no live (x, u) pair carries y"]
+    assert "violation = two-part: not decodable (no live (x, u) pair carries y = 0)\n" in out
 
 
 @pytest.mark.parametrize("tiny", ["1e-320", "5e-324"])

@@ -106,11 +106,11 @@ def test_two_part_example1_shape_and_bound():
     assert code.key_size == 2
     hu = dist.entropy(mech.p_u)
     a = codec.audit(code, d)
-    assert a.per_key_expected_length.max() <= 1.0 + hu + 1.0 + 1e-9
+    assert a.expected_length <= 1.0 + hu + 1.0 + 1e-9
     # the reference numbers: H(U) <= 1.9591 so total <= 3.9591, beating
     # ceil(log2 5) + ceil(log2 2) = 4
-    assert a.per_key_expected_length.max() <= 3.9591 + 1e-3
-    assert a.per_key_expected_length.max() < 4.0
+    assert a.expected_length <= 3.9591 + 1e-3
+    assert a.expected_length < 4.0
 
 
 def test_two_part_requires_decode_table():
@@ -135,9 +135,11 @@ def test_two_part_exhaustive_roundtrip_example1():
 
 
 def test_two_part_per_key_constant():
+    # every key's length, summed over that key's events alone, is the
+    # audit's one expected length, bit for bit
     d, mech, code = example1_code()
-    a = codec.audit(code, d)
-    assert float(np.ptp(a.per_key_expected_length)) <= 1e-12
+    _, per_key = loop_audit(code, d)
+    assert bits(per_key) == bits([codec.audit(code, d).expected_length] * code.key_size)
 
 
 def test_two_part_sampled_roundtrip():
@@ -189,7 +191,7 @@ def test_identity_joint_all_weight_on_pad():
     code = codec.build_two_part(d, mech, codec.build_huffman(mech.p_u))
     a = codec.audit(code, d)
     # 2 pad bits plus the 1-bit single-symbol codeword, every message
-    assert np.allclose(a.per_key_expected_length, 3.0, atol=1e-12)
+    assert a.expected_length == pytest.approx(3.0, abs=1e-12)
     assert a.mi_c_x <= 1e-12 and a.lossless_prob == 1.0
 
 
@@ -203,7 +205,7 @@ def test_direct_pad_fixed_lengths():
         code = codec.build_direct_pad(d)
         assert code.field_bits == want
         a = codec.audit(code, d)
-        assert np.allclose(a.per_key_expected_length, want, atol=1e-12)
+        assert a.expected_length == pytest.approx(want, abs=1e-12)
 
 
 def test_direct_pad_modular_example():
@@ -245,8 +247,7 @@ def test_two_part_properties_random_members():
         cap = hu + 1.0 + codec.ceil_log2(d.x_size) + 1e-9
         assert a.mi_c_x <= 1e-9
         assert a.lossless_prob == 1.0
-        assert float(np.ptp(a.per_key_expected_length)) <= 1e-12
-        assert a.per_key_expected_length.max() <= cap
+        assert a.expected_length <= cap
         assert sum(2.0 ** -len(c) for c in code.u_code.codewords.values()) <= 1.0 + 1e-12
 
 
@@ -258,7 +259,7 @@ def test_achieved_length_above_converse():
         mech = mm.build_decode_table(d, mech)
         a = codec.audit(codec.build_two_part(d, mech, codec.build_huffman(mech.p_u)), d)
         conv = dist.conditional_entropies(d).max()
-        assert a.per_key_expected_length.max() >= conv - 1e-9
+        assert a.expected_length >= conv - 1e-9
 
 
 def test_negative_control_unpadded_code_leaks():
@@ -285,8 +286,8 @@ def test_build_codes_selects_schemes_in_document_order():
         assert [c.scheme for c in codec.build_codes(mm.analyze(d))] == schemes
 
 
-def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, lengths=(2.75, 2.75)):
-    return codec.LeakageAudit(mi_c_x, lossless_prob, np.array(lengths, dtype=float), 0.0, 0.0)
+def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, length=2.75):
+    return codec.LeakageAudit(mi_c_x, lossless_prob, length, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -295,17 +296,17 @@ def _leakage_audit(mi_c_x=0.0, lossless_prob=1.0, lengths=(2.75, 2.75)):
         (codec.TWO_PART, {}, None),
         (codec.TWO_PART, {"mi_c_x": 1e-6}, "leakage"),
         (codec.TWO_PART, {"lossless_prob": 0.5}, "lossless_prob"),
-        (codec.TWO_PART, {"lengths": (2.75, 2.5)}, "per-key length varies"),
-        (codec.TWO_PART, {"lengths": (1.25, 1.25)}, "converse"),
-        (codec.TWO_PART, {"lengths": (3.75, 3.75)}, "exceeds H(U)+1+ceil(log|X|)"),
-        (codec.DIRECT_PAD, {"lengths": (2.0, 2.0, 2.0)}, None),
-        (codec.DIRECT_PAD, {"mi_c_x": 1e-10, "lengths": (2.0, 2.0, 2.0)}, "leakage"),
-        (codec.DIRECT_PAD, {"lengths": (3.0, 3.0, 3.0)}, "not exactly 2"),
+        # the cap is H(U) + 1 + field_bits = 3.7296, and holds up to it
+        (codec.TWO_PART, {"length": 3.7295}, None),
+        (codec.TWO_PART, {"length": 1.25}, "converse"),
+        (codec.TWO_PART, {"length": 3.75}, "exceeds H(U)+1+ceil(log|X|)"),
+        (codec.DIRECT_PAD, {"length": 2.0}, None),
+        (codec.DIRECT_PAD, {"mi_c_x": 1e-10, "length": 2.0}, "leakage"),
+        # direct-pad has no cap: its length is its field's, up to round-off
+        (codec.DIRECT_PAD, {"length": 3.0}, None),
         # the audit's numpy float is printed as a plain float
         (codec.TWO_PART, {"lossless_prob": np.float64(0.5)}, "lossless_prob = 0.5"),
         (codec.TWO_PART, {"lossless_prob": np.float64(math.nan)}, "lossless_prob = nan"),
-        # exact within 1e-12 absolute, with no relative slack
-        (codec.DIRECT_PAD, {"lengths": (2.000001, 2.000001, 2.000001)}, "not exactly 2"),
     ],
 )
 def test_check_audit_names_each_invariant(scheme, fields, named):
@@ -315,7 +316,7 @@ def test_check_audit_names_each_invariant(scheme, fields, named):
         d = uniform_pair(4, 3)
         code = codec.build_direct_pad(d)
     converse = dist.conditional_entropies(d).max()
-    violations = codec.check_audit(code, _leakage_audit(**fields), d, converse)
+    violations = codec.check_audit(code, _leakage_audit(**fields), converse)
     if named is None:
         assert violations == []
     else:
@@ -428,19 +429,15 @@ def _mutations(code, rng):
 
 def _outcome(audit_fn, code, d):
     """Every audit field as exact bytes (the sign of zero included), with the
-    type of ``lossless_prob``, or the exception's type and message."""
+    type of ``lossless_prob`` and the expected length under each key (the
+    loop oracle's own per-key figures), or the exception's type and message."""
     try:
         a = audit_fn(code, d)
     except (MalformedBits, ValueError) as exc:
         return type(exc).__name__, str(exc)
+    a, per_key = a if audit_fn is loop_audit else (a, [a.expected_length] * code.key_size)
     scalars = (a.mi_c_x, a.lossless_prob, a.mi_c_x_given_y, a.h_y_given_x_c)
-    per_key = a.per_key_expected_length
-    return (
-        [struct.pack("<d", v) for v in scalars],
-        type(a.lossless_prob),
-        per_key.shape,
-        [struct.pack("<d", v) for v in per_key],
-    )
+    return bits(scalars), type(a.lossless_prob), bits(per_key)
 
 
 def _audits_match_loop(d, rng):

@@ -519,7 +519,7 @@ def assert_factored_g0_matches_whole_joint(d):
     assert mech.p_u.min() > 1e-12
     a = mm.analyze(d)
     for code in codec.build_codes(a):
-        assert codec.check_audit(code, codec.audit(code, d), d, a.h_given_x.max()) == []
+        assert codec.check_audit(code, codec.audit(code, d), a.h_given_x.max()) == []
 
 
 @given(st.sampled_from(sorted(families.FAMILIES)), st.integers(0, 2**32 - 1))

@@ -110,7 +110,7 @@ def test_achieved_lengths_inside_bracket():
         d = families.random_deterministic_pair(rng)
         a = mm.analyze(d)
         audit = codec.audit(codec.build_two_part(d, a.mech, codec.build_huffman(a.mech.p_u)), d)
-        achieved = float(audit.per_key_expected_length.max())
+        achieved = audit.expected_length
         rep = report.build_report(a)
         key = d.x_size
         applicable_low = [e.bits for e in rep.lower if e.key_size == key]
